@@ -4,37 +4,75 @@
 //!
 //! ```text
 //! obs_diff <baseline.obs.json> <candidate.obs.json> [--hist-tol FRACTION]
+//! obs_diff --lint <report.json>
 //! ```
 //!
 //! Exit codes: `0` match, `1` differences found (each printed as a
 //! `DIFF ...` line), `2` usage / IO / parse errors. `scripts/verify.sh`
 //! runs this against the committed golden baselines in
 //! `crates/bench/tests/golden/`.
+//!
+//! `--lint` instead checks one ObsReport or `BENCH_*.json` perf record for
+//! stability (sorted, unique keys; no wall-clock fields): exit `0` with a
+//! summary line, `1` with a `LINT ...` line per violation, `2` when the
+//! file is unreadable or not valid JSON.
 
 use bench_support::obsdiff::{self, DiffOptions};
 
-const USAGE: &str = "usage: obs_diff <baseline.obs.json> <candidate.obs.json> [--hist-tol FRACTION]";
+const USAGE: &str = "usage: obs_diff <baseline.obs.json> <candidate.obs.json> [--hist-tol FRACTION]
+       obs_diff --lint <report.json>";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("obs_diff: {msg}\n{USAGE}");
     std::process::exit(2);
 }
 
-fn load(path: &str, side: &str) -> bench_support::json::Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read(path: &str, side: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("obs_diff: cannot read {side} `{path}`: {e}");
         std::process::exit(2);
-    });
+    })
+}
+
+fn load(path: &str, side: &str) -> bench_support::json::Json {
+    let text = read(path, side);
     bench_support::json::parse(&text).unwrap_or_else(|e| {
         eprintln!("obs_diff: {side} `{path}` is not valid JSON: {e}");
         std::process::exit(2);
     })
 }
 
+fn lint(path: &str) -> ! {
+    let text = read(path, "report");
+    let (doc, order) = bench_support::json::parse_keyed(&text).unwrap_or_else(|e| {
+        eprintln!("obs_diff: report `{path}` is not valid JSON: {e}");
+        std::process::exit(2);
+    });
+    match obsdiff::lint(&doc, &order) {
+        Ok(summary) => {
+            println!("{path}: {summary}");
+            std::process::exit(0);
+        }
+        Err(violations) => {
+            for v in violations {
+                println!("LINT {path}: {v}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--lint") {
+        match &args[1..] {
+            [path] => lint(path),
+            _ => usage_error("--lint takes exactly one report path"),
+        }
+    }
     let mut paths: Vec<String> = Vec::new();
     let mut opts = DiffOptions::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--hist-tol" => {

@@ -69,16 +69,28 @@ impl Json {
     }
 }
 
+/// Every object's keys in document order, each with the object's path:
+/// `""` for the root, dotted member names below it, and `[]` for the
+/// elements of an array (`"metrics[]"`).
+pub type KeyOrder = Vec<(String, Vec<String>)>;
+
 /// Parses `text` as a single JSON document (trailing whitespace allowed).
 pub fn parse(text: &str) -> Result<Json, String> {
+    parse_keyed(text).map(|(doc, _)| doc)
+}
+
+/// [`parse`], also returning the keys of every object in document order —
+/// the order and the duplicates that [`Json::Obj`] normalizes away, which
+/// stability lints over writer output need to see.
+pub fn parse_keyed(text: &str) -> Result<(Json, KeyOrder), String> {
     let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let (mut pos, mut order) = (0, KeyOrder::new());
+    let value = parse_value(bytes, &mut pos, "", &mut order)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
-    Ok(value)
+    Ok((value, order))
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -96,11 +108,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(
+    bytes: &[u8],
+    pos: &mut usize,
+    path: &str,
+    order: &mut KeyOrder,
+) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, path, order),
+        Some(b'[') => parse_arr(bytes, pos, path, order),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -176,8 +193,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(
+    bytes: &[u8],
+    pos: &mut usize,
+    path: &str,
+    order: &mut KeyOrder,
+) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
+    let path = format!("{path}[]");
     let mut items = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
@@ -185,7 +208,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, &path, order)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -198,12 +221,19 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(
+    bytes: &[u8],
+    pos: &mut usize,
+    path: &str,
+    order: &mut KeyOrder,
+) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
+    let mut keys = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
+        order.push((path.to_string(), keys));
         return Ok(Json::Obj(map));
     }
     loop {
@@ -211,13 +241,16 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let child = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+        let value = parse_value(bytes, pos, &child, order)?;
+        keys.push(key.clone());
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
+                order.push((path.to_string(), keys));
                 return Ok(Json::Obj(map));
             }
             _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
@@ -257,6 +290,18 @@ mod tests {
         assert!(parse("{\"a\": ").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn key_order_keeps_document_order_and_duplicates() {
+        let text = r#"{"b": {"y": 1, "x": 2, "y": 3}, "a": [{"k": 1}], "c": {}}"#;
+        let (doc, order) = parse_keyed(text).unwrap();
+        assert_eq!(doc.get("b").unwrap().get("y").unwrap().as_num(), Some(3.0), "last wins");
+        let keys = |path: &str| order.iter().find(|(p, _)| p == path).map(|(_, k)| k.clone());
+        assert_eq!(keys(""), Some(vec!["b".into(), "a".into(), "c".into()]));
+        assert_eq!(keys("b"), Some(vec!["y".into(), "x".into(), "y".into()]));
+        assert_eq!(keys("a[]"), Some(vec!["k".into()]));
+        assert_eq!(keys("c"), Some(vec![]));
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! `scripts/verify.sh` runs this against the committed golden baselines
 //! (`crates/bench/tests/golden/*.obs.json`); `HFETCH_BLESS=1` on the
 //! golden-trace suite re-blesses them after an intended change.
+//!
+//! [`lint`] is the stability check behind `obs_diff --lint`: a report that
+//! successive runs must reproduce byte for byte keeps its keys sorted,
+//! unique, and free of wall-clock fields.
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
+use crate::json::{Json, KeyOrder};
 
 /// Tolerance knobs for a comparison.
 #[derive(Clone, Copy, Debug)]
@@ -229,6 +233,79 @@ fn bucket_count(buckets: &[(u64, u64)], idx: u64) -> u64 {
     buckets.iter().find(|&&(i, _)| i == idx).map(|&(_, n)| n).unwrap_or(0)
 }
 
+/// Lints one harness JSON document, parsed by [`json::parse_keyed`], for
+/// stability, returning a one-line summary or every violation found. Two
+/// shapes are recognised:
+///
+/// * a perf record (`BENCH_*.json`, a `metrics` array): metric names sorted
+///   and unique, and no metric or context key containing `time`, `date`,
+///   `stamp`, `epoch_s` or `now`;
+/// * an ObsReport: the `counters`, `gauges` and `histograms` keys strictly
+///   sorted (so unique), and no key anywhere whose letter runs include a
+///   wall-clock word (`wall`, `unix`, `utc`, `now`, `clock`, `timestamp`,
+///   ...). Matching whole tokens keeps names like `dht.map.updates` legal.
+///
+pub fn lint(doc: &Json, order: &KeyOrder) -> Result<String, Vec<String>> {
+    let mut bad = Vec::new();
+    let keys_of = |path: &str| -> Vec<String> {
+        order.iter().filter(|(p, _)| p == path).flat_map(|(_, k)| k.clone()).collect()
+    };
+    let unsorted = |what: &str, keys: &[String], bad: &mut Vec<String>| {
+        for pair in keys.windows(2).filter(|p| p[0] >= p[1]) {
+            bad.push(format!("{what}: `{}` does not sort before `{}`", pair[0], pair[1]));
+        }
+    };
+    if let Some(metrics) = doc.get("metrics").and_then(Json::as_arr) {
+        let names: Vec<String> =
+            metrics.iter().filter_map(|m| m.get("name")?.as_str().map(String::from)).collect();
+        unsorted("metrics", &names, &mut bad);
+        let context = keys_of("").into_iter().filter(|k| k != "schema" && k != "metrics");
+        for key in context.chain(names.iter().cloned()) {
+            let low = key.to_lowercase();
+            if ["time", "date", "stamp", "epoch_s", "now"].iter().any(|t| low.contains(t)) {
+                bad.push(format!("wall-clock-ish field: {key}"));
+            }
+        }
+        return if bad.is_empty() {
+            Ok(format!("perf record stable: {} metrics, sorted, no timestamps", names.len()))
+        } else {
+            Err(bad)
+        };
+    }
+    let mut series = 0;
+    for section in ["counters", "gauges", "histograms"] {
+        if doc.get(section).and_then(Json::as_obj).is_none() {
+            return Err(vec![format!("missing `{section}` object (not an ObsReport?)")]);
+        }
+        let keys = keys_of(section);
+        series += keys.len();
+        unsorted(section, &keys, &mut bad);
+    }
+    lint_wall_clock(order, &mut bad);
+    let events = doc.get("trace_events").and_then(Json::as_num).unwrap_or(0.0);
+    if bad.is_empty() {
+        Ok(format!("ObsReport stable: {series} series, sorted, sim-clock only ({events} trace events)"))
+    } else {
+        Err(bad)
+    }
+}
+
+/// Token-exact wall-clock lint over every object key of an ObsReport.
+fn lint_wall_clock(order: &KeyOrder, bad: &mut Vec<String>) {
+    const FORBIDDEN: [&str; 10] =
+        ["wall", "walltime", "unix", "date", "datetime", "utc", "stamp", "timestamp", "now", "clock"];
+    // Objects nested in arrays are data, not fields.
+    for key in order.iter().filter(|(path, _)| !path.contains("[]")).flat_map(|(_, k)| k) {
+        let low = key.to_lowercase();
+        let hits: Vec<&str> = (low.split(|c: char| !c.is_ascii_lowercase()))
+            .filter(|token| FORBIDDEN.contains(token))
+            .collect();
+        if !hits.is_empty() {
+            bad.push(format!("wall-clock-ish field: {key} ({})", hits.join(", ")));
+        }
+    }
+}
+
 /// Renders a finished comparison as the `obs_diff` CLI report.
 pub fn render_report(diff: &Diff) -> String {
     let mut out = String::new();
@@ -316,6 +393,40 @@ mod tests {
             "{:?}",
             d.failures
         );
+    }
+
+    fn lint_text(text: &str) -> Result<String, Vec<String>> {
+        let (doc, order) = json::parse_keyed(text).unwrap();
+        lint(&doc, &order)
+    }
+
+    #[test]
+    fn lint_accepts_sorted_reports_and_perf_records() {
+        let report = "{\"counters\": {\"a\": 1, \"dht.map.updates\": 2}, \"gauges\": {},\n\
+                      \"histograms\": {\"h\": {\"count\": 1, \"sum\": 2, \"buckets\": []}},\n\
+                      \"trace_events\": 3}";
+        assert_eq!(
+            lint_text(report),
+            Ok("ObsReport stable: 3 series, sorted, sim-clock only (3 trace events)".into())
+        );
+        let record = "{\"schema\": \"s/1\", \"scale\": \"quick\", \"metrics\": [\n\
+                      {\"name\": \"a/x\", \"value\": 1}, {\"name\": \"b/y\", \"value\": 2}]}";
+        assert_eq!(lint_text(record), Ok("perf record stable: 2 metrics, sorted, no timestamps".into()));
+    }
+
+    #[test]
+    fn lint_flags_order_duplicates_and_wall_clock_fields() {
+        let report = "{\"counters\": {\"b\": 1, \"a\": 2, \"a\": 3}, \"gauges\": {\"now_ns\": 1},\n\
+                      \"histograms\": {}, \"trace_events\": 0}";
+        let bad = lint_text(report).unwrap_err();
+        assert!(bad.iter().any(|b| b.contains("`b` does not sort before `a`")), "{bad:?}");
+        assert!(bad.iter().any(|b| b.contains("`a` does not sort before `a`")), "{bad:?}");
+        assert!(bad.iter().any(|b| b.contains("now_ns (now)")), "{bad:?}");
+        let record = "{\"schema\": \"s/1\", \"run_date\": \"x\", \"metrics\": [\n\
+                      {\"name\": \"b\", \"value\": 1}, {\"name\": \"a/timestamp\", \"value\": 2}]}";
+        let bad = lint_text(record).unwrap_err();
+        assert_eq!(bad.len(), 3, "{bad:?}");
+        assert!(lint_text("{\"traceEvents\": []}").is_err());
     }
 
     #[test]

@@ -72,6 +72,25 @@ pub enum PlacementAction {
     },
 }
 
+impl PlacementAction {
+    /// The segment the action moves, and the tier it lands on (for an
+    /// `Evict`, the tier it leaves).
+    pub fn target(self) -> (SegmentId, TierId) {
+        match self {
+            Self::Fetch { segment, to } | Self::Move { segment, to, .. } => (segment, to),
+            Self::Evict { segment, from } => (segment, from),
+        }
+    }
+
+    /// The cache tier a `Move` takes its segment out of.
+    pub fn moved_from(self) -> Option<TierId> {
+        match self {
+            Self::Move { from, .. } => Some(from),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct EngineTier {
     id: TierId,
@@ -396,6 +415,12 @@ impl PlacementEngine {
     /// Where `segment` is currently placed.
     pub fn location(&self, segment: SegmentId) -> Option<TierId> {
         self.placed.get(&segment).map(|p| self.tiers[p.tier_idx].id)
+    }
+
+    /// Every placed segment with the tier it occupies, in no particular
+    /// order.
+    pub fn placements(&self) -> impl Iterator<Item = (SegmentId, TierId)> + '_ {
+        self.placed.iter().map(|(&segment, p)| (segment, self.tiers[p.tier_idx].id))
     }
 
     /// True if the engine currently models `tier` as offline.

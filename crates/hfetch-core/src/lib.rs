@@ -18,7 +18,9 @@
 //!   pending-update vector sharded along the DHT's topology so ingestion
 //!   never funnels through one global lock, with a deterministic
 //!   first-touch merge on drain.
-//! * [`policy`] — the simulator adapter: wires auditor + engine into
+//! * [`executor`] — the one pass → execute → reconcile loop around the
+//!   engine, behind a small transfer trait both deployments implement.
+//! * [`policy`] — the simulator adapter: wires auditor + executor into
 //!   [`sim::PrefetchPolicy`] so HFetch runs inside the evaluation harness
 //!   against the baselines.
 //! * [`server`] — the real-thread deployment: event queue + hardware
@@ -38,6 +40,7 @@ pub mod agent;
 pub mod auditor;
 pub mod config;
 pub mod engine;
+pub mod executor;
 pub mod heatmap;
 pub mod policy;
 pub mod scoring;
@@ -49,6 +52,7 @@ pub use auditor::{Auditor, IngestLockStats, IngestTuning, ScoreUpdate};
 pub use update_queue::StripedUpdateQueue;
 pub use config::{HFetchConfig, Reactiveness};
 pub use engine::{PlacementAction, PlacementEngine};
+pub use executor::{Executor, Transfers};
 pub use heatmap::{FileHeatmap, HeatmapStore};
 pub use policy::HFetchPolicy;
 pub use scoring::{ExactScorer, ScoreParams, ScoreState};

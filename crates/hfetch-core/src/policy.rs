@@ -1,62 +1,36 @@
 //! HFetch as a simulator policy.
 //!
-//! [`HFetchPolicy`] wires the clock-agnostic core components — the
-//! [`Auditor`] and the [`PlacementEngine`] — into the discrete-event
-//! simulator via [`sim::PrefetchPolicy`], which is how the paper's
-//! evaluation figures are regenerated. The same components run under real
-//! threads in [`crate::server`].
-//!
-//! Flow per the paper (§III-A): system-generated events (observed here as
-//! the simulator's open/read/write/close callbacks) feed the auditor, which
-//! pushes score updates into a vector; the engine is *triggered by score
-//! changes, not by application accesses* — either when enough updates
-//! accumulate (reactiveness count) or when the trigger interval elapses —
-//! and emits placement actions that the policy executes against the tiers.
+//! [`HFetchPolicy`] feeds the simulator's open/read/write/close callbacks to
+//! the [`Auditor`], and the placement [`Executor`] carries out the engine's
+//! plan through [`SimCtl`]: this is how the paper's evaluation figures are
+//! regenerated. The engine is *triggered by score changes, not by
+//! application accesses* (§III-A): enough pending updates, or the interval.
 
-use sim::engine::SimCtl;
+use sim::engine::{FetchOutcome, SimCtl};
 use sim::policy::{PrefetchPolicy, TransferDone};
 use tiers::ids::{AppId, FileId, ProcessId, SegmentId, TierId};
-use tiers::range::{segment_range, ByteRange};
+use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 use tiers::topology::Hierarchy;
 
 use crate::auditor::Auditor;
 use crate::config::HFetchConfig;
 use crate::engine::{PlacementAction, PlacementEngine};
+use crate::executor::{Executor, Transfers};
 
 /// HFetch, packaged for the simulator.
 pub struct HFetchPolicy {
     cfg: HFetchConfig,
     auditor: Auditor,
-    engine: PlacementEngine,
-    /// Placement actions waiting for an I/O-client slot, with a retry
-    /// budget: a promotion can be denied because the demotion that makes
-    /// room for it is still in flight — capacity frees at transfer
-    /// completion, so denied actions requeue and retry as transfers land.
-    queue: std::collections::VecDeque<(PlacementAction, u8)>,
-    /// Transfers currently in flight (bounded by
-    /// [`HFetchConfig::max_inflight_fetches`]).
-    inflight: usize,
-    /// Actions executed (for tests/diagnostics).
-    actions_executed: u64,
+    exec: Executor,
 }
 
 impl HFetchPolicy {
     /// Creates the policy over the given hierarchy.
     pub fn new(cfg: HFetchConfig, hierarchy: &Hierarchy) -> Self {
         cfg.validate();
-        let auditor = Auditor::new(cfg.clone());
-        let mut engine =
-            PlacementEngine::with_margin(hierarchy, cfg.reactiveness, cfg.displacement_margin);
-        engine.set_recorder(cfg.obs.clone());
-        Self {
-            cfg,
-            auditor,
-            engine,
-            queue: std::collections::VecDeque::new(),
-            inflight: 0,
-            actions_executed: 0,
-        }
+        let exec = Executor::new(&cfg, hierarchy);
+        Self { auditor: Auditor::new(cfg.clone()), exec, cfg }
     }
 
     /// The auditor (exposed for inspection in tests and examples).
@@ -66,160 +40,36 @@ impl HFetchPolicy {
 
     /// The placement engine (exposed for inspection).
     pub fn engine(&self) -> &PlacementEngine {
-        &self.engine
+        self.exec.engine()
     }
 
     /// Total placement actions executed.
     pub fn actions_executed(&self) -> u64 {
-        self.actions_executed
+        self.exec.executed()
+    }
+}
+
+/// The simulator executes synchronously: fault rolls, reroutes and denials
+/// are all known when `fetch_traced` returns.
+impl Transfers for SimCtl<'_> {
+    fn file_size(&self, file: FileId) -> u64 {
+        SimCtl::file_size(self, file)
     }
 
-    fn segment_bytes(&self, segment: SegmentId, ctl: &SimCtl<'_>) -> ByteRange {
-        segment_range(segment.index, self.cfg.segment_size, ctl.file_size(segment.file))
+    fn tier_online(&self, tier: TierId) -> bool {
+        SimCtl::tier_online(self, tier)
     }
 
-    /// Retry budget for capacity-denied actions.
-    const RETRIES: u8 = 8;
-
-    fn execute(&mut self, actions: Vec<PlacementAction>, ctl: &mut SimCtl<'_>) {
-        self.queue.extend(actions.into_iter().map(|a| (a, Self::RETRIES)));
-        self.pump(ctl);
+    /// Superseded actions run too: the simulator tracks residency and
+    /// in-flight bytes itself.
+    fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
+        -> Option<FetchOutcome> {
+        let (segment, to) = action.target();
+        Some(self.fetch_traced(segment.file, range, to, engine.span_of(segment)))
     }
 
-    /// Issues queued placement actions while I/O-client slots are free.
-    /// Evictions are metadata-only and execute immediately. Capacity-
-    /// denied fetches requeue (bounded retries): the space they need is
-    /// usually freed by an in-flight demotion.
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        let mut budget = self.queue.len() + 8; // one sweep, no spinning
-        while self.inflight < self.cfg.max_inflight_fetches && budget > 0 {
-            budget -= 1;
-            let Some((action, retries)) = self.queue.pop_front() else { break };
-            match action {
-                PlacementAction::Fetch { segment, to }
-                | PlacementAction::Move { segment, to, .. } => {
-                    let range = self.segment_bytes(segment, ctl);
-                    let outcome =
-                        ctl.fetch_traced(segment.file, range, to, self.engine.span_of(segment));
-                    self.inflight += outcome.transfers as usize;
-                    if outcome.scheduled == 0 && outcome.abandoned > 0 {
-                        // Fault injection abandoned the movement (offline
-                        // destination stack or permanent failure). A retry
-                        // would roll against the same fault plan, so
-                        // reconcile immediately, like a final denial.
-                        self.engine.remove_segment(segment);
-                        if let PlacementAction::Move { from, .. } = action {
-                            ctl.discard(segment.file, range, from);
-                        }
-                        continue;
-                    }
-                    if outcome.rerouted_to.is_some() {
-                        // The bytes are landing on a different tier than the
-                        // model planned (offline-destination re-route): drop
-                        // the model placement. Residency tracks the real
-                        // tier, and a later engine run re-places the segment
-                        // from fresh scores.
-                        self.engine.remove_segment(segment);
-                    }
-                    if outcome.denied > 0 && outcome.scheduled == 0 {
-                        if retries > 0 {
-                            self.queue.push_back((action, retries - 1));
-                        } else {
-                            // The placement will never happen: reconcile
-                            // the engine's model with reality, or the
-                            // drift compounds (the engine would believe
-                            // the tier holds segments it does not and
-                            // stop demoting).
-                            self.engine.remove_segment(segment);
-                            if let PlacementAction::Move { from, .. } = action {
-                                ctl.discard(segment.file, range, from);
-                            }
-                        }
-                        continue;
-                    }
-                    self.actions_executed += 1;
-                }
-                PlacementAction::Evict { segment, from } => {
-                    let range = self.segment_bytes(segment, ctl);
-                    ctl.discard(segment.file, range, from);
-                    self.actions_executed += 1;
-                }
-            }
-        }
-    }
-
-    /// One engine pass over the drained updates.
-    ///
-    /// Observed first-touch updates for uncached segments are filtered
-    /// out (fetch-on-second-touch): retro-fetching a segment that was
-    /// *just* read pays a second backing-store read for data that may
-    /// never be touched again. Such segments enter the cache through
-    /// anticipation instead — sequencing lookahead, epoch staging, and
-    /// heatmap history — or once observed reuse proves them hot.
-    fn run_engine(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.sync_offline_tiers(ctl);
-        // Ingest→drain latency: how stale the oldest undrained score update
-        // was when this engine pass picked it up (§IV-A.1 reactiveness).
-        let since = self.auditor.take_pending_since();
-        if let Some(since) = since {
-            self.cfg.obs.span(
-                "auditor.drain_latency_ns",
-                obs::Label::None,
-                since.as_nanos(),
-                now.as_nanos(),
-            );
-        }
-        let updates: Vec<_> = self
-            .auditor
-            .drain_updates()
-            .into_iter()
-            .filter(|u| {
-                u.anticipated
-                    || self.engine.location(u.segment).is_some()
-                    || self.auditor.stat(u.segment).is_some_and(|st| st.frequency >= 2)
-            })
-            .collect();
-        // Causal root of this pass: an `ingest` span covering the window
-        // from the oldest queued update to this drain, with a `drain`
-        // instant the pass's fetch decisions parent onto. The span tree
-        // then reads ingest → drain → decision → transfer → landing →
-        // app_read for every byte this pass stages.
-        let mut drain = obs::SpanCtx::NONE;
-        if let Some(since) = since {
-            let ingest = self.cfg.obs.span_start(
-                "ingest",
-                obs::SpanCtx::NONE,
-                since.as_nanos(),
-                0,
-                self.engine.runs(),
-            );
-            drain =
-                self.cfg.obs.span_instant("drain", ingest, now.as_nanos(), 0, updates.len() as u64);
-            self.cfg.obs.span_end(ingest, now.as_nanos());
-        }
-        let actions = self.engine.run_traced(updates, now, drain);
-        self.execute(actions, ctl);
-    }
-
-    fn maybe_run(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
-        if self.engine.should_trigger(now, self.auditor.pending_updates()) {
-            self.run_engine(now, ctl);
-        }
-    }
-
-    /// Mirrors the simulator's offline-tier state into the engine model
-    /// (graceful degradation: placements route around dead tiers). Tiers
-    /// that just went offline are evacuated; the resulting moves and
-    /// evictions execute like any other placement actions.
-    fn sync_offline_tiers(&mut self, ctl: &mut SimCtl<'_>) {
-        let tiers: Vec<TierId> = ctl.cache_tiers().to_vec();
-        for tier in tiers {
-            let offline = !ctl.tier_online(tier);
-            let actions = self.engine.set_tier_offline(tier, offline);
-            if !actions.is_empty() {
-                self.execute(actions, ctl);
-            }
-        }
+    fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
+        SimCtl::discard(self, segment.file, range, tier);
     }
 }
 
@@ -238,7 +88,7 @@ impl PrefetchPolicy for HFetchPolicy {
     ) {
         self.auditor.set_file_size(file, ctl.file_size(file));
         self.auditor.start_epoch(file, now);
-        self.maybe_run(now, ctl);
+        self.exec.maybe_run(&self.auditor, now, ctl);
     }
 
     fn on_read(
@@ -251,7 +101,7 @@ impl PrefetchPolicy for HFetchPolicy {
         ctl: &mut SimCtl<'_>,
     ) {
         self.auditor.observe_read(file, range, process, now);
-        self.maybe_run(now, ctl);
+        self.exec.maybe_run(&self.auditor, now, ctl);
     }
 
     fn on_write(
@@ -261,13 +111,11 @@ impl PrefetchPolicy for HFetchPolicy {
         _process: ProcessId,
         _app: AppId,
         now: Timestamp,
-        _ctl: &mut SimCtl<'_>,
+        ctl: &mut SimCtl<'_>,
     ) {
-        // The simulator has already invalidated cached residency; keep the
-        // engine's placement model in sync.
-        for segment in self.auditor.observe_write(file, range, now) {
-            self.engine.remove_segment(segment);
-        }
+        // The simulator has already invalidated cached residency; the
+        // executor keeps the engine's placement model in sync.
+        self.exec.write(&self.auditor, file, range, now, ctl);
     }
 
     fn on_close(
@@ -278,19 +126,11 @@ impl PrefetchPolicy for HFetchPolicy {
         now: Timestamp,
         ctl: &mut SimCtl<'_>,
     ) {
-        if self.auditor.end_epoch(file, now) && self.cfg.evict_on_epoch_end {
-            let actions = self.engine.evict_file(file);
-            self.execute(actions, ctl);
-        }
+        self.exec.close(&self.auditor, file, now, ctl);
     }
 
     fn on_tick(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.sync_offline_tiers(ctl);
-        if self.auditor.pending_updates() > 0 {
-            self.run_engine(now, ctl);
-        } else if !self.queue.is_empty() {
-            self.pump(ctl);
-        }
+        self.exec.tick(&self.auditor, now, ctl);
     }
 
     fn tick_interval(&self) -> Option<std::time::Duration> {
@@ -298,8 +138,7 @@ impl PrefetchPolicy for HFetchPolicy {
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+        self.exec.transfer_done(ctl);
     }
 
     fn on_finish(&mut self, _now: Timestamp, _ctl: &mut SimCtl<'_>) {

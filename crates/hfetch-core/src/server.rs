@@ -1,28 +1,21 @@
 //! The HFetch server: real-thread deployment (Fig. 1 of the paper).
 //!
-//! One server per node, hosting:
-//!
-//! * the in-memory **event queue** tiers push into,
-//! * the **hardware monitor**: a pool of daemon threads draining the queue
-//!   into the file segment auditor,
-//! * the **hierarchical data placement engine**, running on its own trigger
-//!   thread (time interval OR score-update count),
-//! * the **data-prefetching I/O clients**: one worker per cache tier
-//!   executing the engine's placement plan against the tier backends,
-//! * the **agent manager**: hands out [`crate::agent::HFetchAgent`]s that
-//!   applications read through.
-//!
-//! The decision components are the same clock-agnostic [`Auditor`] and
-//! [`PlacementEngine`] the simulator drives — here they run under a wall
-//! clock with real bytes moving between backends (in-memory, or directory
-//! backends pointed at tmpfs/NVMe mounts).
+//! One server per node hosts the in-memory **event queue** tiers push into,
+//! the **hardware monitor** daemons draining it into the auditor, the
+//! **placement engine** on its own trigger thread, the **I/O clients** (one
+//! worker per cache tier) moving real bytes between tier backends, and the
+//! **agent manager** handing out [`crate::agent::HFetchAgent`]s. The auditor
+//! and [`Executor`] are the simulator's, under a wall clock. The server is
+//! the executor's [`Transfers`]: it reserves capacity at dispatch, and its
+//! I/O clients report each job's completion or failure back.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
+use dht::FxHashMap;
 use events::event::{AccessKind, Event};
 use events::monitor::{EventSink, HardwareMonitor, MonitorConfig};
 use events::queue::EventQueue;
@@ -30,6 +23,7 @@ use events::registry::FileRegistry;
 use events::shim::PosixShim;
 use events::watch::WatchManager;
 use parking_lot::Mutex;
+use sim::engine::FetchOutcome;
 use tiers::backend::{MemoryBackend, StorageBackend};
 use tiers::capacity::CapacityLedger;
 use tiers::ids::{FileId, SegmentId, TierId};
@@ -41,6 +35,7 @@ use tiers::topology::Hierarchy;
 use crate::auditor::Auditor;
 use crate::config::HFetchConfig;
 use crate::engine::{PlacementAction, PlacementEngine};
+use crate::executor::{Executor, Transfers};
 
 /// Aggregate server counters.
 #[derive(Debug, Default)]
@@ -53,7 +48,7 @@ pub struct ServerStats {
     pub prefetched_bytes: AtomicU64,
     /// Bytes evicted from cache tiers.
     pub evicted_bytes: AtomicU64,
-    /// Fetches denied for lack of capacity.
+    /// Fetches dropped after capacity stayed denied past the retry budget.
     pub denied_fetches: AtomicU64,
     /// Placement engine runs.
     pub engine_runs: AtomicU64,
@@ -73,22 +68,12 @@ impl ServerStats {
     }
 }
 
-/// Work items for the per-tier I/O clients.
-enum Job {
-    Fetch {
-        file: FileId,
-        range: ByteRange,
-        to: TierId,
-        /// For moves: the tier whose capacity was already released at
-        /// dispatch (see `dispatch_actions`) — the eviction after the copy
-        /// must not release it again.
-        released_from: Option<TierId>,
-        /// Causal parent for the transfer span: the placement decision
-        /// that scheduled this job (NONE when observability is off).
-        span: obs::SpanCtx,
-    },
-    Evict { file: FileId, range: ByteRange, from: TierId },
-    Stop,
+/// One copy for the I/O clients: a `Fetch` or `Move` whose destination
+/// capacity was reserved at dispatch, with its placement decision's span.
+struct Job {
+    action: PlacementAction,
+    range: ByteRange,
+    span: obs::SpanCtx,
 }
 
 /// Shared server state (the paper's "HFetch server core").
@@ -96,18 +81,92 @@ pub struct ServerInner {
     cfg: HFetchConfig,
     hierarchy: Hierarchy,
     auditor: Auditor,
-    engine: Mutex<PlacementEngine>,
+    exec: Mutex<Executor>,
+    /// Segments with a job in flight (one at a time per segment keeps its
+    /// movements in plan order): the source a move released at dispatch,
+    /// and whether a write made the copy stale.
+    moving: Mutex<FxHashMap<SegmentId, (Option<TierId>, bool)>>,
+    /// The I/O clients' job channel (`None` once shut down).
+    jobs: Mutex<Option<Sender<Job>>>,
     backends: Vec<Arc<dyn StorageBackend>>,
     ledger: CapacityLedger,
     mover: DataMover,
     retry: RetryPolicy,
     registry: Arc<FileRegistry>,
-    watches: Arc<WatchManager>,
     queue: EventQueue,
     clock: Arc<dyn Clock>,
     stats: ServerStats,
-    io_tx: Mutex<Option<Sender<Job>>>,
-    io_inflight: AtomicU64,
+}
+
+/// The server as the executor's transfer layer. Called with the executor
+/// locked.
+impl Transfers for &ServerInner {
+    fn file_size(&self, file: FileId) -> u64 {
+        self.auditor.file_size(file)
+    }
+
+    /// Backends report no liveness: an offline tier surfaces as failed
+    /// fetches, which reconcile like any other failure.
+    fn tier_online(&self, _tier: TierId) -> bool {
+        true
+    }
+
+    /// A superseded action moves nothing: run after a retry reordered the
+    /// queue, its copy could take the bytes from where the model wants them.
+    fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
+        -> Option<FetchOutcome> {
+        let (segment, to) = action.target();
+        if engine.location(segment) != Some(to) {
+            return Some(FetchOutcome::default());
+        }
+        let mut moving = self.moving.lock();
+        if moving.contains_key(&segment) {
+            return None;
+        }
+        let newly = range.len - self.backend(to).covered_bytes(segment.file, range);
+        if newly == 0 {
+            return Some(FetchOutcome::default());
+        }
+        let jobs = self.jobs.lock();
+        let Some(tx) = jobs.as_ref() else {
+            return Some(FetchOutcome { abandoned: newly, ..Default::default() });
+        };
+        // A move releases its source's capacity at dispatch: the plan counts
+        // the move as done, and a planned swap (A down, B up) would deadlock
+        // if each side held its reservation until the other completed.
+        let source = action.moved_from().map(|from| {
+            let held = self.backend(from).covered_bytes(segment.file, range);
+            (from, self.ledger.release_clamped(from, held))
+        });
+        if self.ledger.reserve(to, newly).is_err() {
+            if let Some((from, released)) = source {
+                let _ = self.ledger.reserve(from, released);
+            }
+            return Some(FetchOutcome { denied: newly, ..Default::default() });
+        }
+        moving.insert(segment, (action.moved_from(), false));
+        let job = Job { action, range, span: engine.span_of(segment) };
+        tx.send(job).expect("I/O clients run until their channel closes");
+        Some(FetchOutcome { scheduled: newly, transfers: 1, ..Default::default() })
+    }
+
+    fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
+        let evicted = self.evict(segment.file, range, tier);
+        // A move in flight out of `tier` released this capacity at dispatch.
+        if self.moving.lock().get(&segment).map(|m| m.0) != Some(Some(tier)) {
+            self.ledger.release_clamped(tier, evicted);
+        }
+        self.stats.evicted_bytes.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    fn invalidate(&mut self, segment: SegmentId, range: ByteRange) {
+        if let Some((_, stale)) = self.moving.lock().get_mut(&segment) {
+            *stale = true;
+        }
+        for (tier, _) in self.hierarchy.iter_cache() {
+            self.discard(segment, range, tier);
+        }
+    }
 }
 
 impl ServerInner {
@@ -141,286 +200,154 @@ impl ServerInner {
         &self.clock
     }
 
-    /// The watch table (shared with the shim; lets tools inspect which
-    /// files are in an epoch from the server side).
-    pub fn watches(&self) -> &Arc<WatchManager> {
-        &self.watches
-    }
-
     /// Exports component counters — the event queue and the auditor's
     /// statistics-map shards — into the configured recorder. The counters
     /// are cumulative snapshots, so call once per run (shutdown does).
     pub fn export_obs(&self) {
-        if !self.cfg.obs.is_enabled() {
-            return;
+        if self.cfg.obs.is_enabled() {
+            self.queue.stats().export_obs(&self.cfg.obs);
+            self.auditor.export_obs();
         }
-        self.queue.stats().export_obs(&self.cfg.obs);
-        self.auditor.export_obs();
-    }
-
-    fn submit(&self, job: Job) {
-        let tx = self.io_tx.lock();
-        if let Some(tx) = tx.as_ref() {
-            self.io_inflight.fetch_add(1, Ordering::Release);
-            if tx.send(job).is_err() {
-                self.io_inflight.fetch_sub(1, Ordering::Release);
-            }
-        }
-    }
-
-    /// The lifecycle span of `segment`'s current placement, for parenting
-    /// the transfer span that executes it. NONE (and lock-free) when the
-    /// recorder is disabled.
-    fn placement_span_of(&self, segment: SegmentId) -> obs::SpanCtx {
-        if !self.cfg.obs.is_enabled() {
-            return obs::SpanCtx::NONE;
-        }
-        self.engine.lock().span_of(segment)
     }
 
     /// The lifecycle span covering `(file, offset)` — the decision that
-    /// staged whatever is cached there. Agents parent application-read
-    /// spans here so a read chains back to the prefetch that served it.
+    /// staged whatever is cached there — so an agent's read chains back to
+    /// the prefetch that served it. NONE (and lock-free) when not recording.
     pub fn placement_span(&self, file: FileId, offset: u64) -> obs::SpanCtx {
-        let segment = SegmentId::new(file, offset / self.cfg.segment_size);
-        self.placement_span_of(segment)
+        if !self.cfg.obs.is_enabled() {
+            return obs::SpanCtx::NONE;
+        }
+        self.exec.lock().engine().span_of(SegmentId::new(file, offset / self.cfg.segment_size))
     }
 
-    fn dispatch_actions(&self, actions: Vec<PlacementAction>) {
-        for action in actions {
-            match action {
-                PlacementAction::Fetch { segment, to } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    if !range.is_empty() {
-                        let span = self.placement_span_of(segment);
-                        self.submit(Job::Fetch {
-                            file: segment.file,
-                            range,
-                            to,
-                            released_from: None,
-                            span,
-                        });
-                    }
-                }
-                PlacementAction::Move { segment, from, to } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    if !range.is_empty() {
-                        // Release the source's capacity now: the engine's
-                        // plan considers the move done, and a planned swap
-                        // (A down, B up) would deadlock if each side held
-                        // its reservation until the other completed.
-                        let covered = self.backends[from.index()].covered_bytes(segment.file, range);
-                        self.ledger.release_clamped(from, covered);
-                        let span = self.placement_span_of(segment);
-                        self.submit(Job::Fetch {
-                            file: segment.file,
-                            range,
-                            to,
-                            released_from: Some(from),
-                            span,
-                        });
-                    }
-                }
-                PlacementAction::Evict { segment, from } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    self.submit(Job::Evict { file: segment.file, range, from });
-                }
+    /// Checks the engine's model against residency: every segment it places
+    /// on a tier is fully resident on that tier's backend, no cache backend
+    /// holds bytes of a segment it does not place there, and each tier's
+    /// capacity ledger equals its resident bytes. Meaningful once
+    /// [`HFetchServer::quiesce`] has returned; names the first mismatch.
+    pub fn check_drift(&self) -> Result<(), String> {
+        let exec = self.exec.lock();
+        let (engine, size) = (exec.engine(), self.cfg.segment_size);
+        for (segment, tier) in engine.placements() {
+            let range = segment_range(segment.index, size, self.auditor.file_size(segment.file));
+            if !self.backend(tier).resident(segment.file, range) {
+                return Err(format!("{segment:?} is placed on {tier:?} but not resident there"));
             }
         }
-    }
-
-    /// Executes one fetch job (I/O client body). `span` is the placement
-    /// decision the job executes; the copy runs under a `transfer` child
-    /// span with a `landing` instant on success.
-    fn do_fetch(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        to: TierId,
-        released_from: Option<TierId>,
-        span: obs::SpanCtx,
-    ) {
-        let dst = &self.backends[to.index()];
-        let newly = range.len - dst.covered_bytes(file, range);
-        if newly == 0 {
-            return;
-        }
-        // A promotion often races the demotion that frees its space
-        // (capacity is released when the demotion's copy completes), so
-        // denied reservations retry briefly before giving up.
-        let mut reserved = false;
-        for attempt in 0..4 {
-            if self.ledger.reserve(to, newly).is_ok() {
-                reserved = true;
-                break;
-            }
-            if attempt < 3 {
-                std::thread::sleep(Duration::from_millis(1 << attempt));
-            }
-        }
-        if !reserved {
-            #[cfg(feature = "debug-io")]
-            eprintln!("DENIED fetch {file:?} {range:?} -> {to:?} (avail {})", self.ledger.available(to));
-            self.stats.denied_fetches.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Find the fastest current holder.
-        let backing = self.hierarchy.backing();
-        let mut src = backing;
         for (tier, _) in self.hierarchy.iter_cache() {
-            if tier != to && self.backends[tier.index()].resident(file, range) {
-                src = tier;
-                break;
+            let backend = self.backend(tier);
+            let (used, held) = (self.ledger.used(tier), backend.used_bytes());
+            if used != held {
+                return Err(format!("{tier:?} accounts {used} bytes but holds {held}"));
             }
-        }
-        let t_span = if self.cfg.obs.is_enabled() {
-            self.cfg.obs.span_start(
-                "transfer",
-                span,
-                self.clock.now().as_nanos(),
-                file.0,
-                range.offset,
-            )
-        } else {
-            obs::SpanCtx::NONE
-        };
-        // Transient backend failures (flaky device, injected fault) are
-        // retried with exponential backoff; the I/O client sleeps the
-        // backoff since it runs on a real thread. Anything else — source
-        // changed under us (demotion race), a tier offline, a permanent
-        // I/O error, or an exhausted retry budget — abandons the fetch and
-        // rolls back so residency and capacity accounting stay consistent.
-        match self.mover.copy_with_retry_recorded(
-            file,
-            range,
-            self.backends[src.index()].as_ref(),
-            dst.as_ref(),
-            &self.retry,
-            &mut std::thread::sleep,
-            &self.cfg.obs,
-            (src.0, to.0),
-        ) {
-            Ok(receipt) => {
-                if receipt.attempts > 1 {
-                    self.stats
-                        .retried_copies
-                        .fetch_add(u64::from(receipt.attempts - 1), Ordering::Relaxed);
-                }
-                if !t_span.is_none() {
-                    let at = self.clock.now().as_nanos();
-                    self.cfg.obs.span_instant("landing", t_span, at, file.0, range.offset);
-                    self.cfg.obs.span_end(t_span, at);
-                }
-                self.stats.prefetched_bytes.fetch_add(receipt.bytes, Ordering::Relaxed);
-                // Exclusive cache: remove from the (cache) source. The
-                // dispatch path already released the planned source's
-                // accounting; only an unexpected source releases here.
-                if src != backing {
-                    if let Ok(evicted) = self.backends[src.index()].evict(file, range) {
-                        if released_from != Some(src) {
-                            self.ledger.release_clamped(src, evicted);
+            for file in backend.files() {
+                for held in backend.covered_ranges(file, ByteRange::new(0, u64::MAX)) {
+                    for index in held.offset / size..held.end().div_ceil(size) {
+                        let placed = engine.location(SegmentId::new(file, index));
+                        if placed != Some(tier) {
+                            return Err(format!("{tier:?} holds {file:?}#{index}, placed on {placed:?}"));
                         }
                     }
                 }
             }
-            Err(_) => {
-                if !t_span.is_none() {
-                    self.cfg.obs.span_end(t_span, self.clock.now().as_nanos());
+        }
+        Ok(())
+    }
+
+    /// Runs `f` on the locked executor with this server as its transfer
+    /// layer, then publishes the executor's counters.
+    fn with_exec<R>(&self, f: impl FnOnce(&mut Executor, &mut &Self) -> R) -> R {
+        let mut exec = self.exec.lock();
+        let out = f(&mut exec, &mut &*self);
+        self.stats.engine_runs.store(exec.engine().runs(), Ordering::Relaxed);
+        self.stats.denied_fetches.store(exec.denied(), Ordering::Relaxed);
+        out
+    }
+
+    /// Evicts `range` of `file` from `tier`, retrying transient faults;
+    /// returns the bytes evicted (the caller settles their capacity).
+    fn evict(&self, file: FileId, range: ByteRange, tier: TierId) -> u64 {
+        let backend = self.backend(tier).as_ref();
+        let sleep = &mut std::thread::sleep;
+        self.mover.evict_with_retry(file, range, backend, &self.retry, sleep).unwrap_or(0)
+    }
+
+    /// I/O client body: copies a job's range from its fastest holder under
+    /// a `transfer` span (`landing` on success), then reports to the
+    /// executor.
+    fn run_job(&self, Job { action, range, span }: Job) {
+        let ((segment, to), backing) = (action.target(), self.hierarchy.backing());
+        let file = segment.file;
+        let released_from = action.moved_from();
+        let src = (self.hierarchy.iter_cache().map(|(tier, _)| tier))
+            .find(|&tier| tier != to && self.backend(tier).resident(file, range))
+            .unwrap_or(backing);
+        let obs = &self.cfg.obs;
+        let at = || if obs.is_enabled() { self.clock.now().as_nanos() } else { 0 };
+        let t_span = obs.span_start("transfer", span, at(), file.0, range.offset);
+        // Transient faults are retried with slept backoff. Anything else — a
+        // source changed under us, an offline tier, a permanent error, an
+        // exhausted budget — fails the fetch: rolled back here, reconciled
+        // by the executor.
+        let (from_b, to_b) = (self.backend(src).as_ref(), self.backend(to).as_ref());
+        let (retry, sleep, pair) = (&self.retry, &mut std::thread::sleep, (src.0, to.0));
+        let copied =
+            self.mover.copy_with_retry_recorded(file, range, from_b, to_b, retry, sleep, obs, pair);
+        match &copied {
+            Ok(receipt) => {
+                let retried = u64::from(receipt.attempts - 1);
+                self.stats.retried_copies.fetch_add(retried, Ordering::Relaxed);
+                self.stats.prefetched_bytes.fetch_add(receipt.bytes, Ordering::Relaxed);
+                obs.span_instant("landing", t_span, at(), file.0, range.offset);
+                // Exclusive cache: remove from the (cache) source. Dispatch
+                // already released a move's planned source.
+                if src != backing {
+                    let evicted = self.evict(file, range, src);
+                    if released_from != Some(src) {
+                        self.ledger.release_clamped(src, evicted);
+                    }
                 }
+            }
+            Err(_) => {
                 self.stats.failed_fetches.fetch_add(1, Ordering::Relaxed);
-                // A failed chunked copy may leave a partial prefix on the
-                // destination; drop it so no unaccounted bytes linger, then
-                // return the whole range's accounting to the pool.
-                let _ = self.backends[to.index()].evict(file, range);
+                // Drop any partial prefix and return the range's accounting;
+                // a move's source keeps its bytes, and takes theirs back.
+                self.evict(file, range, to);
                 self.ledger.release_clamped(to, range.len);
                 if let Some(from) = released_from {
-                    let still = self.backends[from.index()].covered_bytes(file, range);
-                    let _ = self.ledger.reserve(from, still);
+                    let _ = self.ledger.reserve(from, self.backend(from).covered_bytes(file, range));
                 }
             }
         }
-    }
-
-    fn do_evict(&self, file: FileId, range: ByteRange, from: TierId) {
-        if let Ok(evicted) = self.backends[from.index()].evict(file, range) {
-            if evicted > 0 {
-                let _ = self.ledger.release(from, evicted);
-                self.stats.evicted_bytes.fetch_add(evicted, Ordering::Relaxed);
+        obs.span_end(t_span, at());
+        self.with_exec(|exec, io| {
+            // A write or a newer plan may have overtaken the copy: bytes the
+            // engine no longer places here are dropped again.
+            let stale = self.moving.lock().remove(&segment).is_some_and(|m| m.1);
+            if copied.is_ok() && (stale || exec.engine().location(segment) != Some(to)) {
+                io.discard(segment, range, to);
             }
-        }
-    }
-
-    /// One engine pass if triggered (or forced); returns actions executed.
-    fn engine_pass(&self, force: bool) -> usize {
-        let now = self.clock.now();
-        let mut engine = self.engine.lock();
-        let pending = self.auditor.pending_updates();
-        if !force && !engine.should_trigger(now, pending) {
-            return 0;
-        }
-        if pending == 0 {
-            return 0;
-        }
-        let updates = self.auditor.drain_updates();
-        // Causal root of this pass (see `HFetchPolicy::run_engine` for the
-        // simulator twin): ingest window → drain instant → decisions.
-        let mut drain = obs::SpanCtx::NONE;
-        if let Some(since) = self.auditor.take_pending_since() {
-            // A daemon may stamp a push after `now` was sampled (real
-            // threads, unlike the simulator): clamp so the span stays
-            // well-formed.
-            let start = since.as_nanos().min(now.as_nanos());
-            self.cfg.obs.span("auditor.drain_latency_ns", obs::Label::None, start, now.as_nanos());
-            let ingest =
-                self.cfg.obs.span_start("ingest", obs::SpanCtx::NONE, start, 0, engine.runs());
-            drain =
-                self.cfg.obs.span_instant("drain", ingest, now.as_nanos(), 0, updates.len() as u64);
-            self.cfg.obs.span_end(ingest, now.as_nanos());
-        }
-        let actions = engine.run_traced(updates, now, drain);
-        self.stats.engine_runs.fetch_add(1, Ordering::Relaxed);
-        let n = actions.len();
-        drop(engine);
-        self.dispatch_actions(actions);
-        n
+            match copied {
+                Ok(_) => exec.transfer_done(io),
+                Err(_) => exec.transfer_failed(action, io),
+            }
+        });
     }
 
     fn handle_event(&self, event: &Event) {
         let Event::Access(access) = event else { return };
-        let now = access.time;
+        let (file, range, now) = (access.file, access.range, access.time);
         match access.kind {
             AccessKind::Open => {
-                self.auditor.set_file_size(access.file, self.registry.size_of(access.file));
-                self.auditor.start_epoch(access.file, now);
+                self.auditor.set_file_size(file, self.registry.size_of(file));
+                self.auditor.start_epoch(file, now);
             }
             AccessKind::Read => {
-                self.auditor.observe_read(access.file, access.range, access.process, now);
+                self.auditor.observe_read(file, range, access.process, now);
             }
-            AccessKind::Write => {
-                // Consistency: drop stale prefetched bytes everywhere.
-                let segments = self.auditor.observe_write(access.file, access.range, now);
-                // One size lookup for the whole invalidation sweep:
-                // `observe_write` has already grown the file if needed, so
-                // the size is stable across the loop.
-                let size = self.auditor.file_size(access.file);
-                let mut engine = self.engine.lock();
-                for seg in segments {
-                    engine.remove_segment(seg);
-                    let range = segment_range(seg.index, self.cfg.segment_size, size);
-                    for (tier, _) in self.hierarchy.iter_cache() {
-                        self.do_evict(access.file, range, tier);
-                    }
-                }
-            }
-            AccessKind::Close => {
-                if self.auditor.end_epoch(access.file, now) && self.cfg.evict_on_epoch_end {
-                    let actions = self.engine.lock().evict_file(access.file);
-                    self.dispatch_actions(actions);
-                }
-            }
+            // Consistency: drop stale prefetched bytes everywhere.
+            AccessKind::Write => self.with_exec(|e, io| e.write(&self.auditor, file, range, now, io)),
+            AccessKind::Close => self.with_exec(|e, io| e.close(&self.auditor, file, now, io)),
         }
     }
 }
@@ -453,73 +380,50 @@ impl HFetchServer {
         daemons: usize,
     ) -> Self {
         cfg.validate();
-        assert_eq!(
-            backends.len(),
-            hierarchy.len(),
-            "one backend per tier (including the backing store)"
-        );
+        let tiers = hierarchy.len();
+        assert_eq!(backends.len(), tiers, "one backend per tier (including the backing store)");
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let registry = Arc::new(FileRegistry::new());
-        let watches = Arc::new(WatchManager::new());
         let queue = EventQueue::with_capacity(1 << 16);
-        let ledger = CapacityLedger::new(&hierarchy);
-        let mut engine = PlacementEngine::new(&hierarchy, cfg.reactiveness);
-        engine.set_recorder(cfg.obs.clone());
-        let auditor = Auditor::new(cfg.clone());
         let backing = Arc::clone(&backends[hierarchy.backing().index()]);
-
-        let (io_tx, io_rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        // The executor keeps at most `max_inflight_fetches` jobs
+        // outstanding, so submitting never blocks.
+        let (jobs, rx) = bounded(cfg.max_inflight_fetches);
         let inner = Arc::new(ServerInner {
+            auditor: Auditor::new(cfg.clone()),
+            exec: Mutex::new(Executor::new(&cfg, &hierarchy)),
+            moving: Mutex::default(),
+            jobs: Mutex::new(Some(jobs)),
+            ledger: CapacityLedger::new(&hierarchy),
             cfg,
             hierarchy,
-            auditor,
-            engine: Mutex::new(engine),
             backends,
-            ledger,
             mover: DataMover::new(),
             retry: RetryPolicy::default(),
             registry: Arc::clone(&registry),
-            watches: Arc::clone(&watches),
             queue: queue.clone(),
             clock: Arc::clone(&clock),
             stats: ServerStats::default(),
-            io_tx: Mutex::new(Some(io_tx)),
-            io_inflight: AtomicU64::new(0),
         });
-
+        let watches = Arc::new(WatchManager::new());
         let shim = Arc::new(PosixShim::new(registry, watches, queue.clone(), clock, backing));
 
         // I/O clients: one worker per cache tier, all pulling from the
         // shared job channel (work-stealing keeps a busy tier from
-        // starving).
-        let io_workers = inner.hierarchy.cache_tiers().max(1);
-        let mut io_threads = Vec::with_capacity(io_workers);
-        for i in 0..io_workers {
-            let rx = io_rx.clone();
-            let inner_ = Arc::clone(&inner);
-            io_threads.push(
+        // starving). They exit when the channel closes.
+        let io_threads = (0..inner.hierarchy.cache_tiers().max(1))
+            .map(|i| {
+                let (rx, inner) = (rx.clone(), Arc::clone(&inner));
                 std::thread::Builder::new()
                     .name(format!("hfetch-io-{i}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
-                            match job {
-                                Job::Fetch { file, range, to, released_from, span } => {
-                                    inner_.do_fetch(file, range, to, released_from, span)
-                                }
-                                Job::Evict { file, range, from } => {
-                                    inner_.do_evict(file, range, from)
-                                }
-                                Job::Stop => {
-                                    inner_.io_inflight.fetch_sub(1, Ordering::Release);
-                                    break;
-                                }
-                            }
-                            inner_.io_inflight.fetch_sub(1, Ordering::Release);
+                            inner.run_job(job);
                         }
                     })
-                    .expect("spawn io client"),
-            );
-        }
+                    .expect("spawn io client")
+            })
+            .collect();
 
         // Hardware monitor daemons feed the auditor.
         let monitor = HardwareMonitor::start(
@@ -531,29 +435,22 @@ impl HFetchServer {
         // Engine trigger thread.
         let shutdown = Arc::new(AtomicBool::new(false));
         let engine_thread = {
-            let inner = Arc::clone(&inner);
-            let shutdown = Arc::clone(&shutdown);
+            let (inner, shutdown) = (Arc::clone(&inner), Arc::clone(&shutdown));
             std::thread::Builder::new()
                 .name("hfetch-engine".into())
-                .spawn(move || loop {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if inner.engine_pass(false) == 0 {
-                        std::thread::sleep(Duration::from_millis(2));
+                .spawn(move || {
+                    while !shutdown.load(Ordering::Acquire) {
+                        let now = inner.clock.now();
+                        if !inner.with_exec(|exec, io| exec.maybe_run(&inner.auditor, now, io)) {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
                     }
                 })
                 .expect("spawn engine thread")
         };
 
-        Self {
-            inner,
-            shim,
-            monitor: Some(monitor),
-            engine_thread: Some(engine_thread),
-            io_threads,
-            shutdown,
-        }
+        let (monitor, engine_thread) = (Some(monitor), Some(engine_thread));
+        Self { inner, shim, monitor, engine_thread, io_threads, shutdown }
     }
 
     /// Convenience: a fully in-memory server (tests, examples).
@@ -579,20 +476,19 @@ impl HFetchServer {
     }
 
     /// Blocks until the event queue is drained, the engine has run over
-    /// all pending updates, and the I/O clients are idle. Gives tests and
-    /// examples a deterministic settle point.
+    /// all pending updates, and the executor has no queued or in-flight
+    /// work. Gives tests and examples a deterministic settle point.
     pub fn quiesce(&self) {
+        let inner = &self.inner;
         loop {
             if let Some(m) = &self.monitor {
                 m.drain();
             }
             // Allow in-flight daemon handoffs to land.
             std::thread::sleep(Duration::from_millis(5));
-            self.inner.engine_pass(true);
-            if self.inner.io_inflight.load(Ordering::Acquire) == 0
-                && self.inner.queue.is_empty()
-                && self.inner.auditor.pending_updates() == 0
-            {
+            let now = inner.clock.now();
+            let idle = inner.with_exec(|exec, io| exec.tick(&inner.auditor, now, io));
+            if idle && inner.queue.is_empty() && inner.auditor.pending_updates() == 0 {
                 break;
             }
         }
@@ -602,38 +498,29 @@ impl HFetchServer {
     pub fn shutdown(mut self) {
         self.quiesce();
         self.inner.export_obs();
+        self.stop_engine();
+        if let Some(m) = self.monitor.take() {
+            m.stop();
+        }
+        for t in self.io_threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    /// Stops the engine thread and closes the I/O clients' job channel.
+    fn stop_engine(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
         }
-        if let Some(m) = self.monitor.take() {
-            m.stop();
-        }
-        // Stop the I/O clients.
-        {
-            let tx_slot = self.inner.io_tx.lock();
-            if let Some(tx) = tx_slot.as_ref() {
-                for _ in 0..self.io_threads.len() {
-                    self.inner.io_inflight.fetch_add(1, Ordering::Release);
-                    let _ = tx.send(Job::Stop);
-                }
-            }
-        }
-        *self.inner.io_tx.lock() = None;
-        for t in self.io_threads.drain(..) {
-            let _ = t.join();
-        }
+        *self.inner.jobs.lock() = None;
     }
 }
 
 impl Drop for HFetchServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.engine_thread.take() {
-            let _ = t.join();
-        }
-        // Monitor and I/O threads stop via their own Drop/channel closure.
-        *self.inner.io_tx.lock() = None;
+        // Monitor and I/O threads stop via their own Drop / channel closure.
+        self.stop_engine();
     }
 }
 
@@ -677,15 +564,22 @@ mod tests {
         server.shutdown();
     }
 
-    /// Delegating backend that fails its first `fail_n` writes transiently.
+    /// Delegating backend that fails its first `fail_n` writes transiently
+    /// and records the peak number of concurrent writes in `writes`
+    /// (`[active, peak]`, shareable across tiers).
     struct FailsFirstWrites {
         inner: MemoryBackend,
         remaining: AtomicU64,
+        writes: Arc<[AtomicU64; 2]>,
     }
 
     impl FailsFirstWrites {
         fn new(fail_n: u64) -> Self {
-            Self { inner: MemoryBackend::new(), remaining: fail_n.into() }
+            Self::counting(fail_n, Arc::default())
+        }
+
+        fn counting(fail_n: u64, writes: Arc<[AtomicU64; 2]>) -> Self {
+            Self { inner: MemoryBackend::new(), remaining: fail_n.into(), writes }
         }
     }
 
@@ -695,7 +589,13 @@ mod tests {
                 self.remaining.fetch_sub(1, Ordering::SeqCst);
                 return Err(tiers::error::TierError::TransientIo { op: "write" });
             }
-            self.inner.write(file, offset, data)
+            let [active, peak] = &*self.writes;
+            peak.fetch_max(active.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            // Hold the write open so overlapping copies would be seen.
+            std::thread::sleep(Duration::from_millis(2));
+            let out = self.inner.write(file, offset, data);
+            active.fetch_sub(1, Ordering::SeqCst);
+            out
         }
         fn read(&self, file: FileId, range: ByteRange) -> tiers::error::Result<bytes::Bytes> {
             self.inner.read(file, range)
@@ -835,6 +735,93 @@ mod tests {
         assert_eq!(cached, 0, "write invalidated all cached bytes");
         shim.fclose(&r);
         shim.fclose(&w);
+        server.shutdown();
+    }
+
+    #[test]
+    fn inflight_fetches_stay_within_the_configured_bound() {
+        let hierarchy = small_hierarchy();
+        let writes: Arc<[AtomicU64; 2]> = Arc::default();
+        let mut backends: Vec<Arc<dyn StorageBackend>> = (0..hierarchy.cache_tiers())
+            .map(|_| Arc::new(FailsFirstWrites::counting(0, Arc::clone(&writes))) as _)
+            .collect();
+        backends.push(Arc::new(MemoryBackend::new()));
+        let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+        let server = HFetchServer::start(cfg, hierarchy, backends, 2);
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/bounded", mib(8)).unwrap();
+        let (h, _) = shim.fopen(
+            "/bounded",
+            events::shim::OpenMode::Read,
+            tiers::ids::ProcessId(0),
+            tiers::ids::AppId(0),
+        );
+        server.quiesce();
+        let landed: u64 =
+            (0..3).map(|i| server.inner().backend(TierId(i)).resident_bytes(h.file())).sum();
+        assert_eq!(landed, mib(8), "every staged byte lands");
+        assert_eq!(writes[1].load(Ordering::SeqCst), 1, "one copy in flight at a time");
+        server.inner().check_drift().unwrap();
+        shim.fclose(&h);
+        server.shutdown();
+    }
+
+    #[test]
+    fn model_matches_residency_through_faults() {
+        use crate::agent::HFetchAgent;
+        use tiers::faults::{FaultConfig, FaultPlan, FlakyBackend};
+        use tiers::ids::{AppId, ProcessId};
+        let hierarchy = small_hierarchy();
+        let n = hierarchy.len();
+        // RAM fails 10% of its data operations transiently, and goes
+        // offline for one epoch.
+        let flaky = Arc::new(FlakyBackend::new(
+            Arc::new(MemoryBackend::new()),
+            TierId(0),
+            FaultPlan::new(FaultConfig::with_seed(11).transient(0.1)),
+        ));
+        let server = HFetchServer::start(
+            HFetchConfig::default(),
+            hierarchy,
+            backends_with_tier0(Arc::clone(&flaky) as Arc<dyn StorageBackend>, n),
+            2,
+        );
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/chaos/a", mib(6)).unwrap();
+        shim.stage_file("/chaos/b", mib(2)).unwrap();
+        let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(0), AppId(0));
+        let settle = || {
+            server.quiesce();
+            server.inner().check_drift().unwrap();
+        };
+
+        // Transient faults: staging, reads and promotions retry through them.
+        let a = agent.open("/chaos/a");
+        settle();
+        for _ in 0..3 {
+            for i in 0..6 {
+                agent.read(&a, ByteRange::new(mib(i), MIB)).unwrap();
+            }
+        }
+        settle();
+        agent.close(&a);
+        settle();
+
+        // RAM offline: staging into it fails, and the model lets go.
+        flaky.set_offline(true);
+        let b = agent.open("/chaos/b");
+        settle();
+        assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
+        agent.close(&b);
+        settle();
+
+        // Repaired: a fresh epoch stages into RAM again.
+        flaky.set_offline(false);
+        let b = agent.open("/chaos/b");
+        settle();
+        assert_eq!(server.inner().backend(TierId(0)).resident_bytes(b.file()), mib(2));
+        agent.close(&b);
+        settle();
         server.shutdown();
     }
 }

@@ -191,6 +191,29 @@ impl DataMover {
         outcome
     }
 
+    /// Evicts `range` of `file` from `backend`, retrying transient failures
+    /// on the same schedule as [`DataMover::copy_with_retry_using`] (each
+    /// backoff is passed to `wait`). Returns the bytes evicted.
+    pub fn evict_with_retry(
+        &self,
+        file: FileId,
+        range: ByteRange,
+        backend: &dyn StorageBackend,
+        retry: &RetryPolicy,
+        wait: &mut dyn FnMut(Duration),
+    ) -> Result<u64> {
+        let mut attempt = 0u32;
+        loop {
+            match backend.evict(file, range) {
+                Err(TierError::TransientIo { .. }) if attempt < retry.max_retries => {
+                    wait(retry.backoff(attempt));
+                    attempt += 1;
+                }
+                outcome => return outcome,
+            }
+        }
+    }
+
     /// Moves `range` of `file` from `src` to `dst`: copy, then evict from
     /// the source (exclusive caching). Returns bytes moved.
     pub fn relocate(
@@ -349,6 +372,7 @@ mod tests {
             self.inner.read(file, range)
         }
         fn evict(&self, file: FileId, range: ByteRange) -> crate::error::Result<u64> {
+            self.gate()?;
             self.inner.evict(file, range)
         }
         fn delete(&self, file: FileId) -> crate::error::Result<u64> {
@@ -372,6 +396,27 @@ mod tests {
         fn files(&self) -> Vec<FileId> {
             self.inner.files()
         }
+    }
+
+    #[test]
+    fn evict_retries_transient_failures_within_the_budget() {
+        let f = FileId(12);
+        let retry = RetryPolicy { max_retries: 2, base_backoff: Duration::from_millis(1) };
+        let mut waits = Vec::new();
+        let flaky = FailsFirst::new(filled(f, 64), 2);
+        let evicted = DataMover::new()
+            .evict_with_retry(f, ByteRange::new(0, 64), &flaky, &retry, &mut |d| waits.push(d))
+            .unwrap();
+        assert_eq!(evicted, 64);
+        assert_eq!(waits, vec![retry.backoff(0), retry.backoff(1)]);
+        assert_eq!(flaky.resident_bytes(f), 0);
+
+        let stuck = FailsFirst::new(filled(f, 64), u32::MAX);
+        let err = DataMover::new()
+            .evict_with_retry(f, ByteRange::new(0, 64), &stuck, &retry, &mut |_| {})
+            .unwrap_err();
+        assert!(matches!(err, TierError::TransientIo { .. }));
+        assert_eq!(stuck.resident_bytes(f), 64, "an exhausted budget evicts nothing");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 #      BENCH_sim_kernel.json emission path.
 #   5. ingest bench smoke: the telemetry-ingestion benchmark runs at smoke
 #      scale (its drain-equivalence asserts run inside the binary) and the
-#      emitted BENCH_ingest.json is checked to be stable: valid JSON,
-#      metric names sorted, and no wall-clock timestamp fields that would
-#      make successive runs diff dirty.
+#      emitted BENCH_ingest.json is checked to be stable (obs_diff --lint):
+#      valid JSON, metric names sorted and unique, and no wall-clock
+#      timestamp fields that would make successive runs diff dirty.
 #   6. chaos determinism: the fault-injected scenario grid runs twice with
 #      the same seed (at different worker-thread counts) and the two
 #      fault-counter reports are diffed byte-for-byte; any nondeterminism
@@ -28,8 +28,8 @@
 #      all four artifacts (JSONL decision trace, merged ObsReport,
 #      occupancy timeline, Perfetto JSON) are diffed byte-for-byte — the
 #      observability layer must be sim-clock pure. The ObsReport is then
-#      checked to be stable: valid JSON, keys sorted within every section,
-#      and no wall-clock fields.
+#      checked to be stable (obs_diff --lint): valid JSON, keys sorted and
+#      unique within every section, and no wall-clock fields.
 #   8. obs-diff regression gate: fresh smoke ObsReports for every traced
 #      figure (fig3b/fig5/fig6a/fig6b) are compared against the committed
 #      golden baselines (crates/bench/tests/golden/*.obs.json) under the
@@ -70,24 +70,7 @@ for f in BENCH_figures.json BENCH_sim_kernel.json BENCH_ingest.json; do
 done
 
 echo "== BENCH_ingest.json stability check =="
-python3 - "$SMOKE_DIR/BENCH_ingest.json" <<'PY'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-names = [m["name"] for m in report["metrics"]]
-assert names == sorted(names), "metric names are not sorted: diffs will churn"
-assert len(names) == len(set(names)), "duplicate metric names"
-
-forbidden = ("time", "date", "stamp", "epoch_s", "now")
-context_keys = [k for k in report if k not in ("schema", "metrics")]
-for key in context_keys + names:
-    low = key.lower()
-    assert not any(t in low for t in forbidden), f"wall-clock-ish field: {key}"
-
-print(f"BENCH_ingest.json stable: {len(names)} metrics, sorted, no timestamps")
-PY
+cargo run -p hfetch-bench --release --bin obs_diff -- --lint "$SMOKE_DIR/BENCH_ingest.json"
 
 echo "== chaos determinism: same seed, twice, different thread counts =="
 CHAOS_SEED=42
@@ -117,34 +100,7 @@ for ext in trace.jsonl obs.json timeline.txt perfetto.json; do
 done
 
 echo "== ObsReport stability check =="
-python3 - "$SMOKE_DIR/trace_a.obs.json" <<'PY'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-for section in ("counters", "gauges", "histograms"):
-    names = list(report[section])
-    assert names == sorted(names), f"{section} keys are not sorted: diffs will churn"
-
-# Token-exact match (split on non-letters): substring matching would flag
-# legitimate metric names like dht.map.updates ("up_date_s").
-import re
-forbidden = {"wall", "walltime", "unix", "date", "datetime", "utc",
-             "stamp", "timestamp", "now", "clock"}
-def walk(obj):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            tokens = set(re.split(r"[^a-z]+", k.lower()))
-            bad = tokens & forbidden
-            assert not bad, f"wall-clock-ish field: {k} ({bad})"
-            walk(v)
-
-walk(report)
-n = sum(len(report[s]) for s in ("counters", "gauges", "histograms"))
-print(f"ObsReport stable: {n} series, sorted, sim-clock only "
-      f"({report['trace_events']} trace events)")
-PY
+cargo run -p hfetch-bench --release --bin obs_diff -- --lint "$SMOKE_DIR/trace_a.obs.json"
 
 echo "== obs-diff regression gate: figures vs committed baselines =="
 # Counters/gauges/trace_events exact, histograms within 10% relative

@@ -10,6 +10,14 @@ fn expected(offset: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((offset as usize + i) % 251) as u8).collect()
 }
 
+/// Settles the server, checks that the engine's model matches what the
+/// tier backends hold, and shuts it down.
+fn finish(server: HFetchServer) {
+    server.quiesce();
+    server.inner().check_drift().unwrap();
+    server.shutdown();
+}
+
 fn server() -> HFetchServer {
     HFetchServer::in_memory(
         HFetchConfig::default(),
@@ -37,7 +45,7 @@ fn bytes_are_correct_regardless_of_hit_or_miss() {
         assert_eq!(&data[..], &expected(off, len)[..], "post-quiesce read at {off}");
     }
     agent.close(&h);
-    server.shutdown();
+    finish(server);
 }
 
 #[test]
@@ -68,7 +76,7 @@ fn second_reader_benefits_from_first_readers_heat() {
 
     a1.close(&h1);
     a2.close(&h2);
-    server.shutdown();
+    finish(server);
 }
 
 #[test]
@@ -88,7 +96,7 @@ fn epoch_end_eviction_frees_the_hierarchy() {
     let cached: u64 =
         (0..3u16).map(|i| server.inner().backend(TierId(i)).resident_bytes(file)).sum();
     assert_eq!(cached, 0, "dropped when the last reader closed");
-    server.shutdown();
+    finish(server);
 }
 
 #[test]
@@ -112,7 +120,7 @@ fn writers_invalidate_and_readers_see_new_data() {
     let after = reader.read(&h, ByteRange::new(0, 16)).unwrap();
     assert_eq!(&after[..], &[0xAB; 16], "stale cache must not serve old bytes");
     reader.close(&h);
-    server.shutdown();
+    finish(server);
 }
 
 #[test]
@@ -134,7 +142,7 @@ fn hammered_region_is_promoted_to_ram() {
         "hot region must be promoted to the RAM tier"
     );
     agent.close(&h);
-    server.shutdown();
+    finish(server);
 }
 
 #[test]
@@ -167,5 +175,5 @@ fn many_agents_concurrently() {
     let total =
         stats.hit_bytes.load(Ordering::Relaxed) + stats.miss_bytes.load(Ordering::Relaxed);
     assert_eq!(total, 8 * 16 * 65_536, "every byte accounted as hit or miss");
-    server.shutdown();
+    finish(server);
 }
