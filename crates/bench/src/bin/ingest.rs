@@ -1,8 +1,7 @@
 //! Telemetry-ingestion throughput benchmark: writes
 //! `bench_results/BENCH_ingest.json`.
 //!
-//! Measures the auditor's event-ingestion path under the four
-//! striped/global × batched/per-key ablations (single-thread events/s and
+//! Measures the auditor's event-ingestion path (single-thread events/s and
 //! machine-independent lock acquisitions per event), then verifies that
 //! the same seeded workload drained through 1, 2 and 4 producer threads
 //! produces a byte-identical canonicalised update batch.
@@ -11,10 +10,9 @@
 //! emitted sorted and the report carries no wall-clock timestamps, so
 //! successive runs diff cleanly.
 
-use bench_support::ingest::{run_ingest, IngestScale, ABLATIONS, STREAMS};
+use bench_support::ingest::{run_ingest, IngestScale, STREAMS};
 use bench_support::perf::{Metric, PerfReport};
 use bench_support::{table, BenchScale};
-use hfetch_core::IngestTuning;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -27,94 +25,42 @@ fn main() {
     );
     let mut metrics: Vec<Metric> = Vec::new();
 
-    // Ablation sweep: single-threaded, engine-cadence drains every 1024
-    // events (Reactiveness::low) so the queue works at realistic depth.
-    // Interleaved repetitions, best events/s per ablation: wall clock on
-    // a shared box is noisy, but the best of several runs is a stable
-    // estimate of the path's actual cost. Lock counts must not vary at
-    // all across repetitions — that's asserted, not averaged.
+    // Single-threaded, engine-cadence drains every 1024 events
+    // (Reactiveness::low) so the queue works at realistic depth. Best
+    // events/s of several repetitions: wall clock on a shared box is
+    // noisy, but the best run is a stable estimate of the path's actual
+    // cost. Lock counts must not vary at all across repetitions — that's
+    // asserted, not averaged.
     const REPS: usize = 5;
-    let mut best: Vec<Option<bench_support::ingest::IngestRun>> = vec![None; ABLATIONS.len()];
-    for _ in 0..REPS {
-        for (i, (name, tuning)) in ABLATIONS.iter().enumerate() {
-            let run = run_ingest(*tuning, 1, sizing, Some(1024));
-            match &mut best[i] {
-                None => best[i] = Some(run),
-                Some(prev) => {
-                    assert_eq!(
-                        prev.locks.total(),
-                        run.locks.total(),
-                        "{name}: lock traffic must be deterministic across repetitions"
-                    );
-                    if run.events_per_s() > prev.events_per_s() {
-                        *prev = run;
-                    }
-                }
-            }
+    let mut best = run_ingest(1, sizing, Some(1024));
+    for _ in 1..REPS {
+        let run = run_ingest(1, sizing, Some(1024));
+        assert_eq!(best.locks, run.locks, "lock traffic must be deterministic across repetitions");
+        if run.events_per_s() > best.events_per_s() {
+            best = run;
         }
     }
-    let mut by_name: Vec<(&str, f64, f64)> = Vec::new();
-    for ((name, _), run) in ABLATIONS.iter().zip(&best) {
-        let run = run.expect("every ablation ran");
-        println!(
-            "{name:<16} {:>12.0} events/s   {:.3} locks/event   ({} map + {} queue + {} aux)",
-            run.events_per_s(),
-            run.locks_per_event(),
-            run.locks.map_shard,
-            run.locks.queue_stripe,
-            run.locks.auxiliary,
-        );
-        metrics.push(Metric::new(format!("ingest/{name}/events_per_s"), run.events_per_s(), "events_per_s"));
-        metrics.push(Metric::new(format!("ingest/{name}/locks_per_event"), run.locks_per_event(), "locks_per_event"));
-        metrics.push(Metric::new(
-            format!("ingest/{name}/map_locks_per_event"),
-            run.locks.map_shard as f64 / run.events as f64,
-            "locks_per_event",
-        ));
-        metrics.push(Metric::new(
-            format!("ingest/{name}/queue_locks_per_event"),
-            run.locks.queue_stripe as f64 / run.events as f64,
-            "locks_per_event",
-        ));
-        by_name.push((name, run.events_per_s(), run.locks_per_event()));
+    println!(
+        "{:>12.0} events/s   {:.3} locks/event   ({} map + {} queue + {} aux)",
+        best.events_per_s(),
+        best.locks_per_event(),
+        best.locks.map_shard,
+        best.locks.queue_stripe,
+        best.locks.auxiliary,
+    );
+    let per_event = |locks: u64| locks as f64 / best.events as f64;
+    metrics.push(Metric::new("ingest/events_per_s", best.events_per_s(), "events_per_s"));
+    for (name, value) in [
+        ("ingest/locks_per_event", best.locks_per_event()),
+        ("ingest/map_locks_per_event", per_event(best.locks.map_shard)),
+        ("ingest/queue_locks_per_event", per_event(best.locks.queue_stripe)),
+    ] {
+        metrics.push(Metric::new(name, value, "locks_per_event"));
     }
-    let get = |n: &str| by_name.iter().find(|(name, _, _)| *name == n).unwrap();
-    let (_, batched_eps, batched_lpe) = *get("striped_batched");
-    let (_, per_key_eps, per_key_lpe) = *get("global_per_key");
-    let (_, legacy_eps, legacy_lpe) = *get("legacy");
-    // Headline: the shipped configuration against the pre-striping
-    // ingestion path (global queue, per-key writes, per-segment auxiliary
-    // lookups and cloning peeks).
-    metrics.push(Metric::new("summary/lock_reduction_vs_legacy", legacy_lpe / batched_lpe, "x"));
-    metrics.push(Metric::new("summary/speedup_vs_legacy", batched_eps / legacy_eps, "x"));
-    println!(
-        "\nstriped+batched vs legacy: {:.3}x fewer locks/event, {:.3}x events/s",
-        legacy_lpe / batched_lpe,
-        batched_eps / legacy_eps,
-    );
-    metrics.push(Metric::new("summary/lock_reduction_vs_global_per_key", per_key_lpe / batched_lpe, "x"));
-    metrics.push(Metric::new("summary/speedup_vs_global_per_key", batched_eps / per_key_eps, "x"));
-    println!(
-        "striped+batched vs global+per-key: {:.3}x fewer locks/event, {:.3}x events/s",
-        per_key_lpe / batched_lpe,
-        batched_eps / per_key_eps,
-    );
-    // Batching isolated (same striping on both sides): the cleanest view
-    // of the per-shard grouped writes, uncontaminated by the stripe
-    // count's extra (cheap, contention-free) lock acquisitions.
-    let (_, gb_eps, gb_lpe) = *get("global_batched");
-    metrics.push(Metric::new("summary/batching_lock_reduction", per_key_lpe / gb_lpe, "x"));
-    metrics.push(Metric::new("summary/batching_speedup", gb_eps / per_key_eps, "x"));
-    println!(
-        "batching isolated (global queue): {:.3}x fewer locks/event, {:.3}x events/s",
-        per_key_lpe / gb_lpe,
-        gb_eps / per_key_eps,
-    );
 
     // Drain equivalence: identical workload, 1/2/4 producer threads, one
     // final drain — the canonicalised batches must be byte-identical.
-    let runs: Vec<_> =
-        [1usize, 2, 4].iter().map(|&t| (t, run_ingest(IngestTuning::default(), t, sizing, None))).collect();
+    let runs: Vec<_> = [1usize, 2, 4].iter().map(|&t| (t, run_ingest(t, sizing, None))).collect();
     let reference = runs[0].1.digest;
     for (t, run) in &runs {
         println!("threads={t}: drained {} coalesced updates, digest {:016x}", run.drained, run.digest);

@@ -171,12 +171,13 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
     for (sens_name, _reactiveness) in sensitivities() {
         for (wl_name, _compute) in workloads(burst_io_secs) {
             let report = next.next().expect("one report per cell");
+            let p99 = Duration::from_nanos(report.read_latency.quantile(0.99).unwrap_or(0));
             table.row(vec![
                 sens_name.to_string(),
                 wl_name.to_string(),
                 format!("{:.3}", report.seconds()),
                 format!("{:.3}", report.read_time.as_secs_f64()),
-                format!("{:.1?}", report.read_latency.p99().unwrap_or_default()),
+                format!("{p99:.1?}"),
                 format!("{:.1}", report.hit_ratio().unwrap_or(0.0) * 100.0),
                 fmt_bytes(report.prefetch_bytes),
             ]);

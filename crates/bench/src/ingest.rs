@@ -4,12 +4,10 @@
 //! engine — with Fig. 5-style access patterns, and measures the cost of
 //! turning raw accesses into pending score updates:
 //!
-//! * **events/s** — single-thread observe_read throughput per ablation,
+//! * **events/s** — single-thread observe_read throughput,
 //! * **locks/event** — lock acquisitions (map shards + queue stripes +
 //!   auxiliary mutexes) per event; this is machine-independent and the
 //!   primary contention currency,
-//! * **striped vs global / batched vs per-key ablations** — the four
-//!   combinations of [`IngestTuning`] knobs,
 //! * **drain equivalence** — the same seeded workload driven by 1, 2 and
 //!   4 producer threads (disjoint files per thread) must produce
 //!   byte-identical canonicalised drains; the digest is asserted in the
@@ -18,8 +16,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hfetch_core::auditor::{Auditor, IngestLockStats, IngestTuning};
-use hfetch_core::{HFetchConfig, HeatmapStore, ScoreUpdate};
+use hfetch_core::auditor::{Auditor, IngestLockStats};
+use hfetch_core::{HFetchConfig, ScoreUpdate};
 use tiers::ids::{FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
@@ -65,32 +63,6 @@ impl IngestScale {
         }
     }
 }
-
-/// The ingestion ablations: queue striping × map batching, plus `legacy`
-/// — the pre-striping cost model (global queue, per-key writes, and
-/// per-segment auxiliary lookups / cloning lookahead peeks).
-pub const ABLATIONS: [(&str, IngestTuning); 5] = [
-    (
-        "striped_batched",
-        IngestTuning { queue_stripes: None, batched_map_updates: true, hoisted_lookups: true },
-    ),
-    (
-        "striped_per_key",
-        IngestTuning { queue_stripes: None, batched_map_updates: false, hoisted_lookups: true },
-    ),
-    (
-        "global_batched",
-        IngestTuning { queue_stripes: Some(1), batched_map_updates: true, hoisted_lookups: true },
-    ),
-    (
-        "global_per_key",
-        IngestTuning { queue_stripes: Some(1), batched_map_updates: false, hoisted_lookups: true },
-    ),
-    (
-        "legacy",
-        IngestTuning { queue_stripes: Some(1), batched_map_updates: false, hoisted_lookups: false },
-    ),
-];
 
 /// Generates one stream's accesses: four Fig. 5-style logical processes
 /// (bulk-sequential, strided, repetitive, irregular) interleaved
@@ -214,7 +186,7 @@ pub fn drain_digest(updates: &[ScoreUpdate]) -> u64 {
 /// is comparable across thread counts.
 pub const STREAMS: u64 = 4;
 
-/// Runs one ingestion configuration: [`STREAMS`] seeded per-file access
+/// Runs one ingestion workload: [`STREAMS`] seeded per-file access
 /// streams distributed round-robin over `threads` producers, all feeding
 /// one auditor. A thread processes its assigned streams sequentially, so
 /// every file's access order is preserved at any thread count; files are
@@ -226,22 +198,13 @@ pub const STREAMS: u64 = 4;
 /// (engine-cadence mode, single-threaded only); with `None` the queue is
 /// drained once at the end, which is what the cross-thread equivalence
 /// check needs (one coalesced batch per segment).
-pub fn run_ingest(
-    tuning: IngestTuning,
-    threads: usize,
-    scale: IngestScale,
-    drain_every: Option<u64>,
-) -> IngestRun {
+pub fn run_ingest(threads: usize, scale: IngestScale, drain_every: Option<u64>) -> IngestRun {
     assert!(threads > 0);
     assert!(
         drain_every.is_none() || threads == 1,
         "engine-cadence drains are only deterministic single-threaded"
     );
-    let auditor = Arc::new(Auditor::with_tuning(
-        HFetchConfig::default(),
-        Arc::new(HeatmapStore::in_memory()),
-        tuning,
-    ));
+    let auditor = Arc::new(Auditor::new(HFetchConfig::default()));
     let streams: Vec<(FileId, Vec<SynthAccess>)> = (0..STREAMS)
         .map(|j| {
             (
@@ -318,9 +281,6 @@ mod tests {
     use super::*;
 
     fn tiny() -> IngestScale {
-        // 64 segments per file over 32 map shards: epoch staging alone is
-        // pigeonhole-guaranteed to find same-shard segments, so batched
-        // ablations must take strictly fewer locks.
         IngestScale { events_per_thread: 2_000, dataset: 64 * MIB, request: 4 * MIB }
     }
 
@@ -341,31 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn all_ablations_agree_on_the_drain() {
-        let runs: Vec<IngestRun> =
-            ABLATIONS.iter().map(|(_, t)| run_ingest(*t, 1, tiny(), None)).collect();
-        for r in &runs[1..] {
-            assert_eq!(r.digest, runs[0].digest, "ablations must not change results");
-            assert_eq!(r.drained, runs[0].drained);
-        }
-        // ...but they must differ in lock traffic: batched < per-key.
-        let by_name = |name: &str| {
-            let i = ABLATIONS.iter().position(|(n, _)| *n == name).unwrap();
-            runs[i]
-        };
-        assert!(
-            by_name("striped_batched").locks.total() < by_name("striped_per_key").locks.total()
-        );
-        assert!(
-            by_name("global_batched").locks.total() < by_name("global_per_key").locks.total()
-        );
-    }
-
-    #[test]
     fn thread_count_does_not_change_the_canonical_drain() {
-        let t1 = run_ingest(IngestTuning::default(), 1, tiny(), None);
-        let t2 = run_ingest(IngestTuning::default(), 2, tiny(), None);
-        let t4 = run_ingest(IngestTuning::default(), 4, tiny(), None);
+        let t1 = run_ingest(1, tiny(), None);
+        let t2 = run_ingest(2, tiny(), None);
+        let t4 = run_ingest(4, tiny(), None);
         assert_eq!(t1.events, t2.events, "same total workload at any thread count");
         assert_eq!(t1.digest, t2.digest, "2-thread drain byte-identical to serial");
         assert_eq!(t1.digest, t4.digest, "4-thread drain byte-identical to serial");
@@ -375,7 +314,7 @@ mod tests {
 
     #[test]
     fn engine_cadence_drains_count_everything() {
-        let r = run_ingest(IngestTuning::default(), 1, tiny(), Some(500));
+        let r = run_ingest(1, tiny(), Some(500));
         assert!(r.drained > 0);
     }
 }

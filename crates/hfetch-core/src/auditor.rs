@@ -72,37 +72,6 @@ pub struct ScoreUpdate {
     pub anticipated: bool,
 }
 
-/// Ablation knobs for the ingestion path.
-///
-/// Production code uses [`IngestTuning::default`]; the `ingest` benchmark
-/// flips these to measure what striping and batching each buy.
-#[derive(Clone, Copy, Debug)]
-pub struct IngestTuning {
-    /// Stripe count for the pending-update queue. `None` (default) aligns
-    /// the stripes with the statistics map's shard topology, so the queue
-    /// and the map contend on the same key partition; `Some(1)`
-    /// reproduces the old single global queue for ablations.
-    pub queue_stripes: Option<usize>,
-    /// Apply a multi-segment read's statistics as one batched map
-    /// transaction (one lock per shard visited) instead of one
-    /// `update_with` per segment. The two paths produce identical scores;
-    /// `false` exists for ablation and differential testing.
-    pub batched_map_updates: bool,
-    /// Hoist auxiliary lookups out of per-segment loops: one `file_sizes`
-    /// lock per call and allocation-free in-place lookahead peeks. With
-    /// `false` the path reproduces the pre-striping ingestion cost model
-    /// — a `file_sizes` lock per touched segment and a cloned
-    /// `SegmentStat` per lookahead peek — for the `legacy` ablation.
-    /// Scores and drains are identical either way.
-    pub hoisted_lookups: bool,
-}
-
-impl Default for IngestTuning {
-    fn default() -> Self {
-        Self { queue_stripes: None, batched_map_updates: true, hoisted_lookups: true }
-    }
-}
-
 /// Lock acquisitions across the ingestion path, by lock family.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestLockStats {
@@ -125,7 +94,6 @@ impl IngestLockStats {
 /// The File Segment Auditor.
 pub struct Auditor {
     cfg: HFetchConfig,
-    tuning: IngestTuning,
     stats: DistributedMap<SegmentId, SegmentStat>,
     file_sizes: Mutex<FxHashMap<FileId, u64>>,
     last_by_process: Mutex<FxHashMap<ProcessId, SegmentId>>,
@@ -147,22 +115,14 @@ impl Auditor {
     }
 
     /// Creates an auditor sharing an existing heatmap store.
+    /// The update queue has one stripe per statistics-map shard, so queue
+    /// contention follows map contention.
     pub fn with_heatmaps(cfg: HFetchConfig, heatmaps: Arc<HeatmapStore>) -> Self {
-        Self::with_tuning(cfg, heatmaps, IngestTuning::default())
-    }
-
-    /// Creates an auditor with explicit ingestion tuning (ablations).
-    pub fn with_tuning(
-        cfg: HFetchConfig,
-        heatmaps: Arc<HeatmapStore>,
-        tuning: IngestTuning,
-    ) -> Self {
         cfg.validate();
         let stats: DistributedMap<SegmentId, SegmentStat> = DistributedMap::with_topology(1, 32);
-        let stripes = tuning.queue_stripes.unwrap_or_else(|| stats.shard_count());
+        let stripes = stats.shard_count();
         Self {
             cfg,
-            tuning,
             stats,
             file_sizes: Mutex::new(FxHashMap::default()),
             last_by_process: Mutex::new(FxHashMap::default()),
@@ -202,11 +162,6 @@ impl Auditor {
         &self.cfg
     }
 
-    /// The ingestion tuning in force.
-    pub fn tuning(&self) -> IngestTuning {
-        self.tuning
-    }
-
     fn aux_lock(&self) {
         self.aux_locks.fetch_add(1, Ordering::Relaxed);
     }
@@ -224,11 +179,6 @@ impl Auditor {
     pub fn file_size(&self, file: FileId) -> u64 {
         self.aux_lock();
         self.file_sizes.lock().get(&file).copied().unwrap_or(0)
-    }
-
-    /// Size in bytes of segment `index` of `file`.
-    pub fn segment_size_of(&self, file: FileId, index: u64) -> u64 {
-        segment_range(index, self.cfg.segment_size, self.file_size(file)).len
     }
 
     /// Routes `update` to the queue stripe matching its segment's map
@@ -294,15 +244,11 @@ impl Auditor {
         // segment.
         let size = self.file_size(file);
         let segments = segment_count(size, self.cfg.segment_size);
-        let history = if self.cfg.heatmap_history { self.heatmaps.load(file) } else { None };
+        let history = self.heatmaps.load(file);
         let mut staged: Vec<ScoreUpdate> = Vec::with_capacity(segments as usize);
         for index in 0..segments {
             let seg = SegmentId::new(file, index);
-            let seg_size = if self.tuning.hoisted_lookups {
-                segment_range(index, self.cfg.segment_size, size).len
-            } else {
-                self.segment_size_of(file, index)
-            };
+            let seg_size = segment_range(index, self.cfg.segment_size, size).len;
             let historical = history.as_ref().map_or(0.0, |h| {
                 // Decay the stored score from its snapshot time to now.
                 h.score(index)
@@ -313,27 +259,16 @@ impl Auditor {
                 staged.push(ScoreUpdate { segment: seg, score, size: seg_size, anticipated: true });
             }
         }
-        // Seed the live score states so future decay is consistent. The
-        // batched path visits each shard once for the whole file.
-        if self.tuning.batched_map_updates {
-            let keys: Vec<SegmentId> = staged.iter().map(|u| u.segment).collect();
-            let order = self.stats.route(&keys);
-            self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st| {
-                if st.frequency == 0 {
-                    st.score.seed(staged[idx].score, now);
-                }
-            });
-            self.updates.push_ordered(&order, |idx| staged[idx]);
-        } else {
-            for update in &staged {
-                self.stats.update_with(update.segment, SegmentStat::default, |st| {
-                    if st.frequency == 0 {
-                        st.score.seed(update.score, now);
-                    }
-                });
-                self.push_update(*update);
+        // Seed the live score states so future decay is consistent,
+        // visiting each shard once for the whole file.
+        let keys: Vec<SegmentId> = staged.iter().map(|u| u.segment).collect();
+        let order = self.stats.route(&keys);
+        self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st| {
+            if st.frequency == 0 {
+                st.score.seed(staged[idx].score, now);
             }
-        }
+        });
+        self.updates.push_ordered(&order, |idx| staged[idx]);
         if !staged.is_empty() {
             self.note_ingest(now);
         }
@@ -363,9 +298,7 @@ impl Auditor {
             self.cfg
                 .obs
                 .trace_event(obs::TraceEvent::EpochEnd { at: now.as_nanos(), file: file.0 });
-            if self.cfg.heatmap_history {
-                self.heatmaps.save(self.snapshot_heatmap(file, now));
-            }
+            self.heatmaps.save(self.snapshot_heatmap(file, now));
         }
         last
     }
@@ -390,9 +323,7 @@ impl Auditor {
         self.cfg
             .obs
             .trace_event(obs::TraceEvent::EpochEnd { at: now.as_nanos(), file: file.0 });
-        if self.cfg.heatmap_history {
-            self.heatmaps.save(self.snapshot_heatmap(file, now));
-        }
+        self.heatmaps.save(self.snapshot_heatmap(file, now));
         true
     }
 
@@ -409,8 +340,8 @@ impl Auditor {
         process: ProcessId,
         now: Timestamp,
     ) -> usize {
-        // One size lookup for the whole call (the old path re-locked
-        // `file_sizes` once per touched segment via `segment_size_of`).
+        // One size lookup for the whole call; per-segment sizes are
+        // derived locally.
         let size = self.file_size(file);
         if size == 0 || range.offset >= size {
             return 0;
@@ -423,19 +354,12 @@ impl Auditor {
         self.aux_lock();
         let carried = self.last_by_process.lock().get(&process).copied();
         let params = self.cfg.score;
-        let seg_size = |index: u64| {
-            if self.tuning.hoisted_lookups {
-                segment_range(index, self.cfg.segment_size, size).len
-            } else {
-                // Legacy cost model: re-consult (and re-lock) the size
-                // table for every segment.
-                self.segment_size_of(file, index)
-            }
-        };
+        let seg_size = |index: u64| segment_range(index, self.cfg.segment_size, size).len;
         // Predecessors are known up front: the first touched segment
         // chains from the process's carried-over segment, each later one
-        // from its in-request neighbour. Computing them here lets the
-        // batched path apply every segment under one pass over the shards.
+        // from its in-request neighbour. Computing them here lets a
+        // multi-segment read apply every segment under one pass over the
+        // shards.
         let record = |st: &mut SegmentStat, prev: Option<SegmentId>| {
             if let Some(p) = prev {
                 if st.predecessors.len() < MAX_PREDECESSORS && !st.predecessors.contains(&p) {
@@ -454,7 +378,11 @@ impl Auditor {
                 _ => Some(parts[idx - 1].0),
             }
         };
-        let scores: Vec<f64> = if self.tuning.batched_map_updates && parts.len() > 1 {
+        // `record` leaves the last segment's accumulator stamped at `now`,
+        // so the score it returns *is* the lookahead's starting peek — no
+        // map re-read needed.
+        let last_seg = parts.last().expect("non-empty").0;
+        let last_score = if parts.len() > 1 {
             // Route once: the shard-grouped visit order drives the map's
             // batched write pass *and* the queue's grouped push (stripes
             // align with shards), so a request pays one hashing/sorting
@@ -471,43 +399,20 @@ impl Auditor {
                 size: seg_size(keys[idx].index),
                 anticipated: false,
             });
-            scores
-        } else {
-            let scores: Vec<f64> = parts
-                .iter()
-                .enumerate()
-                .map(|(idx, (seg, _))| {
-                    self.stats.update_with(*seg, SegmentStat::default, |st| {
-                        record(st, prev_of(idx))
-                    })
-                })
-                .collect();
-            for (idx, (seg, _sub)) in parts.iter().enumerate() {
-                self.push_update(ScoreUpdate {
-                    segment: *seg,
-                    score: scores[idx],
-                    size: seg_size(seg.index),
-                    anticipated: false,
-                });
-            }
-            scores
-        };
-        // Sequencing lookahead: anticipate the successors of the last
-        // touched segment. `record` left the last segment's accumulator
-        // stamped at `now`, so the score it returned *is* the peek — no
-        // map re-read needed.
-        let last_seg = parts.last().expect("non-empty").0;
-        let last_score = if self.tuning.hoisted_lookups {
             *scores.last().expect("non-empty")
         } else {
-            // Legacy cost model: re-read the segment we just updated. The
-            // value is bit-identical (`record` at `now` == `peek` at
-            // `now`); only the extra lock + clone differ.
-            self.stats
-                .get(&last_seg)
-                .map(|st| st.score.peek(now, &params, st.n()))
-                .unwrap_or(0.0)
+            let score =
+                self.stats.update_with(last_seg, SegmentStat::default, |st| record(st, prev_of(0)));
+            self.push_update(ScoreUpdate {
+                segment: last_seg,
+                score,
+                size: seg_size(last_seg.index),
+                anticipated: false,
+            });
+            score
         };
+        // Sequencing lookahead: anticipate the successors of the last
+        // touched segment.
         let total_segments = segment_count(size, self.cfg.segment_size);
         let mut anticipated = last_score;
         for step in 1..=self.cfg.lookahead {
@@ -518,17 +423,11 @@ impl Auditor {
             }
             let succ = SegmentId::new(file, index);
             // In-place peek: no `SegmentStat` clone (the predecessor Vec
-            // made every `get`-based peek an allocation).
-            let existing = if self.tuning.hoisted_lookups {
-                self.stats
-                    .get_with(&succ, |st| st.score.peek(now, &params, st.n()))
-                    .unwrap_or(0.0)
-            } else {
-                self.stats
-                    .get(&succ)
-                    .map(|st| st.score.peek(now, &params, st.n()))
-                    .unwrap_or(0.0)
-            };
+            // would make a `get`-based peek an allocation).
+            let existing = self
+                .stats
+                .get_with(&succ, |st| st.score.peek(now, &params, st.n()))
+                .unwrap_or(0.0);
             let score = existing.max(anticipated);
             if score > 0.0 {
                 self.push_update(ScoreUpdate {
@@ -856,79 +755,31 @@ mod tests {
         assert_eq!(a.pending_updates(), 0, "purge kept the counter consistent");
     }
 
-    /// The batched (`update_many_with`) and per-key ingestion paths must
-    /// be observationally identical: same drained updates, same stats.
+    /// A multi-segment read takes one map-shard lock per shard it visits
+    /// plus one per lookahead peek. 48 segments over 32 shards must share
+    /// shards (pigeonhole), so one write per segment breaks this bound.
     #[test]
-    fn batched_and_per_key_paths_are_equivalent() {
-        let heat = || Arc::new(HeatmapStore::in_memory());
-        let batched = Auditor::with_tuning(
-            HFetchConfig::default(),
-            heat(),
-            IngestTuning { queue_stripes: None, batched_map_updates: true, hoisted_lookups: true },
-        );
-        let per_key = Auditor::with_tuning(
-            HFetchConfig::default(),
-            heat(),
-            IngestTuning { queue_stripes: Some(1), batched_map_updates: false, hoisted_lookups: true },
-        );
-        for a in [&batched, &per_key] {
-            a.set_file_size(F, 8 * MIB);
-            a.start_epoch(F, Timestamp::ZERO);
-            for i in 0..20u64 {
-                let t = Timestamp::from_millis(100 * i);
-                a.observe_read(F, ByteRange::new((i % 6) * MIB, 3 * MIB), ProcessId(i as u32 % 3), t);
-            }
+    fn multi_segment_reads_take_one_map_lock_per_shard_visited() {
+        let a = auditor();
+        a.set_file_size(F, 64 * MIB);
+        let total_segments = 64;
+        for i in 0..50u64 {
+            let first = i % 16;
+            let shards: std::collections::HashSet<usize> = (first..first + 48)
+                .map(|index| a.stats.locate(&SegmentId::new(F, index)).flat)
+                .collect();
+            assert!(shards.len() < 48, "pigeonhole: some segments share a shard");
+            let peeks = a.config().lookahead.min(total_segments - (first + 48));
+            let before = a.ingest_lock_stats().map_shard;
+            let read = ByteRange::new(first * MIB, 48 * MIB);
+            a.observe_read(F, read, ProcessId(0), Timestamp::from_millis(i));
+            let taken = a.ingest_lock_stats().map_shard - before;
+            assert!(
+                taken <= shards.len() as u64 + peeks,
+                "read {i} took {taken} map locks for {} shards and {peeks} peeks",
+                shards.len()
+            );
         }
-        let a = batched.drain_updates();
-        let b = per_key.drain_updates();
-        assert_eq!(a, b, "striped+batched drain differs from global+per-key");
-        for index in 0..8 {
-            let seg = SegmentId::new(F, index);
-            let x = batched.stat(seg);
-            let y = per_key.stat(seg);
-            assert_eq!(x.is_some(), y.is_some());
-            if let (Some(x), Some(y)) = (x, y) {
-                assert_eq!(x.frequency, y.frequency);
-                assert_eq!(x.predecessors, y.predecessors);
-                assert_eq!(x.n(), y.n());
-            }
-        }
-    }
-
-    /// Batching must *reduce* lock traffic on multi-segment reads: one
-    /// shard acquisition per shard visited, not one per segment.
-    #[test]
-    fn batched_ingestion_takes_fewer_locks() {
-        let heat = || Arc::new(HeatmapStore::in_memory());
-        let mk = |batched| {
-            Auditor::with_tuning(
-                HFetchConfig::default(),
-                heat(),
-                IngestTuning { queue_stripes: None, batched_map_updates: batched, hoisted_lookups: true },
-            )
-        };
-        let run = |a: &Auditor| {
-            a.set_file_size(F, 64 * MIB);
-            let before = a.ingest_lock_stats();
-            // 48 segments per read over 32 shards: by pigeonhole at least
-            // 16 segments share a shard, so batching must save locks.
-            for i in 0..50u64 {
-                a.observe_read(
-                    F,
-                    ByteRange::new((i % 16) * MIB, 48 * MIB),
-                    ProcessId(0),
-                    Timestamp::from_millis(i),
-                );
-            }
-            let after = a.ingest_lock_stats();
-            after.total() - before.total()
-        };
-        let batched = run(&mk(true));
-        let per_key = run(&mk(false));
-        assert!(
-            batched < per_key,
-            "batched path took {batched} locks, per-key took {per_key}"
-        );
     }
 
     #[test]

@@ -60,8 +60,6 @@ pub struct HFetchConfig {
     pub epoch_base_score: f64,
     /// Drop a file's prefetched segments when its last reader closes it.
     pub evict_on_epoch_end: bool,
-    /// Persist file heatmaps on epoch end and reload them on re-open.
-    pub heatmap_history: bool,
     /// Displacement hysteresis passed to the placement engine: a segment
     /// only displaces a placed one when its score exceeds the victim's by
     /// this factor. 1.0 is the paper's strict Algorithm 1; ~2.0 damps
@@ -91,7 +89,6 @@ impl Default for HFetchConfig {
             lookahead_decay: 0.5,
             epoch_base_score: 1e-6,
             evict_on_epoch_end: true,
-            heatmap_history: true,
             displacement_margin: 2.0,
             max_inflight_fetches: 64,
             obs: obs::Recorder::default(),

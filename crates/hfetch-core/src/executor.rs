@@ -45,8 +45,11 @@ pub trait Transfers {
     fn invalidate(&mut self, _segment: SegmentId, _range: ByteRange) {}
 }
 
-/// Retry budget for capacity-denied actions: a promotion is often denied
-/// because the demotion that makes room for it is still in flight.
+/// Retry budget for capacity-denied actions. A denied action goes to the
+/// back of the queue, but one `pump` sweep pops up to `queue.len() + 8`
+/// times, so with a short queue and free transfer slots it can spend all
+/// the retries in one call, with no time passing. Retries outlast a
+/// transfer only when the sweep stops early because the slots are full.
 const RETRIES: u8 = 8;
 
 /// Drives the placement engine and executes its plan.

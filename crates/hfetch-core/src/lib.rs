@@ -48,7 +48,7 @@ pub mod server;
 pub mod update_queue;
 
 pub use agent::HFetchAgent;
-pub use auditor::{Auditor, IngestLockStats, IngestTuning, ScoreUpdate};
+pub use auditor::{Auditor, IngestLockStats, ScoreUpdate};
 pub use update_queue::StripedUpdateQueue;
 pub use config::{HFetchConfig, Reactiveness};
 pub use engine::{PlacementAction, PlacementEngine};

@@ -235,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_epochs_benefit_from_heatmap_history() {
+    fn repeated_epochs_benefit_from_saved_heatmaps() {
         // A repetitive workload: the same 32 MiB region is read in two
         // epochs. The second epoch should see a (much) higher hit ratio
         // because the heatmap stages the hot region at open time.

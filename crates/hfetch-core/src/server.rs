@@ -113,10 +113,20 @@ impl Transfers for &ServerInner {
 
     /// A superseded action moves nothing: run after a retry reordered the
     /// queue, its copy could take the bytes from where the model wants them.
+    /// A `Move` whose segment left the model while it was queued drops its
+    /// source copy, which nothing else would free, once the segment is no
+    /// longer busy.
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
         -> Option<FetchOutcome> {
         let (segment, to) = action.target();
-        if engine.location(segment) != Some(to) {
+        let placed = engine.location(segment);
+        if placed != Some(to) {
+            if let (None, Some(from)) = (placed, action.moved_from()) {
+                if self.moving.lock().contains_key(&segment) {
+                    return None;
+                }
+                self.discard(segment, range, from);
+            }
             return Some(FetchOutcome::default());
         }
         let mut moving = self.moving.lock();

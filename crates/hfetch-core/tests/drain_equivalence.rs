@@ -1,26 +1,21 @@
-//! Drain-equivalence properties of the striped ingestion path.
+//! Drain-equivalence properties of the striped update queue.
 //!
-//! The striped update queue and the batched map writes are pure
-//! performance refactors: they must never change *what* the placement
-//! engine sees, only how cheaply it gets there. These tests pin that
-//! contract from outside the crate:
+//! Striping the queue is a pure performance refactor: it must never
+//! change *what* the placement engine sees, only how cheaply it gets
+//! there. These tests pin that contract from outside the crate:
 //!
 //! * single-threaded, any stripe count drains byte-identically to the
-//!   one-stripe (old global queue) layout, in first-touch order;
+//!   one-stripe (global queue) layout, in first-touch order;
 //! * concurrent producers coalesce to the latest score per segment, with
-//!   a raw-push counter that stays exact;
-//! * at the auditor level, striped-vs-global and batched-vs-per-key
-//!   ablations produce identical drains for identical access sequences.
+//!   a raw-push counter that stays exact.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hfetch_core::auditor::{Auditor, IngestTuning, ScoreUpdate};
-use hfetch_core::{HFetchConfig, HeatmapStore, StripedUpdateQueue};
+use hfetch_core::auditor::ScoreUpdate;
+use hfetch_core::StripedUpdateQueue;
 use proptest::prelude::*;
-use tiers::ids::{FileId, ProcessId, SegmentId};
-use tiers::range::ByteRange;
-use tiers::time::Timestamp;
+use tiers::ids::{FileId, SegmentId};
 use tiers::units::MIB;
 
 fn upd(file: u64, index: u64, score: f64) -> ScoreUpdate {
@@ -148,57 +143,4 @@ fn concurrent_producers_coalesce_to_latest_per_segment() {
         assert_eq!(u.score, ROUNDS as f64, "latest (largest) score won");
     }
     assert_eq!(q.pending(), 0);
-}
-
-/// Drives one auditor configuration with a fixed read script and returns
-/// the full drain.
-fn drive(tuning: IngestTuning) -> Vec<ScoreUpdate> {
-    let auditor =
-        Auditor::with_tuning(HFetchConfig::default(), Arc::new(HeatmapStore::in_memory()), tuning);
-    let file = FileId(7);
-    auditor.set_file_size(file, 64 * MIB);
-    auditor.start_epoch(file, Timestamp::ZERO);
-    // Mixed widths and revisits: wide reads exercise the batched path's
-    // shard grouping, revisits exercise coalescing, two processes
-    // exercise the sequencing predecessors.
-    let script: [(u64, u64, u32); 6] = [
-        (0, 48, 0),  // wide: 48 segments, guaranteed shard collisions
-        (4, 2, 1),
-        (6, 2, 1),
-        (0, 8, 0),   // revisit
-        (32, 16, 1),
-        (60, 4, 0),
-    ];
-    for (i, (offset, len, proc)) in script.iter().enumerate() {
-        auditor.observe_read(
-            file,
-            ByteRange::new(offset * MIB, len * MIB),
-            ProcessId(*proc),
-            Timestamp::from_millis((i as u64 + 1) * 250),
-        );
-    }
-    auditor.drain_updates()
-}
-
-/// The four striping × batching ablations are pure perf knobs: identical
-/// access scripts must drain byte-identically, first-touch order and all.
-#[test]
-fn auditor_ablations_drain_byte_identically() {
-    let reference = drive(IngestTuning::default());
-    assert!(!reference.is_empty());
-    for (stripes, batched, hoisted) in [
-        (None, false, true),
-        (Some(1), true, true),
-        (Some(1), false, true),
-        (Some(5), true, true),
-        (Some(1), false, false), // full legacy cost model
-        (None, true, false),
-    ] {
-        let drained = drive(IngestTuning {
-            queue_stripes: stripes,
-            batched_map_updates: batched,
-            hoisted_lookups: hoisted,
-        });
-        assert_byte_identical(&drained, &reference);
-    }
 }

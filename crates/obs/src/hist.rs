@@ -51,6 +51,23 @@ impl Histogram {
         self.buckets[Self::bucket_of(value)] += 1;
     }
 
+    /// The `q`-th quantile (`q` in `[0, 1]`), resolved to the upper edge of
+    /// the bucket holding that sample: 0 for bucket 0, `2^i` for bucket
+    /// `i`, and `u64::MAX` for the open-ended top bucket. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        let i = self.buckets.iter().position(|&n| {
+            seen += n;
+            seen >= target
+        })?;
+        Some(match i {
+            0 => 0,
+            i if i == HIST_BUCKETS - 1 => u64::MAX,
+            i => 1 << i,
+        })
+    }
+
     /// Fold `other` into `self` bucket-by-bucket.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
@@ -120,6 +137,64 @@ mod tests {
         let mut c = Histogram::default();
         c.merge(&Histogram::default());
         assert_eq!(c, Histogram::default());
+    }
+
+    #[test]
+    fn quantile_of_empty_histogram_is_none() {
+        let h = Histogram::default();
+        assert_eq!(h.quantile(0.0), None);
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.quantile(1.0), None);
+    }
+
+    #[test]
+    fn quantile_of_all_zero_samples_is_zero() {
+        let mut h = Histogram::default();
+        for _ in 0..10 {
+            h.record(0);
+        }
+        assert_eq!(h.quantile(0.0), Some(0));
+        assert_eq!(h.quantile(0.99), Some(0));
+        assert_eq!(h.quantile(1.0), Some(0));
+    }
+
+    #[test]
+    fn quantile_reads_the_upper_bucket_edge() {
+        let mut h = Histogram::default();
+        for v in [3, 3, 3, 100] {
+            h.record(v);
+        }
+        // 3 lies in [2, 4), 100 in [64, 128).
+        assert_eq!(h.quantile(0.5), Some(4));
+        assert_eq!(h.quantile(0.75), Some(4));
+        assert_eq!(h.quantile(0.99), Some(128));
+    }
+
+    #[test]
+    fn quantile_extremes_pick_the_first_and_last_samples() {
+        let mut h = Histogram::default();
+        for v in [5, 1000, 70_000] {
+            h.record(v);
+        }
+        // q = 0 still resolves to the first sample, q = 1 to the last.
+        assert_eq!(h.quantile(0.0), Some(8));
+        assert_eq!(h.quantile(1.0), Some(1 << 17));
+        // Out-of-range q clamps.
+        assert_eq!(h.quantile(-1.0), h.quantile(0.0));
+        assert_eq!(h.quantile(2.0), h.quantile(1.0));
+    }
+
+    #[test]
+    fn quantile_in_the_clamped_top_bucket_is_unbounded() {
+        let mut h = Histogram::default();
+        h.record(1);
+        h.record(u64::MAX);
+        assert_eq!(h.quantile(0.5), Some(2));
+        assert_eq!(h.quantile(1.0), Some(u64::MAX));
+        // The top bucket's lower bound lands there too.
+        let mut top = Histogram::default();
+        top.record(1 << (HIST_BUCKETS as u32 - 2));
+        assert_eq!(top.quantile(0.5), Some(u64::MAX));
     }
 
     #[test]

@@ -336,15 +336,12 @@ impl SimCore {
             tr.read_bytes += range.len;
             tr.read_ops += 1;
             let latency = finish.since(self.now);
+            let latency_ns = latency.as_nanos() as u64;
             self.report.read_time += latency;
-            self.report.read_latency.record(latency);
+            self.report.read_latency.record(latency_ns);
             if self.config.obs.is_enabled() {
                 self.config.obs.counter_inc("sim.read.backing_miss", obs::Label::None);
-                self.config.obs.observe(
-                    "sim.read.latency_ns",
-                    obs::Label::None,
-                    latency.as_nanos() as u64,
-                );
+                self.config.obs.observe("sim.read.latency_ns", obs::Label::None, latency_ns);
             }
             serving.miss_bytes = range.len;
             return self.close_read(effect, serving, file, range, finish);
@@ -461,14 +458,11 @@ impl SimCore {
         }
         self.scratch_plan = plan;
         let latency = finish.since(self.now);
+        let latency_ns = latency.as_nanos() as u64;
         self.report.read_time += latency;
-        self.report.read_latency.record(latency);
+        self.report.read_latency.record(latency_ns);
         if self.config.obs.is_enabled() {
-            self.config.obs.observe(
-                "sim.read.latency_ns",
-                obs::Label::None,
-                latency.as_nanos() as u64,
-            );
+            self.config.obs.observe("sim.read.latency_ns", obs::Label::None, latency_ns);
         }
         self.close_read(effect, serving, file, range, finish)
     }
@@ -1579,7 +1573,10 @@ mod tests {
         let report = rec.report();
         assert!(report.counter("sim.fetch.bytes{from=3,to=0}").unwrap_or(0) > 0);
         assert!(report.histogram("sim.fetch.transfer_ns{from=3,to=0}").is_some());
-        assert!(report.histogram("sim.read.latency_ns").unwrap().count > 0);
+        let latency = report.histogram("sim.read.latency_ns").unwrap();
+        assert!(latency.count > 0);
+        // The report's histogram books the same samples, bucket for bucket.
+        assert_eq!(&observed.read_latency, latency);
         // Determinism of the artifact itself.
         let rec2 = obs::Recorder::enabled();
         let _ = build(rec2.clone()).run();

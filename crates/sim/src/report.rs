@@ -6,71 +6,6 @@ use tiers::ids::TierId;
 use tiers::time::Timestamp;
 use tiers::units::fmt_bytes;
 
-/// A fixed-bucket log-scale latency histogram (1 µs … ~68 s), cheap enough
-/// to update on every read. Used for the read-latency percentiles the
-/// reactiveness experiment reasons about (Fig. 3b's "latency penalties").
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// Bucket `i` counts latencies in `[2^i, 2^(i+1))` microseconds.
-    buckets: Vec<u64>,
-    count: u64,
-    max: Duration,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self { buckets: vec![0; 27], count: 0, max: Duration::ZERO }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        let idx = (64 - us.max(1).leading_zeros() as usize - 1).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.max = self.max.max(latency);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The largest recorded sample.
-    pub fn max(&self) -> Duration {
-        self.max
-    }
-
-    /// Approximate percentile (`q` in `[0, 1]`), resolved to the upper
-    /// edge of the containing bucket. `None` with no samples.
-    pub fn percentile(&self, q: f64) -> Option<Duration> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Duration::from_micros(1 << (i + 1)).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> Option<Duration> {
-        self.percentile(0.50)
-    }
-
-    /// Tail latency.
-    pub fn p99(&self) -> Option<Duration> {
-        self.percentile(0.99)
-    }
-}
-
 /// Fault-injection and graceful-degradation accounting.
 ///
 /// All counters stay zero on fault-free runs; a degraded run is readable
@@ -133,8 +68,9 @@ pub struct SimReport {
     /// Sum over reads of (completion − issue), i.e. total time ranks spent
     /// blocked on reads.
     pub read_time: Duration,
-    /// Distribution of per-read blocked time.
-    pub read_latency: LatencyHistogram,
+    /// Distribution of per-read blocked time, in nanoseconds (the same
+    /// samples as the `sim.read.latency_ns` histogram).
+    pub read_latency: obs::Histogram,
     /// Sum of scripted compute time actually executed.
     pub compute_time: Duration,
     /// Prefetch transfers issued.
@@ -223,31 +159,6 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.p50(), None);
-        for ms in [1u64, 2, 4, 8, 100] {
-            h.record(Duration::from_millis(ms));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), Duration::from_millis(100));
-        let p50 = h.p50().unwrap();
-        assert!(p50 >= Duration::from_millis(2) && p50 <= Duration::from_millis(8), "{p50:?}");
-        let p99 = h.p99().unwrap();
-        assert!(p99 >= Duration::from_millis(64), "{p99:?}");
-        assert!(p99 <= Duration::from_millis(100));
-    }
-
-    #[test]
-    fn histogram_extremes_clamp() {
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(1)); // below 1 µs → first bucket
-        h.record(Duration::from_secs(1000)); // beyond last bucket → clamped
-        assert_eq!(h.count(), 2);
-        assert!(h.percentile(1.0).unwrap() <= Duration::from_secs(1000));
-    }
 
     fn report() -> SimReport {
         SimReport {

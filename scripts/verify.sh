@@ -12,8 +12,9 @@
 #   4. sim_kernel bench in --test mode: one iteration per measurement,
 #      exercising the FxHash/std and raw/coalesced ablations plus the
 #      BENCH_sim_kernel.json emission path.
-#   5. ingest bench smoke: the telemetry-ingestion benchmark runs at smoke
-#      scale (its drain-equivalence asserts run inside the binary) and the
+#   5. ingest bench smoke: the telemetry-ingestion benchmark measures the
+#      auditor's one ingestion path at smoke scale (events/s, locks/event;
+#      its 1/2/4-thread drain-digest assert runs inside the binary) and the
 #      emitted BENCH_ingest.json is checked to be stable (obs_diff --lint):
 #      valid JSON, metric names sorted and unique, and no wall-clock
 #      timestamp fields that would make successive runs diff dirty.
@@ -36,6 +37,8 @@
 #      DESIGN.md §5.11 tolerance rules — counters/gauges exact, histograms
 #      relative. Any intended behaviour change must re-bless the baselines
 #      with HFETCH_BLESS=1 cargo test -p hfetch-bench --test golden_trace.
+#   9. hfbench self-tests: the standalone benchmark package builds against
+#      the workspace crates' current public API, and its own tests pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,5 +118,8 @@ for fig in fig3b fig6a fig6b; do
     cargo run -p hfetch-bench --release --bin obs_diff -- \
         "crates/bench/tests/golden/$fig.obs.json" "$SMOKE_DIR/$fig.obs.json"
 done
+
+echo "== hfbench self-tests: build against the current API =="
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path hfbench/Cargo.toml
 
 echo "== verify OK =="

@@ -1,10 +1,13 @@
 //! End-to-end tests of the real-thread HFetch server: multiple agents,
 //! epochs, data correctness, invalidation, and hierarchical promotion.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hfetch::prelude::*;
+use hfetch::tiers::error::Result as TierResult;
+use hfetch::tiers::{MemoryBackend, StorageBackend};
 
 fn expected(offset: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((offset as usize + i) % 251) as u8).collect()
@@ -175,5 +178,109 @@ fn many_agents_concurrently() {
     let total =
         stats.hit_bytes.load(Ordering::Relaxed) + stats.miss_bytes.load(Ordering::Relaxed);
     assert_eq!(total, 8 * 16 * 65_536, "every byte accounted as hit or miss");
+    finish(server);
+}
+
+/// A cache backend whose writes wait while its gate is closed, so a test
+/// can hold one copy in flight for as long as it needs.
+#[derive(Default)]
+struct GatedBackend {
+    inner: MemoryBackend,
+    closed: AtomicBool,
+    waiting: AtomicU64,
+}
+
+impl StorageBackend for GatedBackend {
+    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> TierResult<()> {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        while self.closed.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        self.inner.write(file, offset, data)
+    }
+    fn read(&self, file: FileId, range: ByteRange) -> TierResult<bytes::Bytes> {
+        self.inner.read(file, range)
+    }
+    fn evict(&self, file: FileId, range: ByteRange) -> TierResult<u64> {
+        self.inner.evict(file, range)
+    }
+    fn delete(&self, file: FileId) -> TierResult<u64> {
+        self.inner.delete(file)
+    }
+    fn resident(&self, file: FileId, range: ByteRange) -> bool {
+        self.inner.resident(file, range)
+    }
+    fn covered_bytes(&self, file: FileId, range: ByteRange) -> u64 {
+        self.inner.covered_bytes(file, range)
+    }
+    fn covered_ranges(&self, file: FileId, range: ByteRange) -> Vec<ByteRange> {
+        self.inner.covered_ranges(file, range)
+    }
+    fn resident_bytes(&self, file: FileId) -> u64 {
+        self.inner.resident_bytes(file)
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+    fn files(&self) -> Vec<FileId> {
+        self.inner.files()
+    }
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    for _ in 0..10_000 {
+        if cond() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("timed out waiting until {what}");
+}
+
+/// A `Move` still queued when its segment leaves the model must drop its
+/// source copy: nothing else places or frees those bytes.
+#[test]
+fn superseded_move_drops_its_source_copy() {
+    // RAM holds one 1 MiB segment, and one copy is in flight at a time.
+    let hierarchy = Hierarchy::with_budgets(mib(1), mib(2), mib(4));
+    let nvme = Arc::new(GatedBackend::default());
+    let mut backends: Vec<Arc<dyn StorageBackend>> =
+        (0..hierarchy.len()).map(|_| Arc::new(MemoryBackend::new()) as _).collect();
+    backends[1] = Arc::clone(&nvme) as _;
+    let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+    let server = HFetchServer::start(cfg, hierarchy, backends, 2);
+    let shim = Arc::clone(server.shim());
+    shim.stage_file("/a", mib(1)).unwrap();
+    shim.stage_file("/c", mib(1)).unwrap();
+    let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(0), AppId(0));
+    let auditor = || server.inner().auditor();
+
+    let a = agent.open("/a");
+    server.quiesce();
+    let file_a = agent.file_id("/a").unwrap();
+    assert_eq!(server.inner().backend(TierId(0)).resident_bytes(file_a), mib(1), "A staged in RAM");
+
+    // RAM is full, so C stages into NVMe, where its copy waits at the gate.
+    nvme.closed.store(true, Ordering::SeqCst);
+    let c = agent.open("/c");
+    wait_until("C's staging copy waits", || nvme.waiting.load(Ordering::SeqCst) > 0);
+    // C turns hot: the next pass plans A's demotion and C's promotion,
+    // both queued behind the waiting copy.
+    for _ in 0..8 {
+        agent.read(&c, ByteRange::new(0, mib(1))).unwrap();
+    }
+    let c0 = SegmentId::new(agent.file_id("/c").unwrap(), 0);
+    wait_until("a pass drains C's reads", || {
+        auditor().stat(c0).is_some_and(|st| st.frequency == 8) && auditor().pending_updates() == 0
+    });
+    // The model drops A while its move is still queued.
+    agent.close(&a);
+    wait_until("A's epoch ends", || !auditor().in_epoch(file_a));
+    nvme.closed.store(false, Ordering::SeqCst);
+    server.quiesce();
+    server.inner().check_drift().unwrap();
+    assert_eq!(server.inner().backend(TierId(0)).resident_bytes(file_a), 0, "A left RAM");
+    agent.close(&c);
     finish(server);
 }
