@@ -261,7 +261,8 @@ pub fn run_ingest(threads: usize, scale: IngestScale, drain_every: Option<u64>) 
     }
     let wall_s = start.elapsed().as_secs_f64();
     let after = auditor.ingest_lock_stats();
-    let final_drain = auditor.drain_updates();
+    // Fills expanded: the digest covers every update the batch stands for.
+    let final_drain: Vec<ScoreUpdate> = auditor.drain_updates().expanded().collect();
     let digest = drain_digest(&final_drain);
     IngestRun {
         events: scale.events_per_thread * STREAMS,

@@ -20,6 +20,12 @@
 //! Updated scores are pushed into a vector the placement engine drains
 //! ("All updated scores are pushed by the auditor into a vector which the
 //! engine processes", §III-D).
+//!
+//! Epoch staging costs no work per segment: segments whose heatmap history
+//! beats the base score get explicit updates, the rest one base-score
+//! [`Fill`] for the whole file, and their score states start from a seed
+//! kept with the file's size instead of one statistics entry per segment.
+//! Every stored statistic has been read at least once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +39,7 @@ use tiers::time::Timestamp;
 use crate::config::HFetchConfig;
 use crate::heatmap::{FileHeatmap, HeatmapStore};
 use crate::scoring::ScoreState;
-use crate::update_queue::StripedUpdateQueue;
+use crate::update_queue::{Fill, StripedUpdateQueue, UpdateBatch};
 
 /// Maximum distinct predecessors tracked per segment (`n` saturates here).
 const MAX_PREDECESSORS: usize = 8;
@@ -79,8 +85,8 @@ pub struct IngestLockStats {
     pub map_shard: u64,
     /// Update-queue stripe locks.
     pub queue_stripe: u64,
-    /// Auxiliary mutexes (file sizes, per-process last segment, epoch
-    /// refcounts).
+    /// Auxiliary mutexes (file sizes and staging seeds, per-process last
+    /// segment, epoch refcounts).
     pub auxiliary: u64,
 }
 
@@ -91,11 +97,37 @@ impl IngestLockStats {
     }
 }
 
+/// The score states a file's never-read segments start from, set by the
+/// latest staging. Replaced as a whole, never mutated in place.
+#[derive(Clone, Debug, Default)]
+struct Seeds {
+    /// Segments staged from heatmap history, above the base score.
+    explicit: FxHashMap<u64, ScoreState>,
+    /// The base-score seed of every other segment below the count.
+    fill: Option<(ScoreState, u64)>,
+}
+
+impl Seeds {
+    fn get(&self, index: u64) -> Option<ScoreState> {
+        self.explicit
+            .get(&index)
+            .copied()
+            .or_else(|| self.fill.filter(|&(_, segments)| index < segments).map(|(s, _)| s))
+    }
+}
+
+/// What the auditor keeps per file, behind one lock.
+#[derive(Default)]
+struct FileEntry {
+    size: u64,
+    seeds: Option<Arc<Seeds>>,
+}
+
 /// The File Segment Auditor.
 pub struct Auditor {
     cfg: HFetchConfig,
     stats: DistributedMap<SegmentId, SegmentStat>,
-    file_sizes: Mutex<FxHashMap<FileId, u64>>,
+    files: Mutex<FxHashMap<FileId, FileEntry>>,
     last_by_process: Mutex<FxHashMap<ProcessId, SegmentId>>,
     epoch_refs: Mutex<FxHashMap<FileId, u32>>,
     updates: StripedUpdateQueue,
@@ -124,7 +156,7 @@ impl Auditor {
         Self {
             cfg,
             stats,
-            file_sizes: Mutex::new(FxHashMap::default()),
+            files: Mutex::new(FxHashMap::default()),
             last_by_process: Mutex::new(FxHashMap::default()),
             epoch_refs: Mutex::new(FxHashMap::default()),
             updates: StripedUpdateQueue::new(stripes),
@@ -170,15 +202,20 @@ impl Auditor {
     /// bounded.
     pub fn set_file_size(&self, file: FileId, size: u64) {
         self.aux_lock();
-        let mut sizes = self.file_sizes.lock();
-        let entry = sizes.entry(file).or_insert(0);
-        *entry = (*entry).max(size);
+        let mut files = self.files.lock();
+        let entry = files.entry(file).or_default();
+        entry.size = entry.size.max(size);
     }
 
     /// The recorded size of `file`.
     pub fn file_size(&self, file: FileId) -> u64 {
+        self.file_entry(file).0
+    }
+
+    /// The recorded size of `file` and its staging seeds, under one lock.
+    fn file_entry(&self, file: FileId) -> (u64, Option<Arc<Seeds>>) {
         self.aux_lock();
-        self.file_sizes.lock().get(&file).copied().unwrap_or(0)
+        self.files.lock().get(&file).map_or((0, None), |e| (e.size, e.seeds.clone()))
     }
 
     /// Routes `update` to the queue stripe matching its segment's map
@@ -224,7 +261,10 @@ impl Auditor {
     /// the first concurrent opener. The first opener stages the file:
     /// every segment gets an anticipated update — heatmap history if
     /// available, otherwise the configured base score — so the engine can
-    /// pre-load hot regions before the first read.
+    /// pre-load hot regions before the first read. Segments whose history
+    /// beats the base get explicit updates; the rest share one [`Fill`].
+    /// A never-read segment's score state starts from its staged score at
+    /// `now`, kept as a per-file seed.
     pub fn start_epoch(&self, file: FileId, now: Timestamp) -> bool {
         let first = {
             self.aux_lock();
@@ -239,37 +279,57 @@ impl Auditor {
         self.cfg
             .obs
             .trace_event(obs::TraceEvent::EpochStart { at: now.as_nanos(), file: file.0 });
-        // One size lookup for the whole staging pass; per-segment sizes
-        // are derived locally instead of re-locking `file_sizes` per
-        // segment.
         let size = self.file_size(file);
         let segments = segment_count(size, self.cfg.segment_size);
-        let history = self.heatmaps.load(file);
-        let mut staged: Vec<ScoreUpdate> = Vec::with_capacity(segments as usize);
-        for index in 0..segments {
-            let seg = SegmentId::new(file, index);
-            let seg_size = segment_range(index, self.cfg.segment_size, size).len;
-            let historical = history.as_ref().map_or(0.0, |h| {
-                // Decay the stored score from its snapshot time to now.
-                h.score(index)
-                    * self.cfg.score.decay(now.since(h.saved_at), 1)
-            });
-            let score = historical.max(self.cfg.epoch_base_score);
-            if score > 0.0 {
-                staged.push(ScoreUpdate { segment: seg, score, size: seg_size, anticipated: true });
+        let base = self.cfg.epoch_base_score;
+        let mut explicit: Vec<ScoreUpdate> = Vec::new();
+        if let Some(h) = self.heatmaps.load(file) {
+            // Decay the stored scores from their snapshot time to now.
+            let decay = self.cfg.score.decay(now.since(h.saved_at), 1);
+            for (index, stored) in (0..segments).zip(&h.scores) {
+                let score = stored * decay;
+                if score > base.max(0.0) {
+                    let seg_size = segment_range(index, self.cfg.segment_size, size).len;
+                    let segment = SegmentId::new(file, index);
+                    explicit.push(ScoreUpdate { segment, score, size: seg_size, anticipated: true });
+                }
             }
         }
-        // Seed the live score states so future decay is consistent,
-        // visiting each shard once for the whole file.
-        let keys: Vec<SegmentId> = staged.iter().map(|u| u.segment).collect();
-        let order = self.stats.route(&keys);
-        self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st| {
-            if st.frequency == 0 {
-                st.score.seed(staged[idx].score, now);
+        let fill = (base > 0.0 && segments > 0)
+            .then(|| Fill::new(file, size, self.cfg.segment_size, base));
+        let seeded = |score: f64| {
+            let mut state = ScoreState::new();
+            state.seed(score, now);
+            state
+        };
+        {
+            self.aux_lock();
+            let mut files = self.files.lock();
+            if let Some(entry) = files.get_mut(&file) {
+                // A fill re-seeds every segment; without one, earlier seeds
+                // of segments not staged now stay as they were.
+                let mut seeds = match (&fill, entry.seeds.take()) {
+                    (None, Some(old)) => Arc::unwrap_or_clone(old),
+                    _ => Seeds::default(),
+                };
+                for u in &explicit {
+                    seeds.explicit.insert(u.segment.index, seeded(u.score));
+                }
+                seeds.fill = fill.as_ref().map(|_| (seeded(base), segments));
+                if seeds.fill.is_some() || !seeds.explicit.is_empty() {
+                    entry.seeds = Some(Arc::new(seeds));
+                }
             }
-        });
-        self.updates.push_ordered(&order, |idx| staged[idx]);
-        if !staged.is_empty() {
+        }
+        // The fill first: it rewrites the file's pending slots to the base
+        // score, and the explicit updates then overwrite theirs.
+        let staged = fill.is_some() || !explicit.is_empty();
+        if let Some(fill) = fill {
+            self.updates.push_fill(fill, segments - explicit.len() as u64);
+        }
+        let keys: Vec<SegmentId> = explicit.iter().map(|u| u.segment).collect();
+        self.updates.push_ordered(&self.stats.route(&keys), |idx| explicit[idx]);
+        if staged {
             self.note_ingest(now);
         }
         true
@@ -340,9 +400,9 @@ impl Auditor {
         process: ProcessId,
         now: Timestamp,
     ) -> usize {
-        // One size lookup for the whole call; per-segment sizes are
-        // derived locally.
-        let size = self.file_size(file);
+        // One lookup for the whole call; per-segment sizes are derived
+        // locally.
+        let (size, seeds) = self.file_entry(file);
         if size == 0 || range.offset >= size {
             return 0;
         }
@@ -355,12 +415,19 @@ impl Auditor {
         let carried = self.last_by_process.lock().get(&process).copied();
         let params = self.cfg.score;
         let seg_size = |index: u64| segment_range(index, self.cfg.segment_size, size).len;
+        let seed = |index: u64| seeds.as_ref().and_then(|s| s.get(index));
         // Predecessors are known up front: the first touched segment
         // chains from the process's carried-over segment, each later one
         // from its in-request neighbour. Computing them here lets a
         // multi-segment read apply every segment under one pass over the
         // shards.
-        let record = |st: &mut SegmentStat, prev: Option<SegmentId>| {
+        let record = |st: &mut SegmentStat, index: u64, prev: Option<SegmentId>| {
+            if st.frequency == 0 {
+                // The map just created this entry: start from the staged seed.
+                if let Some(state) = seed(index) {
+                    st.score = state;
+                }
+            }
             if let Some(p) = prev {
                 if st.predecessors.len() < MAX_PREDECESSORS && !st.predecessors.contains(&p) {
                     st.predecessors.push(p);
@@ -391,7 +458,7 @@ impl Auditor {
             let keys: Vec<SegmentId> = parts.iter().map(|(seg, _)| *seg).collect();
             let order = self.stats.route(&keys);
             let scores = self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st| {
-                record(st, prev_of(idx))
+                record(st, keys[idx].index, prev_of(idx))
             });
             self.updates.push_ordered(&order, |idx| ScoreUpdate {
                 segment: keys[idx],
@@ -401,8 +468,9 @@ impl Auditor {
             });
             *scores.last().expect("non-empty")
         } else {
-            let score =
-                self.stats.update_with(last_seg, SegmentStat::default, |st| record(st, prev_of(0)));
+            let score = self.stats.update_with(last_seg, SegmentStat::default, |st| {
+                record(st, last_seg.index, prev_of(0))
+            });
             self.push_update(ScoreUpdate {
                 segment: last_seg,
                 score,
@@ -423,10 +491,12 @@ impl Auditor {
             }
             let succ = SegmentId::new(file, index);
             // In-place peek: no `SegmentStat` clone (the predecessor Vec
-            // would make a `get`-based peek an allocation).
+            // would make a `get`-based peek an allocation). A never-read
+            // segment has no predecessors, so n = 1.
             let existing = self
                 .stats
                 .get_with(&succ, |st| st.score.peek(now, &params, st.n()))
+                .or_else(|| seed(index).map(|state| state.peek(now, &params, 1)))
                 .unwrap_or(0.0);
             let score = existing.max(anticipated);
             if score > 0.0 {
@@ -456,12 +526,12 @@ impl Auditor {
             .collect()
     }
 
-    /// Drains the pending score updates (engine trigger). The batch is
-    /// coalesced to the latest score per segment, in first-touch order
-    /// (stripes merged on the global first-touch stamp, so a
-    /// single-threaded producer drains exactly what the old global queue
-    /// produced).
-    pub fn drain_updates(&self) -> Vec<ScoreUpdate> {
+    /// Drains the pending score updates (engine trigger). The explicit
+    /// updates are coalesced to the latest score per segment, in
+    /// first-touch order (stripes merged on the global first-touch stamp,
+    /// so a single-threaded producer drains exactly what the old global
+    /// queue produced); staged files come as fills.
+    pub fn drain_updates(&self) -> UpdateBatch {
         self.updates.drain()
     }
 
@@ -474,24 +544,42 @@ impl Auditor {
         self.updates.pending() as usize
     }
 
-    /// Current statistics for one segment.
+    /// Current statistics for one segment; `None` until it is first read.
     pub fn stat(&self, segment: SegmentId) -> Option<SegmentStat> {
         self.stats.get(&segment)
     }
 
     /// Builds the current heatmap of `file` (scores evaluated at `now`).
+    /// Only segments with statistics or a seed from history are visited:
+    /// a never-read segment staged at the base score reads 0, and stages
+    /// at the base score again all the same.
     pub fn snapshot_heatmap(&self, file: FileId, now: Timestamp) -> FileHeatmap {
-        let size = self.file_size(file);
-        let segments = segment_count(size, self.cfg.segment_size) as usize;
+        let (size, seeds) = self.file_entry(file);
+        let segments = segment_count(size, self.cfg.segment_size);
         let params = self.cfg.score;
-        let mut heatmap = FileHeatmap::cold(file, self.cfg.segment_size, segments);
+        let mut heatmap = FileHeatmap::cold(file, self.cfg.segment_size, segments as usize);
         heatmap.saved_at = now;
-        for index in 0..segments as u64 {
-            let peeked = self
-                .stats
-                .get_with(&SegmentId::new(file, index), |st| st.score.peek(now, &params, st.n()));
-            if let Some(score) = peeked {
-                heatmap.scores[index as usize] = score;
+        for (&index, state) in seeds.iter().flat_map(|s| &s.explicit) {
+            if index < segments {
+                heatmap.scores[index as usize] = state.peek(now, &params, 1);
+            }
+        }
+        // Statistics win over seeds. Walk whichever is smaller: the whole
+        // map, or the file's index range.
+        if self.stats.len() as u64 <= segments {
+            self.stats.for_each(|seg, st| {
+                if seg.file == file && seg.index < segments {
+                    heatmap.scores[seg.index as usize] = st.score.peek(now, &params, st.n());
+                }
+            });
+        } else {
+            for index in 0..segments {
+                let peeked = self
+                    .stats
+                    .get_with(&SegmentId::new(file, index), |st| st.score.peek(now, &params, st.n()));
+                if let Some(score) = peeked {
+                    heatmap.scores[index as usize] = score;
+                }
             }
         }
         heatmap
@@ -503,14 +591,14 @@ impl Auditor {
     }
 
     /// Forgets everything about `file` (workflow end / file deletion),
-    /// including score updates still queued for the engine — a stale
-    /// pending update would otherwise resurrect placement for a file
-    /// whose statistics no longer exist.
+    /// including its staging seeds and the score updates and fill still
+    /// queued for the engine — a stale pending update would otherwise
+    /// resurrect placement for a file whose statistics no longer exist.
     pub fn forget_file(&self, file: FileId) {
         self.stats.retain(|seg, _| seg.file != file);
         self.updates.purge_file(file);
         self.aux_lock();
-        self.file_sizes.lock().remove(&file);
+        self.files.lock().remove(&file);
         self.aux_lock();
         let mut last = self.last_by_process.lock();
         last.retain(|_, seg| seg.file != file);
@@ -535,7 +623,8 @@ mod tests {
         // Paper's example: 3 MiB read at offset 0 touches segments 0,1,2.
         let n = a.observe_read(F, ByteRange::new(0, 3 * MIB), ProcessId(0), Timestamp::from_secs(1));
         assert_eq!(n, 3);
-        let updates = a.drain_updates();
+        let batch = a.drain_updates();
+        let updates = batch.updates();
         let observed: Vec<_> = updates.iter().filter(|u| !u.anticipated).collect();
         assert_eq!(observed.len(), 3);
         assert_eq!(observed[0].segment, SegmentId::new(F, 0));
@@ -627,11 +716,16 @@ mod tests {
         let a = auditor();
         a.set_file_size(F, 3 * MIB + 1);
         a.start_epoch(F, Timestamp::ZERO);
-        let updates = a.drain_updates();
+        assert_eq!(a.pending_updates(), 4, "every staged segment counts toward the trigger");
+        let batch = a.drain_updates();
+        assert!(batch.updates().is_empty(), "no history: the fill stages everything");
+        assert_eq!(batch.fills().len(), 1);
+        let updates: Vec<ScoreUpdate> = batch.expanded().collect();
         assert_eq!(updates.len(), 4, "four segments staged (last is 1 byte)");
         assert!(updates.iter().all(|u| u.anticipated));
         assert_eq!(updates[3].size, 1);
         assert!(updates.iter().all(|u| u.score > 0.0));
+        assert!(a.stats.is_empty(), "staging stores no per-segment statistics");
     }
 
     #[test]
@@ -652,7 +746,7 @@ mod tests {
         // Re-open shortly after: staging updates should rank segment 2 first.
         a.start_epoch(F, Timestamp::from_secs(3));
         let updates = a.drain_updates();
-        let hottest = updates.iter().max_by(|x, y| x.score.partial_cmp(&y.score).unwrap()).unwrap();
+        let hottest = updates.expanded().max_by(|x, y| x.score.partial_cmp(&y.score).unwrap()).unwrap();
         assert_eq!(hottest.segment, SegmentId::new(F, 2));
     }
 
@@ -694,7 +788,7 @@ mod tests {
         assert_eq!(updates.len(), 1);
         let expected = a.stat(SegmentId::new(F, 0)).unwrap();
         let peeked = expected.score.peek(Timestamp::from_secs(10), &a.config().score, expected.n());
-        assert!((updates[0].score - peeked).abs() < 1e-9);
+        assert!((updates.updates()[0].score - peeked).abs() < 1e-9);
         assert!(a.drain_updates().is_empty(), "drain empties the queue");
     }
 
@@ -735,24 +829,35 @@ mod tests {
 
     /// Regression: `forget_file` used to leave the file's queued
     /// `ScoreUpdate`s behind, so the next engine drain would place data
-    /// for a file whose statistics were just erased.
+    /// for a file whose statistics were just erased. A staged file's fill
+    /// and seeds must go too.
     #[test]
     fn forget_file_purges_pending_updates() {
         let a = auditor();
         a.set_file_size(F, 2 * MIB);
         let g = FileId(2);
         a.set_file_size(g, MIB);
+        let staged = FileId(3);
+        a.set_file_size(staged, 4 * MIB);
+        a.start_epoch(staged, Timestamp::from_secs(1));
         a.observe_read(F, ByteRange::new(0, 2 * MIB), ProcessId(0), Timestamp::from_secs(1));
         a.observe_read(g, ByteRange::new(0, MIB), ProcessId(1), Timestamp::from_secs(1));
-        assert!(a.pending_updates() >= 3);
+        assert!(a.pending_updates() >= 3 + 4);
         a.forget_file(F);
+        a.forget_file(staged);
         let drained = a.drain_updates();
         assert!(!drained.is_empty(), "other files' updates survive");
         assert!(
-            drained.iter().all(|u| u.segment.file == g),
+            drained.updates().iter().all(|u| u.segment.file == g),
             "no stale updates for the forgotten file: {drained:?}"
         );
+        assert!(drained.fills().is_empty(), "no fill for the forgotten staged file");
         assert_eq!(a.pending_updates(), 0, "purge kept the counter consistent");
+        // The staging seed is gone: a read after re-registering starts cold.
+        a.set_file_size(staged, 4 * MIB);
+        a.observe_read(staged, ByteRange::new(MIB, MIB), ProcessId(2), Timestamp::from_secs(2));
+        let st = a.stat(SegmentId::new(staged, 1)).unwrap();
+        assert_eq!(st.score.peek(Timestamp::from_secs(2), &a.config().score, 1), 1.0);
     }
 
     /// A multi-segment read takes one map-shard lock per shard it visits
@@ -782,6 +887,158 @@ mod tests {
         }
     }
 
+    /// An auditor whose base score is large enough to tell a seeded
+    /// segment from a cold one.
+    fn auditor_with_base(base: f64) -> Auditor {
+        Auditor::new(HFetchConfig { epoch_base_score: base, ..HFetchConfig::default() })
+    }
+
+    /// Closed form of a segment seeded with `score` at `at`, seen at `now`.
+    fn seeded(a: &Auditor, score: f64, at: Timestamp, now: Timestamp) -> f64 {
+        score * a.config().score.decay(now.since(at), 1)
+    }
+
+    fn drained_score(batch: &UpdateBatch, segment: SegmentId) -> f64 {
+        batch.updates().iter().find(|u| u.segment == segment).expect("updated").score
+    }
+
+    #[test]
+    fn first_read_after_staging_starts_from_the_seed() {
+        let a = auditor_with_base(0.75);
+        a.set_file_size(F, 8 * MIB);
+        let (t0, t1) = (Timestamp::from_secs(1), Timestamp::from_millis(1700));
+        a.start_epoch(F, t0);
+        a.drain_updates();
+        a.observe_read(F, ByteRange::new(5 * MIB, MIB), ProcessId(0), t1);
+        let expected = seeded(&a, 0.75, t0, t1) + 1.0;
+        let seg = SegmentId::new(F, 5);
+        assert_eq!(drained_score(&a.drain_updates(), seg).to_bits(), expected.to_bits());
+        let st = a.stat(seg).unwrap();
+        assert_eq!(st.score.peek(t1, &a.config().score, st.n()).to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn lookahead_peeks_the_seed_of_a_never_read_segment() {
+        // A base above the lookahead's decayed anticipation, so the peek wins.
+        let a = auditor_with_base(5.0);
+        a.set_file_size(F, 8 * MIB);
+        let (t0, t1) = (Timestamp::from_secs(1), Timestamp::from_millis(1500));
+        a.start_epoch(F, t0);
+        a.drain_updates();
+        a.observe_read(F, ByteRange::new(0, MIB), ProcessId(0), t1);
+        let batch = a.drain_updates();
+        let expected = seeded(&a, 5.0, t0, t1);
+        for index in 1..=a.config().lookahead {
+            let score = drained_score(&batch, SegmentId::new(F, index));
+            assert_eq!(score.to_bits(), expected.to_bits(), "segment {index}");
+        }
+        assert!(a.stat(SegmentId::new(F, 1)).is_none(), "a peek stores nothing");
+    }
+
+    #[test]
+    fn restaging_reseeds_never_read_segments_at_the_new_epoch() {
+        let a = auditor_with_base(0.75);
+        a.set_file_size(F, 8 * MIB);
+        let t0 = Timestamp::from_secs(1);
+        a.start_epoch(F, t0);
+        let t_read = Timestamp::from_millis(1500);
+        a.observe_read(F, ByteRange::new(2 * MIB, MIB), ProcessId(0), t_read);
+        let read_once = seeded(&a, 0.75, t0, t_read) + 1.0;
+        let t_close = Timestamp::from_secs(2);
+        assert!(a.end_epoch(F, t_close));
+        let heat = a.heatmaps().load(F).unwrap();
+        assert_eq!(heat.scores[3], 0.0, "a never-read fill segment drops out of the heatmap");
+        let history = read_once * a.config().score.decay(t_close.since(t_read), 1);
+        assert_eq!(heat.scores[2].to_bits(), history.to_bits());
+
+        let (t2, t3) = (Timestamp::from_secs(4), Timestamp::from_millis(4250));
+        a.start_epoch(F, t2);
+        a.drain_updates();
+        a.observe_read(F, ByteRange::new(3 * MIB, MIB), ProcessId(1), t3);
+        a.observe_read(F, ByteRange::new(2 * MIB, MIB), ProcessId(2), t3);
+        let batch = a.drain_updates();
+        let fresh = seeded(&a, 0.75, t2, t3) + 1.0;
+        assert_eq!(drained_score(&batch, SegmentId::new(F, 3)).to_bits(), fresh.to_bits());
+        // A segment read before keeps its own history; staging never seeds it.
+        let again = read_once * a.config().score.decay(t3.since(t_read), 1) + 1.0;
+        assert_eq!(drained_score(&batch, SegmentId::new(F, 2)).to_bits(), again.to_bits());
+    }
+
+    #[test]
+    fn segments_added_by_a_write_after_staging_start_cold() {
+        let a = auditor_with_base(0.75);
+        a.set_file_size(F, 2 * MIB);
+        let (t0, t1) = (Timestamp::from_secs(1), Timestamp::from_millis(1250));
+        a.start_epoch(F, t0);
+        a.drain_updates();
+        a.observe_write(F, ByteRange::new(2 * MIB, 2 * MIB), t0);
+        assert_eq!(a.file_size(F), 4 * MIB);
+        a.observe_read(F, ByteRange::new(3 * MIB, MIB), ProcessId(0), t1);
+        a.observe_read(F, ByteRange::new(MIB, MIB), ProcessId(1), t1);
+        let batch = a.drain_updates();
+        assert_eq!(drained_score(&batch, SegmentId::new(F, 3)), 1.0, "past the staged size");
+        let staged = seeded(&a, 0.75, t0, t1) + 1.0;
+        assert_eq!(drained_score(&batch, SegmentId::new(F, 1)).to_bits(), staged.to_bits());
+        // Lookahead from segment 1 finds no seed for segment 2 either.
+        let anticipated = staged * a.config().lookahead_decay;
+        assert_eq!(drained_score(&batch, SegmentId::new(F, 2)).to_bits(), anticipated.to_bits());
+    }
+
+    #[test]
+    fn snapshot_peeks_the_history_seed_of_a_never_read_segment() {
+        let a = auditor_with_base(0.75);
+        a.set_file_size(F, 4 * MIB);
+        let t = Timestamp::from_secs(1);
+        a.start_epoch(F, t);
+        for p in 0..4 {
+            a.observe_read(F, ByteRange::new(2 * MIB, MIB), ProcessId(p), t);
+        }
+        a.end_epoch(F, t);
+        // A fresh auditor on the same store stages segment 2 from history
+        // but has never seen it read.
+        let b = Auditor::with_heatmaps(a.config().clone(), Arc::clone(a.heatmaps()));
+        b.set_file_size(F, 4 * MIB);
+        let (t2, t3) = (Timestamp::from_secs(2), Timestamp::from_millis(2600));
+        b.start_epoch(F, t2);
+        let batch = b.drain_updates();
+        let history = drained_score(&batch, SegmentId::new(F, 2));
+        assert!(history > 0.75);
+        let heat = b.snapshot_heatmap(F, t3);
+        assert_eq!(heat.scores[2].to_bits(), seeded(&b, history, t2, t3).to_bits());
+        assert_eq!(heat.scores[1], 0.0);
+    }
+
+    /// Staging cost does not scale with the file: a 1 TiB file (2^20
+    /// segments) stores no per-segment state, and one pass over a 1+2+4
+    /// GiB hierarchy settles about one fill entry per cache segment.
+    #[test]
+    fn staging_a_huge_file_stores_nothing_per_segment() {
+        use crate::engine::PlacementEngine;
+        use tiers::topology::Hierarchy;
+        use tiers::units::GIB;
+        let a = auditor();
+        a.set_file_size(F, 1 << 40);
+        a.start_epoch(F, Timestamp::ZERO);
+        assert!(a.stats.is_empty(), "no statistics entry per segment");
+        let seeds = a.file_entry(F).1.expect("seeded");
+        assert!(seeds.explicit.is_empty(), "no seed per segment");
+        assert_eq!(a.pending_updates(), 1 << 20, "the trigger counts every segment");
+        let batch = a.drain_updates();
+        assert!(batch.updates().is_empty(), "no queue slot per segment");
+        assert_eq!(batch.len(), 1 << 20);
+        let cfg = a.config();
+        let hierarchy = Hierarchy::with_budgets(GIB, 2 * GIB, 4 * GIB);
+        let mut engine =
+            PlacementEngine::with_margin(&hierarchy, cfg.reactiveness, cfg.displacement_margin);
+        let actions = engine.run(batch, Timestamp::ZERO);
+        let cache_segments = 7 * GIB / MIB;
+        assert_eq!(actions.len() as u64, cache_segments);
+        // Cache segments + placed at start (0) + explicit (0) + distinct
+        // segment sizes (1).
+        assert!(engine.fill_settles() <= cache_segments + 1, "{}", engine.fill_settles());
+        assert!(a.stats.is_empty());
+    }
+
     #[test]
     fn lookahead_respects_file_end() {
         let a = auditor();
@@ -789,7 +1046,7 @@ mod tests {
         a.observe_read(F, ByteRange::new(MIB, MIB), ProcessId(0), Timestamp::from_secs(1));
         let updates = a.drain_updates();
         assert!(
-            updates.iter().all(|u| u.segment.index < 2),
+            updates.updates().iter().all(|u| u.segment.index < 2),
             "no anticipation past EOF: {updates:?}"
         );
     }

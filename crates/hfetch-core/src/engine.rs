@@ -14,7 +14,15 @@
 //! clients (real mode) or the simulator control surface (sim mode). Score
 //! ties cannot displace each other (the paper breaks ties randomly; we
 //! break them deterministically by segment id for reproducible runs).
+//!
+//! A pass takes an [`UpdateBatch`]: explicit updates plus base-score fills
+//! from epoch staging. It expands the fills inside the pass and makes
+//! exactly the decisions the fully expanded vector would, but settles a
+//! fill segment only while that can change the model (see
+//! [`PlacementEngine::run_traced`]), so a pass costs work per cache
+//! segment and touched segment, not per file segment.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use dht::FxHashMap;
@@ -24,6 +32,7 @@ use tiers::topology::Hierarchy;
 
 use crate::auditor::ScoreUpdate;
 use crate::config::Reactiveness;
+use crate::update_queue::{Fill, UpdateBatch};
 
 /// Total order over non-negative f64 scores (IEEE-754 bit trick: for
 /// non-negative floats, the bit pattern orders identically to the value).
@@ -143,6 +152,8 @@ pub struct PlacementEngine {
     /// runs so the hot path allocates nothing once warm.
     scratch_latest: FxHashMap<SegmentId, ScoreUpdate>,
     scratch_order: Vec<SegmentId>,
+    /// Fill entries settled so far; the rest were skipped as no-ops.
+    fill_settles: u64,
     /// Observability sink: every emitted [`PlacementAction`] is mirrored as
     /// a typed `obs::PlacementEvent` stamped with the engine's current run
     /// time (`last_run` — actions triggered outside a run, e.g. offline
@@ -193,6 +204,7 @@ impl PlacementEngine {
             runs: 0,
             scratch_latest: FxHashMap::default(),
             scratch_order: Vec::new(),
+            fill_settles: 0,
             obs: obs::Recorder::default(),
             evacuating: false,
             spans: FxHashMap::default(),
@@ -276,23 +288,34 @@ impl PlacementEngine {
 
     /// Processes a batch of score updates, returning the actions to
     /// execute. Updates for the same segment collapse to the last one.
-    pub fn run(&mut self, updates: Vec<ScoreUpdate>, now: Timestamp) -> Vec<PlacementAction> {
-        self.run_traced(updates, now, obs::SpanCtx::NONE)
+    pub fn run(&mut self, batch: impl Into<UpdateBatch>, now: Timestamp) -> Vec<PlacementAction> {
+        self.run_traced(batch, now, obs::SpanCtx::NONE)
     }
 
     /// [`PlacementEngine::run`] with an explicit causal parent: fetch
     /// decisions made during this pass root their lifecycle spans under
     /// `parent` (typically the triggering drain span), so the span tree
     /// reads ingest → drain → decision → transfer → landing → read.
+    ///
+    /// Entries settle hottest first, ties by segment id, fill entries
+    /// merged into that order. Once a fill segment that was not placed
+    /// settles without an action, the model is unchanged, and every later
+    /// entry of that fill of the same size would do the same. The pass then
+    /// jumps to the next entry that can differ: a segment of the file placed
+    /// at pass start, or a tail segment of another size. The only explicit
+    /// updates that sort inside the skipped run tie the fill score in the
+    /// same file; unless placed at pass start, such an update can only take
+    /// free room, which keeps the run idle.
     pub fn run_traced(
         &mut self,
-        updates: Vec<ScoreUpdate>,
+        batch: impl Into<UpdateBatch>,
         now: Timestamp,
         parent: obs::SpanCtx,
     ) -> Vec<PlacementAction> {
         self.pass_span = parent;
         self.last_run = now;
         self.runs += 1;
+        let (updates, fills) = batch.into().into_parts();
         let mut actions = Vec::new();
         // Collapse duplicates, keeping the latest score per segment. The
         // auditor already coalesces its queue, but callers may hand the
@@ -309,22 +332,77 @@ impl PlacementEngine {
         }
         // Place hotter segments first so they claim fast tiers before
         // colder ones fill them.
-        order.sort_by(|a, b| {
-            let sa = latest[a].score;
-            let sb = latest[b].score;
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-        });
-        for &seg in &order {
-            let u = latest[&seg];
-            if u.size == 0 {
-                continue;
+        order.sort_by(|a, b| settle_order(&latest[a], &latest[b]));
+        if fills.is_empty() {
+            for seg in &order {
+                self.apply(latest[seg], &mut actions);
             }
-            let origin = self.unplace(u.segment);
-            self.settle(u.segment, u.size, ScoreKey::new(u.score), origin, 0, &mut actions);
+        } else {
+            self.run_with_fills(&order, &latest, &fills, &mut actions);
         }
         self.scratch_latest = latest;
         self.scratch_order = order;
         actions
+    }
+
+    /// The pass loop with fills: merges each fill's entries into the
+    /// sorted explicit updates, skipping runs of no-op fill entries.
+    fn run_with_fills(
+        &mut self,
+        order: &[SegmentId],
+        latest: &FxHashMap<SegmentId, ScoreUpdate>,
+        fills: &[Fill],
+        actions: &mut Vec<PlacementAction>,
+    ) {
+        let mut cursors: Vec<FillCursor> = fills.iter().map(FillCursor::new).collect();
+        for seg in self.placed.keys() {
+            if let Some(c) = cursors.iter_mut().find(|c| c.fill.file() == seg.file) {
+                if seg.index < c.segments {
+                    c.placed.push(seg.index);
+                }
+            }
+        }
+        for c in &mut cursors {
+            c.placed.sort_unstable();
+            c.skip_uncovered();
+        }
+        let mut explicit = order.iter().map(|seg| latest[seg]).peekable();
+        loop {
+            let fill = (0..cursors.len())
+                .filter(|&i| cursors[i].next < cursors[i].segments)
+                .min_by(|&a, &b| settle_order(&cursors[a].head(), &cursors[b].head()));
+            let i = match (explicit.peek(), fill) {
+                (None, None) => break,
+                (None, Some(i)) => i,
+                (Some(u), Some(i)) if settle_order(&cursors[i].head(), u).is_lt() => i,
+                _ => {
+                    let u = explicit.next().expect("peeked");
+                    self.apply(u, actions);
+                    continue;
+                }
+            };
+            let c = &mut cursors[i];
+            let head = c.head();
+            let before = actions.len();
+            self.fill_settles += 1;
+            let idle = self.apply(head, actions).is_none() && actions.len() == before;
+            c.next += 1;
+            if idle {
+                c.jump(head);
+            }
+            c.skip_uncovered();
+        }
+    }
+
+    /// Settles one update: takes the segment out of the model and places
+    /// it by its new score. Returns the tier it was on.
+    fn apply(&mut self, u: ScoreUpdate, actions: &mut Vec<PlacementAction>) -> Option<TierId> {
+        if u.size == 0 {
+            return None;
+        }
+        let origin = self.unplace(u.segment);
+        self.settle(u.segment, u.size, ScoreKey::new(u.score), origin, 0, actions);
+        origin
     }
 
     /// Removes a segment from the model, returning its previous tier.
@@ -465,21 +543,25 @@ impl PlacementEngine {
     }
 
     /// Removes every segment of `file` from the model (epoch end),
-    /// returning eviction actions for the caller to execute.
+    /// returning eviction actions for the caller to execute. One sweep
+    /// per structure, not one tree removal per segment: an epoch end
+    /// evicts up to the whole cache.
     pub fn evict_file(&mut self, file: FileId) -> Vec<PlacementAction> {
-        let segments: Vec<SegmentId> =
-            self.placed.keys().copied().filter(|s| s.file == file).collect();
-        let mut actions = Vec::with_capacity(segments.len());
-        for seg in segments {
-            let (key, size) = self
-                .placed
-                .get(&seg)
-                .map(|p| (p.key, p.size))
-                .unwrap_or((ScoreKey::new(0.0), 0));
-            if let Some(from) = self.unplace(seg) {
-                actions.push(PlacementAction::Evict { segment: seg, from });
-                self.record_placement(seg, Some(from), None, key, size, obs::Cause::Evict);
-            }
+        let evicted: Vec<(SegmentId, Placed)> =
+            self.placed.iter().filter(|(s, _)| s.file == file).map(|(&s, &p)| (s, p)).collect();
+        if evicted.is_empty() {
+            return Vec::new();
+        }
+        self.placed.retain(|s, _| s.file != file);
+        for tier in &mut self.tiers {
+            tier.contents.retain(|(_, s)| s.file != file);
+        }
+        let mut actions = Vec::with_capacity(evicted.len());
+        for (seg, p) in evicted {
+            self.tiers[p.tier_idx].used -= p.size;
+            let from = self.tiers[p.tier_idx].id;
+            actions.push(PlacementAction::Evict { segment: seg, from });
+            self.record_placement(seg, Some(from), None, p.key, p.size, obs::Cause::Evict);
         }
         actions
     }
@@ -520,6 +602,13 @@ impl PlacementEngine {
         self.runs
     }
 
+    /// Fill entries settled so far. Passes skip the fill entries they can
+    /// prove change nothing, so this stays near the number of cache
+    /// segments rather than the size of the staged files.
+    pub fn fill_settles(&self) -> u64 {
+        self.fill_settles
+    }
+
     /// Verifies internal invariants; used by tests.
     ///
     /// * `used` equals the sum of placed sizes per tier,
@@ -555,6 +644,54 @@ impl PlacementEngine {
             return Err(format!("placed {} != contents {}", self.placed.len(), seen));
         }
         Ok(())
+    }
+}
+
+/// The order a pass settles updates in: hottest first, ties by segment id.
+fn settle_order(a: &ScoreUpdate, b: &ScoreUpdate) -> Ordering {
+    b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then(a.segment.cmp(&b.segment))
+}
+
+/// One fill's position in a pass.
+struct FillCursor<'a> {
+    fill: &'a Fill,
+    segments: u64,
+    /// The next index to settle (or past the end).
+    next: u64,
+    /// Sorted indices of the file's segments placed at pass start.
+    placed: Vec<u64>,
+}
+
+impl<'a> FillCursor<'a> {
+    fn new(fill: &'a Fill) -> Self {
+        Self { fill, segments: fill.segments(), next: 0, placed: Vec::new() }
+    }
+
+    fn head(&self) -> ScoreUpdate {
+        self.fill.update(self.next)
+    }
+
+    /// Moves past indices the fill does not cover.
+    fn skip_uncovered(&mut self) {
+        while self.next < self.segments && !self.fill.covers(self.next) {
+            self.next += 1;
+        }
+    }
+
+    /// `idle` settled without placing or moving anything. Jumps over the
+    /// following entries that would do the same: up to a segment placed at
+    /// pass start or a tail segment of another size.
+    fn jump(&mut self, idle: ScoreUpdate) {
+        let mut bound = self.segments;
+        let after = self.placed.partition_point(|&i| i <= idle.segment.index);
+        if let Some(&i) = self.placed.get(after) {
+            bound = bound.min(i);
+        }
+        let last = self.segments - 1;
+        if last > idle.segment.index && self.fill.size_of(last) != idle.size {
+            bound = bound.min(last);
+        }
+        self.next = self.next.max(bound);
     }
 }
 

@@ -177,13 +177,14 @@ impl Executor {
         if let Some(since) = since {
             self.cfg.obs.span("auditor.drain_latency_ns", obs::Label::None, since, now_ns);
         }
-        let updates: Vec<_> = (auditor.drain_updates().into_iter())
-            .filter(|u| {
-                u.anticipated
-                    || self.engine.location(u.segment).is_some()
-                    || auditor.stat(u.segment).is_some_and(|st| st.frequency >= 2)
-            })
-            .collect();
+        // The fills keep skipping the segments whose updates the filter
+        // drops: those observed reads superseded the staged score.
+        let mut batch = auditor.drain_updates();
+        batch.retain(|u| {
+            u.anticipated
+                || self.engine.location(u.segment).is_some()
+                || auditor.stat(u.segment).is_some_and(|st| st.frequency >= 2)
+        });
         // Causal root of the pass: an `ingest` span from the oldest queued
         // update to this drain, and a `drain` instant the fetch decisions
         // parent onto (ingest → drain → decision → transfer → landing →
@@ -191,10 +192,10 @@ impl Executor {
         let mut drain = obs::SpanCtx::NONE;
         if let Some(since) = since {
             let ingest = self.cfg.obs.span_start("ingest", drain, since, 0, self.engine.runs());
-            drain = self.cfg.obs.span_instant("drain", ingest, now_ns, 0, updates.len() as u64);
+            drain = self.cfg.obs.span_instant("drain", ingest, now_ns, 0, batch.len() as u64);
             self.cfg.obs.span_end(ingest, now_ns);
         }
-        let actions = self.engine.run_traced(updates, now, drain);
+        let actions = self.engine.run_traced(batch, now, drain);
         self.execute(actions, io);
     }
 
@@ -275,6 +276,7 @@ mod tests {
     use super::*;
     use crate::auditor::ScoreUpdate;
     use std::collections::HashMap;
+    use tiers::ids::ProcessId;
     use tiers::units::{mib, MIB};
 
     /// A scripted transfer layer: every fetch schedules one transfer unless
@@ -329,7 +331,7 @@ mod tests {
     /// Plans and executes anticipated updates for `indices`, equally hot,
     /// so the engine emits their fetches in index order.
     fn place(exec: &mut Executor, indices: &[u64], io: &mut Fake) {
-        let updates = indices
+        let updates: Vec<_> = indices
             .iter()
             .map(|&i| ScoreUpdate { segment: seg(i), score: 1.0, size: MIB, anticipated: true })
             .collect();
@@ -407,6 +409,27 @@ mod tests {
         place(&mut exec, &[0], &mut io);
         assert_eq!(exec.engine.location(seg(0)), None);
         assert_eq!((exec.executed(), exec.inflight), (1, 1), "the transfer still runs");
+    }
+
+    /// Fig. 3(b)'s trap: a staged segment read once before the pass has
+    /// its staged update replaced by an observed one, which the
+    /// second-touch filter drops. The segment must not be placed, and the
+    /// next fill segment takes the room it would have used.
+    #[test]
+    fn a_staged_segment_read_once_yields_its_room_to_the_next() {
+        let cfg = HFetchConfig { lookahead: 0, ..Default::default() };
+        let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(MIB, MIB, MIB));
+        let auditor = Auditor::new(cfg);
+        let mut io = Fake::default();
+        auditor.set_file_size(FileId(0), mib(4));
+        auditor.start_epoch(FileId(0), Timestamp::ZERO);
+        auditor.observe_read(FileId(0), ByteRange::new(0, MIB), ProcessId(0), Timestamp::ZERO);
+        exec.run(&auditor, Timestamp::ZERO, &mut io);
+        assert_eq!(exec.engine.location(seg(0)), None, "read once: filtered, not staged");
+        for index in 1..4 {
+            assert!(exec.engine.location(seg(index)).is_some(), "segment {index} placed");
+        }
+        assert_eq!(io.fetches.len(), 3);
     }
 
     #[test]

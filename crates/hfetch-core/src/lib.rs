@@ -49,7 +49,7 @@ pub mod update_queue;
 
 pub use agent::HFetchAgent;
 pub use auditor::{Auditor, IngestLockStats, ScoreUpdate};
-pub use update_queue::StripedUpdateQueue;
+pub use update_queue::{Fill, StripedUpdateQueue, UpdateBatch};
 pub use config::{HFetchConfig, Reactiveness};
 pub use engine::{PlacementAction, PlacementEngine};
 pub use executor::{Executor, Transfers};

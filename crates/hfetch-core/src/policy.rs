@@ -402,8 +402,7 @@ mod tests {
         let hierarchy = Hierarchy::with_budgets(mib(16), mib(64), mib(256));
         let (files, scripts) = sequential_workload(8, 32, 16, Duration::from_millis(30));
         let rec = obs::Recorder::enabled();
-        let mut cfg = HFetchConfig::default();
-        cfg.obs = rec.clone();
+        let cfg = HFetchConfig { obs: rec.clone(), ..HFetchConfig::default() };
         let sim_cfg = SimConfig::new(hierarchy.clone()).with_obs(rec.clone());
         let policy = HFetchPolicy::new(cfg, &hierarchy);
         let (report, _) = Simulation::new(sim_cfg, files, scripts, policy).run();

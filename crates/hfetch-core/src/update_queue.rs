@@ -23,6 +23,14 @@
 //! from queue contents the way the old `store(0)` reset could when a push
 //! landed between the drain and the reset.
 //!
+//! Fills: epoch staging gives every segment of a file the same base score,
+//! so it queues one [`Fill`] record per file instead of one slot per
+//! segment. A fill rewrites the file's slots already pending (as one push
+//! per segment would), later pushes supersede it segment by segment, and it
+//! adds its share of raw pushes to `pending()`. [`drain`] returns the slots
+//! and the fills together as an [`UpdateBatch`], which the placement engine
+//! expands inside its pass.
+//!
 //! [`drain`]: StripedUpdateQueue::drain
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,8 +38,167 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dht::FxHashMap;
 use parking_lot::Mutex;
 use tiers::ids::{FileId, SegmentId};
+use tiers::range::{segment_count, segment_range};
 
 use crate::auditor::ScoreUpdate;
+
+/// One anticipated update for every segment of `file` below
+/// [`Fill::segments`], all at `score`, except the segments its batch
+/// updates explicitly.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Fill {
+    file: FileId,
+    /// File size when it was staged: sets the segment count and the size
+    /// of a short tail segment.
+    file_size: u64,
+    segment_size: u64,
+    score: f64,
+    /// Sorted indices the fill does not expand, because its batch carried
+    /// an explicit update for them (kept when a filter later drops that
+    /// update). Maintained by [`UpdateBatch::new`].
+    except: Vec<u64>,
+}
+
+impl Fill {
+    /// A fill over every segment of a `file_size`-byte file.
+    pub fn new(file: FileId, file_size: u64, segment_size: u64, score: f64) -> Self {
+        assert!(segment_size > 0, "segment_size must be positive");
+        Self { file, file_size, segment_size, score, except: Vec::new() }
+    }
+
+    /// The staged file.
+    pub fn file(&self) -> FileId {
+        self.file
+    }
+
+    /// Number of segments the file had when it was staged.
+    pub fn segments(&self) -> u64 {
+        segment_count(self.file_size, self.segment_size)
+    }
+
+    /// True if the fill expands segment `index`.
+    pub fn covers(&self, index: u64) -> bool {
+        index < self.segments() && self.except.binary_search(&index).is_err()
+    }
+
+    /// Size in bytes of segment `index` (the tail segment may be short).
+    pub fn size_of(&self, index: u64) -> u64 {
+        segment_range(index, self.segment_size, self.file_size).len
+    }
+
+    /// The update the fill stands for at segment `index`.
+    pub fn update(&self, index: u64) -> ScoreUpdate {
+        ScoreUpdate {
+            segment: SegmentId::new(self.file, index),
+            score: self.score,
+            size: self.size_of(index),
+            anticipated: true,
+        }
+    }
+
+    /// Number of segments the fill expands to.
+    pub fn len(&self) -> usize {
+        self.segments() as usize - self.except.len()
+    }
+
+    /// True if the fill expands to nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// A drained batch of score updates: explicit updates plus base-score
+/// fills. It stands for the vector holding the explicit updates and, for
+/// each fill, one update per covered segment; the engine expands fills
+/// lazily, so staging a file costs no work per segment.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct UpdateBatch {
+    updates: Vec<ScoreUpdate>,
+    fills: Vec<Fill>,
+}
+
+impl UpdateBatch {
+    /// Builds a batch; no fill expands a segment that `updates` touches.
+    ///
+    /// # Panics
+    ///
+    /// If two fills stage the same file.
+    pub fn new(updates: Vec<ScoreUpdate>, mut fills: Vec<Fill>) -> Self {
+        if fills.is_empty() {
+            return Self { updates, fills };
+        }
+        let mut by_file: FxHashMap<FileId, usize> = FxHashMap::default();
+        for (i, fill) in fills.iter().enumerate() {
+            assert!(by_file.insert(fill.file, i).is_none(), "one fill per file");
+        }
+        for u in &updates {
+            if let Some(&i) = by_file.get(&u.segment.file) {
+                if u.segment.index < fills[i].segments() {
+                    fills[i].except.push(u.segment.index);
+                }
+            }
+        }
+        for fill in &mut fills {
+            fill.except.sort_unstable();
+            fill.except.dedup();
+        }
+        Self { updates, fills }
+    }
+
+    /// The explicit updates, in drain order.
+    pub fn updates(&self) -> &[ScoreUpdate] {
+        &self.updates
+    }
+
+    /// The fills.
+    pub fn fills(&self) -> &[Fill] {
+        &self.fills
+    }
+
+    /// Drops the explicit updates `keep` rejects. The fills still skip the
+    /// dropped segments: an update the filter suppressed has superseded
+    /// the staged score all the same.
+    pub fn retain(&mut self, keep: impl FnMut(&ScoreUpdate) -> bool) {
+        self.updates.retain(keep);
+    }
+
+    /// Number of updates the batch stands for, fills expanded.
+    pub fn len(&self) -> usize {
+        self.updates.len() + self.fills.iter().map(Fill::len).sum::<usize>()
+    }
+
+    /// True if the batch stands for no update.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every update the batch stands for: the explicit ones, then each
+    /// fill's in segment order. Costs one item per covered segment, so it
+    /// is for checks and digests; the engine expands fills lazily.
+    pub fn expanded(&self) -> impl Iterator<Item = ScoreUpdate> + '_ {
+        let fills = self.fills.iter().flat_map(|f| {
+            (0..f.segments()).filter(|&i| f.covers(i)).map(move |i| f.update(i))
+        });
+        self.updates.iter().copied().chain(fills)
+    }
+
+    /// The explicit updates and the fills.
+    pub(crate) fn into_parts(self) -> (Vec<ScoreUpdate>, Vec<Fill>) {
+        (self.updates, self.fills)
+    }
+}
+
+impl From<Vec<ScoreUpdate>> for UpdateBatch {
+    fn from(updates: Vec<ScoreUpdate>) -> Self {
+        Self { updates, fills: Vec::new() }
+    }
+}
+
+/// A queued fill plus the raw pushes it stands for.
+struct FillSlot {
+    raw: u64,
+    fill: Fill,
+}
 
 /// One coalesced slot: the latest update for a segment plus bookkeeping.
 struct Slot {
@@ -55,6 +222,8 @@ struct Stripe {
 /// striped across independently locked queues.
 pub struct StripedUpdateQueue {
     stripes: Vec<Mutex<Stripe>>,
+    /// Pending fills, at most one per file.
+    fills: Mutex<Vec<FillSlot>>,
     /// First-touch stamp source (never reset; see module docs).
     seq: AtomicU64,
     /// Raw pushes currently represented in the queue.
@@ -69,6 +238,7 @@ impl StripedUpdateQueue {
         assert!(stripes > 0, "need at least one stripe");
         Self {
             stripes: (0..stripes).map(|_| Mutex::new(Stripe::default())).collect(),
+            fills: Mutex::new(Vec::new()),
             seq: AtomicU64::new(0),
             pending: AtomicU64::new(0),
             locks: AtomicU64::new(0),
@@ -184,25 +354,52 @@ impl StripedUpdateQueue {
         self.pending.fetch_add(order.len() as u64, Ordering::Relaxed);
     }
 
-    /// Drains every stripe and merges the slots into first-touch order
-    /// (ascending sequence stamp). The pending counter is decremented by
-    /// exactly the raw pushes the drained slots absorbed — pushes that
-    /// land on a stripe after it was emptied stay counted.
-    pub fn drain(&self) -> Vec<ScoreUpdate> {
+    /// Queues `fill`, standing for `raw` per-segment pushes. The file's
+    /// pending slots below the fill's segment count are rewritten to the
+    /// fill's update, as those pushes would have done; a fill already
+    /// pending for the file is replaced and its raw count carried over.
+    pub fn push_fill(&self, fill: Fill, raw: u64) {
+        let segments = fill.segments();
+        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
+        for stripe in &self.stripes {
+            for slot in stripe.lock().slots.iter_mut() {
+                let seg = slot.update.segment;
+                if seg.file == fill.file && seg.index < segments {
+                    slot.update = fill.update(seg.index);
+                }
+            }
+        }
+        let mut fills = self.fills.lock();
+        match fills.iter_mut().find(|s| s.fill.file == fill.file) {
+            Some(slot) => {
+                slot.raw += raw;
+                slot.fill = fill;
+            }
+            None => fills.push(FillSlot { raw, fill }),
+        }
+        self.pending.fetch_add(raw, Ordering::Relaxed);
+    }
+
+    /// Drains every stripe and the fills. Slots merge into first-touch
+    /// order (ascending sequence stamp). The pending counter is decremented
+    /// by exactly the raw pushes the drained slots and fills absorbed —
+    /// pushes that land on a stripe after it was emptied stay counted.
+    pub fn drain(&self) -> UpdateBatch {
         let mut slots: Vec<Slot> = Vec::new();
-        let mut raw = 0u64;
-        self.locks.fetch_add(self.stripes.len() as u64, Ordering::Relaxed);
+        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
         for stripe in &self.stripes {
             let mut s = stripe.lock();
             s.index.clear();
             slots.append(&mut s.slots);
         }
-        for slot in &slots {
-            raw += slot.raw;
-        }
+        let fills = std::mem::take(&mut *self.fills.lock());
+        let raw: u64 = slots.iter().map(|s| s.raw).chain(fills.iter().map(|s| s.raw)).sum();
         self.pending.fetch_sub(raw, Ordering::Relaxed);
         slots.sort_unstable_by_key(|slot| slot.seq);
-        slots.into_iter().map(|slot| slot.update).collect()
+        UpdateBatch::new(
+            slots.into_iter().map(|slot| slot.update).collect(),
+            fills.into_iter().map(|slot| slot.fill).collect(),
+        )
     }
 
     /// Raw pushes currently represented in the queue (the engine's
@@ -211,13 +408,20 @@ impl StripedUpdateQueue {
         self.pending.load(Ordering::Relaxed)
     }
 
-    /// Removes every pending update for `file`, returning how many slots
-    /// were dropped. Called when the auditor forgets a file so the engine
-    /// never sees scores for state that no longer exists.
+    /// Removes every pending update and fill for `file`, returning how
+    /// many slots were dropped. Called when the auditor forgets a file so
+    /// the engine never sees scores for state that no longer exists.
     pub fn purge_file(&self, file: FileId) -> usize {
         let mut dropped_slots = 0;
         let mut dropped_raw = 0u64;
-        self.locks.fetch_add(self.stripes.len() as u64, Ordering::Relaxed);
+        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
+        self.fills.lock().retain(|slot| {
+            let keep = slot.fill.file != file;
+            if !keep {
+                dropped_raw += slot.raw;
+            }
+            keep
+        });
         for stripe in &self.stripes {
             let mut s = stripe.lock();
             if !s.slots.iter().any(|slot| slot.update.segment.file == file) {
@@ -268,7 +472,7 @@ mod tests {
         q.push(0, upd(1, 1, 1.0));
         q.push(0, upd(1, 0, 5.0));
         assert_eq!(q.pending(), 3, "pending counts raw pushes");
-        let drained = q.drain();
+        let drained = q.drain().updates().to_vec();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].segment.index, 0, "first-touch order");
         assert_eq!(drained[0].score, 5.0, "latest score wins");
@@ -286,7 +490,7 @@ mod tests {
         q.push(0, upd(1, 0, 1.0));
         q.push(3, upd(1, 30, 1.0));
         q.push(7, upd(1, 70, 2.0)); // coalesce keeps stamp 0
-        let drained = q.drain();
+        let drained = q.drain().updates().to_vec();
         let order: Vec<u64> = drained.iter().map(|u| u.segment.index).collect();
         assert_eq!(order, vec![70, 0, 30]);
         assert_eq!(drained[0].score, 2.0);
@@ -309,7 +513,7 @@ mod tests {
         assert_eq!(many.pending(), one.pending());
         let grouped_locks = many.lock_acquisitions();
         assert!(grouped_locks < one.lock_acquisitions(), "grouping must save stripe locks");
-        let (a, b) = (one.drain(), many.drain());
+        let (a, b) = (one.drain().updates().to_vec(), many.drain().updates().to_vec());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.segment, y.segment, "first-touch order must match");
@@ -358,7 +562,7 @@ mod tests {
         assert_eq!(q.pending(), 4);
         assert_eq!(q.purge_file(FileId(1)), 2);
         assert_eq!(q.pending(), 1, "purge subtracts the raw pushes it removed");
-        let rest = q.drain();
+        let rest = q.drain().updates().to_vec();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].segment.file, FileId(2));
         assert_eq!(q.purge_file(FileId(9)), 0, "purging an absent file is a no-op");
@@ -373,11 +577,54 @@ mod tests {
         // Index was rebuilt: a new push for the purged segment must not
         // alias the surviving file-2 slot.
         q.push(0, upd(1, 5, 7.0));
-        let mut drained = q.drain();
+        let mut drained = q.drain().updates().to_vec();
         drained.sort_by_key(|u| u.segment.file.0);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].score, 7.0);
         assert_eq!(drained[1].segment.file, FileId(2));
+    }
+
+    #[test]
+    fn fill_rewrites_pending_slots_and_later_pushes_supersede_it() {
+        let q = StripedUpdateQueue::new(4);
+        q.push(0, upd(1, 2, 9.0)); // pending before staging: rewritten
+        q.push(1, upd(1, 40, 9.0)); // past the staged size: kept
+        q.push(2, upd(2, 0, 9.0)); // another file: kept
+        let fill = Fill::new(FileId(1), 4 * 1024 + 100, 1024, 0.5);
+        q.push_fill(fill.clone(), 5);
+        q.push(3, upd(1, 3, 7.0)); // after staging: supersedes the fill
+        assert_eq!(q.pending(), 3 + 5 + 1, "the fill counts the pushes it stands for");
+        let batch = q.drain();
+        assert_eq!(q.pending(), 0);
+        let score = |file: u64, index: u64| {
+            let seg = SegmentId::new(FileId(file), index);
+            batch.updates().iter().find(|u| u.segment == seg).map(|u| u.score)
+        };
+        assert_eq!(batch.updates()[0], fill.update(2), "rewritten to the staged update");
+        assert_eq!(score(1, 40), Some(9.0));
+        assert_eq!(score(2, 0), Some(9.0));
+        assert_eq!(score(1, 3), Some(7.0));
+        let fills = batch.fills();
+        assert_eq!(fills.len(), 1);
+        let covered: Vec<u64> = (0..6).filter(|&i| fills[0].covers(i)).collect();
+        assert_eq!(covered, vec![0, 1, 4], "explicit slots are not expanded");
+        assert_eq!(fills[0].size_of(4), 100, "short tail");
+        assert_eq!(batch.len(), 4 + 3);
+    }
+
+    #[test]
+    fn a_second_fill_replaces_the_first_and_purge_drops_it() {
+        let q = StripedUpdateQueue::new(2);
+        q.push_fill(Fill::new(FileId(1), 2048, 1024, 0.5), 2);
+        q.push_fill(Fill::new(FileId(1), 4096, 1024, 0.5), 4);
+        q.push_fill(Fill::new(FileId(2), 1024, 1024, 0.5), 1);
+        assert_eq!(q.pending(), 7);
+        q.purge_file(FileId(2));
+        assert_eq!(q.pending(), 6, "purge subtracts the fill's raw pushes");
+        let batch = q.drain();
+        assert_eq!(batch.fills().len(), 1);
+        assert_eq!(batch.fills()[0].segments(), 4, "the later staging wins");
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]
@@ -387,6 +634,6 @@ mod tests {
         q.push(1, upd(1, 1, 1.0));
         assert_eq!(q.lock_acquisitions(), 2);
         q.drain();
-        assert_eq!(q.lock_acquisitions(), 2 + 4, "drain visits every stripe");
+        assert_eq!(q.lock_acquisitions(), 2 + 4 + 1, "drain visits every stripe and the fills");
     }
 }

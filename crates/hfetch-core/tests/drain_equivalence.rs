@@ -66,7 +66,7 @@ proptest! {
                 q.push(index as usize, upd(file, index, score));
             }
             prop_assert_eq!(q.pending(), pushes.len() as u64);
-            let drained = q.drain();
+            let drained = q.drain().updates().to_vec();
             assert_byte_identical(&drained, &expected);
             prop_assert_eq!(q.pending(), 0u64);
         }
@@ -87,10 +87,10 @@ proptest! {
         for (i, &(file, index, score)) in pushes.iter().enumerate() {
             q.push(index as usize, upd(file, index, score));
             if (i + 1) % cadence == 0 {
-                batches.push(q.drain());
+                batches.push(q.drain().updates().to_vec());
             }
         }
-        batches.push(q.drain());
+        batches.push(q.drain().updates().to_vec());
         prop_assert_eq!(q.pending(), 0u64);
         for batch in &batches {
             let mut seen = std::collections::HashSet::new();
@@ -137,7 +137,7 @@ fn concurrent_producers_coalesce_to_latest_per_segment() {
         }
     });
     assert_eq!(q.pending(), THREADS * ROUNDS * SEGMENTS);
-    let drained = q.drain();
+    let drained = q.drain().updates().to_vec();
     assert_eq!(drained.len(), (THREADS * SEGMENTS) as usize, "one slot per segment");
     for u in &drained {
         assert_eq!(u.score, ROUNDS as f64, "latest (largest) score won");

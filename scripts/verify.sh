@@ -5,7 +5,8 @@
 #
 # Stages:
 #   1. tier-1: cargo build --release && cargo test -q  (ROADMAP.md)
-#   2. clippy: the whole workspace must be warning-free.
+#   2. clippy: the whole workspace must be warning-free, test, bench and
+#      example targets included.
 #   3. smoke all_figures: seconds-scale figure regeneration through the
 #      parallel scenario runner, into a throwaway results dir so committed
 #      bench_results/ artifacts are not clobbered by smoke-scale numbers.
@@ -48,8 +49,8 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== clippy: workspace, deny warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== clippy: workspace, all targets, deny warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT

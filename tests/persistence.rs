@@ -98,7 +98,7 @@ fn auditor_heatmap_round_trips_through_store() {
     auditor2.start_epoch(file, Timestamp::from_secs(3));
     let updates = auditor2.drain_updates();
     let hottest = updates
-        .iter()
+        .expanded()
         .max_by(|a, b| a.score.partial_cmp(&b.score).unwrap())
         .unwrap();
     assert_eq!(hottest.segment.index, 2);
