@@ -2,43 +2,29 @@
 //! second of wall time, which bounds how large a cluster the figure
 //! harnesses can replay.
 //!
-//! Alongside the end-to-end DES number, two ablations keep the hot-path
-//! choices honest as bench comparisons rather than dead code:
-//!
-//! * `event_state_map/{fx,std}` — the per-event state maps
-//!   (`inflight_to`, `inflight_any`, …) keyed by small integer ids, over
-//!   the in-tree FxHash vs std's SipHash,
-//! * `placement_updates/{raw,coalesced}` — `PlacementEngine::run` fed a
-//!   duplicate-heavy raw score-update stream vs the same stream coalesced
-//!   to latest-per-segment first (what `Auditor::drain_updates` now does),
-//! * `sim_kernel/hfetch/obs_{off,on}` — the same DES workload through the
-//!   full HFetch policy with the observability recorder disabled (the
-//!   default: instrumented call sites pay one branch) vs enabled (typed
-//!   placement trace + metrics recorded). The gap is the cost contract of
-//!   `crates/obs`; the disabled side must track `no_prefetch` scaling.
+//! Alongside the end-to-end DES number, `sim_kernel/hfetch/obs_{off,on}`
+//! runs the same DES workload through the full HFetch policy with the
+//! observability recorder disabled (the default: instrumented call sites
+//! pay one branch) vs enabled (typed placement trace + metrics recorded).
+//! The gap is the cost contract of `crates/obs`; the disabled side must
+//! track `no_prefetch` scaling.
 //!
 //! Results are printed criterion-style and recorded in
 //! `BENCH_sim_kernel.json` under the results directory so successive
 //! commits leave a comparable perf trajectory. `--test` runs each
 //! measurement once (plumbing mode).
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::time::Duration;
 
 use bench_support::perf::{Metric, PerfReport};
 use bench_support::table::results_dir;
-use criterion::{black_box, measure, Bencher, Measurement};
-use dht::FxHasher;
-use hfetch_core::config::{HFetchConfig, Reactiveness};
-use hfetch_core::engine::PlacementEngine;
+use criterion::{measure, Bencher, Measurement};
+use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
-use hfetch_core::ScoreUpdate;
 use sim::engine::{SimConfig, Simulation};
 use sim::policy::NoPrefetch;
 use sim::script::{RankScript, ScriptBuilder, SimFile};
-use tiers::ids::{AppId, FileId, ProcessId, SegmentId};
-use tiers::time::Timestamp;
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::topology::Hierarchy;
 use tiers::units::{gib, MIB};
 
@@ -60,64 +46,6 @@ fn workload(ranks: u32, reads_per_rank: u32) -> (Vec<SimFile>, Vec<RankScript>) 
         })
         .collect();
     (files, scripts)
-}
-
-/// The DES per-event state access pattern: upsert into a pair-keyed and a
-/// scalar-keyed map per event, periodic lookup + removal — the shape of
-/// `inflight_to`/`inflight_any` maintenance in `sim::engine`.
-fn state_map_workout<S: std::hash::BuildHasher + Default>(files: u32, ops: u32) -> u64 {
-    let mut inflight_to: HashMap<(u32, u32), u64, S> = HashMap::default();
-    let mut inflight_any: HashMap<u32, u64, S> = HashMap::default();
-    let mut acc = 0u64;
-    for i in 0..ops {
-        let f = i.wrapping_mul(2654435761) % files;
-        let t = i % 3;
-        *inflight_to.entry((f, t)).or_insert(0) += 1;
-        *inflight_any.entry(f).or_insert(0) += 1;
-        if i % 4 == 0 {
-            acc += inflight_to.get(&(f, t)).copied().unwrap_or(0);
-            inflight_any.remove(&((f + 1) % files));
-        }
-    }
-    acc + inflight_to.len() as u64 + inflight_any.len() as u64
-}
-
-/// A duplicate-heavy score-update stream: `segments` distinct segments
-/// re-scored `rounds` times each, interleaved — what a burst of reads
-/// produces before coalescing.
-fn raw_updates(segments: u64, rounds: u64) -> Vec<ScoreUpdate> {
-    let mut updates = Vec::with_capacity((segments * rounds) as usize);
-    for round in 0..rounds {
-        for index in 0..segments {
-            updates.push(ScoreUpdate {
-                segment: SegmentId::new(FileId(0), index),
-                score: 1.0 + round as f64 + (index % 7) as f64 * 0.1,
-                size: MIB,
-                anticipated: false,
-            });
-        }
-    }
-    updates
-}
-
-/// Latest-per-segment coalescing in first-touch order — the auditor-side
-/// transform, costed inside the timed region for a fair comparison.
-fn coalesce(updates: &[ScoreUpdate]) -> Vec<ScoreUpdate> {
-    let mut index: dht::FxHashMap<SegmentId, usize> = dht::FxHashMap::default();
-    let mut out: Vec<ScoreUpdate> = Vec::new();
-    for u in updates {
-        if let Some(&i) = index.get(&u.segment) {
-            out[i] = *u;
-        } else {
-            index.insert(u.segment, out.len());
-            out.push(*u);
-        }
-    }
-    out
-}
-
-fn engine() -> PlacementEngine {
-    PlacementEngine::new(&Hierarchy::with_budgets(gib(1), gib(2), gib(4)), Reactiveness::high())
 }
 
 struct Bench {
@@ -172,29 +100,7 @@ fn main() {
         );
     }
 
-    // Ablation 1: hasher for the per-event state maps.
-    let ops = 40_000u32;
-    bench.run("event_state_map/fx", "ops_per_s", ops as f64, |b| {
-        b.iter(|| state_map_workout::<BuildHasherDefault<FxHasher>>(black_box(256), ops))
-    });
-    bench.run("event_state_map/std", "ops_per_s", ops as f64, |b| {
-        b.iter(|| state_map_workout::<std::hash::RandomState>(black_box(256), ops))
-    });
-
-    // Ablation 2: engine fed raw duplicate-heavy updates vs coalesced.
-    let (segments, rounds) = (256u64, 64u64);
-    let raw = raw_updates(segments, rounds);
-    let raw_events = raw.len() as f64;
-    let mut raw_engine = engine();
-    bench.run("placement_updates/raw", "updates_per_s", raw_events, |b| {
-        b.iter(|| raw_engine.run(black_box(raw.clone()), Timestamp::ZERO).len())
-    });
-    let mut coalesced_engine = engine();
-    bench.run("placement_updates/coalesced", "updates_per_s", raw_events, |b| {
-        b.iter(|| coalesced_engine.run(coalesce(black_box(&raw)), Timestamp::ZERO).len())
-    });
-
-    // Ablation 3: observability cost contract — HFetch end to end with
+    // Observability cost contract — HFetch end to end with
     // the recorder disabled vs enabled. A fresh recorder per iteration so
     // the enabled side pays allocation + every record, not amortization.
     let (ranks, reads) = (64u32, 16u32);

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use dht::FxHashMap;
 use tiers::capacity::CapacityLedger;
-use tiers::faults::{EventFault, FaultConfig, FaultPlan, OpFault};
+use tiers::faults::{EventFault, FaultConfig, FaultPlan, RetriedOp};
 use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::interval::IntervalSet;
 use tiers::range::ByteRange;
@@ -138,10 +138,30 @@ struct Transfer {
     /// at issue time (the placement plan already considers the move done;
     /// holding both reservations would deadlock planned swaps).
     src_released: bool,
+    /// Set when a write invalidated the range while in flight: on
+    /// completion the transfer releases its reservation instead of landing
+    /// stale data.
+    cancelled: bool,
     /// Causal span covering this transfer's in-flight life (NONE when
     /// observability is off). Its `root` links the transfer back to the
     /// lifecycle tree of the policy decision that issued it.
     span: obs::SpanCtx,
+}
+
+/// A degraded-mode fact, booked by [`SimCore::book_fault`].
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// An offline fetch destination was re-routed down to this tier.
+    Rerouted(TierId),
+    /// An offline fetch source was replaced by the backing store on a
+    /// transfer to this tier.
+    SrcRerouted(TierId),
+    /// Bytes held by this offline tier were read from the backing store.
+    Degraded(TierId),
+    /// A transfer to this tier retried this many transient failures.
+    Retried(TierId, u32),
+    /// A fetch or transfer to this tier was abandoned.
+    Abandoned(TierId),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -177,24 +197,18 @@ pub struct SimCore {
     /// identical fault sequences.
     faults: Option<FaultPlan>,
     residency: ResidencyMap,
-    /// In-flight ranges per (file, destination tier).
-    inflight_to: FxHashMap<(FileId, TierId), IntervalSet>,
-    /// Union of in-flight ranges per file (any destination).
-    inflight_any: FxHashMap<FileId, IntervalSet>,
     ledger: CapacityLedger,
     file_sizes: FxHashMap<FileId, u64>,
     cache_order: Vec<TierId>,
     backing: TierId,
     now: Timestamp,
     transfers: Vec<Transfer>,
-    /// Ids of still-in-flight transfers per file (reads can wait on them:
-    /// a request overlapping an in-flight prefetch blocks until the
-    /// transfer lands rather than re-reading from the backing store).
+    /// Ids of still-in-flight transfers per file: the one in-flight index.
+    /// Reads can wait on them (a request overlapping an in-flight prefetch
+    /// blocks until the transfer lands rather than re-reading from the
+    /// backing store) and fetches skip their bytes. A file's in-flight
+    /// ranges are disjoint: a fetch schedules only bytes not yet in flight.
     active_by_file: FxHashMap<FileId, Vec<u32>>,
-    /// Transfers invalidated by a write while in flight: on completion
-    /// they release their reservation instead of landing stale data.
-    /// Dense, indexed by transfer id (parallel to `transfers`).
-    cancelled: Vec<bool>,
     /// Events created during callbacks, drained by the event loop.
     spawned: Vec<(Timestamp, EventKind)>,
     report: SimReport,
@@ -245,8 +259,6 @@ impl SimCore {
             devices,
             faults,
             residency: ResidencyMap::new(),
-            inflight_to: FxHashMap::default(),
-            inflight_any: FxHashMap::default(),
             ledger,
             file_sizes: files.iter().map(|f| (f.id, f.size)).collect(),
             cache_order,
@@ -254,7 +266,6 @@ impl SimCore {
             now: Timestamp::ZERO,
             transfers: Vec::new(),
             active_by_file: FxHashMap::default(),
-            cancelled: Vec::new(),
             spawned: Vec::new(),
             report,
             scratch_plan: ReadPlan::new(),
@@ -286,23 +297,63 @@ impl SimCore {
         }
     }
 
-    /// Rolls the event-fault die (always `Deliver` on fault-free runs),
-    /// counting injected drops/delays in the report.
+    /// Rolls the event-fault die (always `Deliver` on fault-free runs).
+    /// The plan counts what it injects; the recorder counts drops/delays.
     fn roll_event(&mut self) -> EventFault {
         let Some(plan) = &mut self.faults else { return EventFault::Deliver };
         let fault = plan.roll_event();
-        match fault {
-            EventFault::Deliver => {}
-            EventFault::Drop => {
-                self.report.faults.injected += 1;
-                self.config.obs.counter_inc("sim.notify.dropped", obs::Label::None);
-            }
-            EventFault::Delay(_) => {
-                self.report.faults.injected += 1;
-                self.config.obs.counter_inc("sim.notify.delayed", obs::Label::None);
-            }
-        }
+        let key = match fault {
+            EventFault::Deliver => return fault,
+            EventFault::Drop => "sim.notify.dropped",
+            EventFault::Delay(_) => "sim.notify.delayed",
+        };
+        self.config.obs.counter_inc(key, obs::Label::None);
         fault
+    }
+
+    /// Books one degraded-mode fact: its `SimReport.faults` counter, its
+    /// `sim.*` counter (labeled with the tier) and, for fetch-side facts
+    /// with a causal parent, its span instant at `(file, offset)`.
+    fn book_fault(&mut self, fault: Fault, parent: obs::SpanCtx, file: FileId, offset: u64) {
+        let faults = &mut self.report.faults;
+        let (key, tier, n, instant) = match fault {
+            Fault::Rerouted(t) => {
+                faults.rerouted += 1;
+                ("sim.fetch.rerouted", t, 1, Some("reroute"))
+            }
+            Fault::SrcRerouted(t) => {
+                faults.rerouted += 1;
+                ("sim.fetch.src_rerouted", t, 1, None)
+            }
+            Fault::Degraded(t) => {
+                faults.rerouted += 1;
+                ("sim.read.degraded", t, 1, None)
+            }
+            Fault::Retried(t, n) => {
+                faults.retried += u64::from(n);
+                ("sim.fetch.retries", t, u64::from(n), Some("retry"))
+            }
+            Fault::Abandoned(t) => {
+                faults.abandoned += 1;
+                ("sim.fetch.abandoned", t, 1, Some("abandon"))
+            }
+        };
+        self.config.obs.counter_add(key, obs::Label::tier(tier.0), n);
+        if let Some(name) = instant {
+            self.config.obs.span_instant(name, parent, self.now.as_nanos(), file.0, offset);
+        }
+    }
+
+    /// Serves `bytes` of an application read from `tier`, starting no
+    /// earlier than `after`, and books them to the tier. Returns when the
+    /// bytes are read.
+    #[inline]
+    fn read_from(&mut self, tier: TierId, after: Timestamp, bytes: u64) -> Timestamp {
+        let (_start, finish) = self.devices[tier.index()].schedule_after(self.now, after, bytes);
+        let tr = &mut self.report.tiers[tier.index()];
+        tr.read_bytes += bytes;
+        tr.read_ops += 1;
+        finish
     }
 
     /// Serves an application read, returning its completion time.
@@ -316,13 +367,13 @@ impl SimCore {
         let range = self.clamp(file, range);
         self.report.read_requests += 1;
         // Effectiveness shadow state is taken out of `self` for the duration
-        // of the call (restored by `close_read` on every return path) so its
+        // of the call (restored by `read_done` on every return path) so its
         // methods can borrow the recorder without fighting the field borrows
         // below. `serving` accumulates what each byte was served from.
         let mut effect = self.effect.take();
         let mut serving = ReadServing::default();
         if range.is_empty() {
-            return self.close_read(effect, serving, file, range, self.now);
+            return self.read_done(effect, serving, file, range, self.now);
         }
         self.report.bytes_requested += range.len;
         // Fast path: nothing cached and nothing in flight for this file, so
@@ -331,20 +382,10 @@ impl SimCore {
         if !self.active_by_file.contains_key(&file)
             && !self.residency.file_resident_on_any(file, &self.cache_order)
         {
-            let (_s, finish) = self.devices[self.backing.index()].schedule(self.now, range.len);
-            let tr = &mut self.report.tiers[self.backing.index()];
-            tr.read_bytes += range.len;
-            tr.read_ops += 1;
-            let latency = finish.since(self.now);
-            let latency_ns = latency.as_nanos() as u64;
-            self.report.read_time += latency;
-            self.report.read_latency.record(latency_ns);
-            if self.config.obs.is_enabled() {
-                self.config.obs.counter_inc("sim.read.backing_miss", obs::Label::None);
-                self.config.obs.observe("sim.read.latency_ns", obs::Label::None, latency_ns);
-            }
+            let finish = self.read_from(self.backing, self.now, range.len);
+            self.config.obs.counter_inc("sim.read.backing_miss", obs::Label::None);
             serving.miss_bytes = range.len;
-            return self.close_read(effect, serving, file, range, finish);
+            return self.read_done(effect, serving, file, range, finish);
         }
         let mut plan = std::mem::take(&mut self.scratch_plan);
         self.residency.plan_read_into(file, range, &self.cache_order, self.backing, &mut plan);
@@ -353,11 +394,7 @@ impl SimCore {
             let (tier, bytes) = (*tier, *bytes);
             if tier != self.backing {
                 if self.tier_online(tier) {
-                    let (_s, f) = self.devices[tier.index()].schedule(self.now, bytes);
-                    finish = finish.max(f);
-                    let tr = &mut self.report.tiers[tier.index()];
-                    tr.read_bytes += bytes;
-                    tr.read_ops += 1;
+                    finish = finish.max(self.read_from(tier, self.now, bytes));
                     if let Some(eff) = effect.as_deref_mut() {
                         // Plan entries come fastest tier first: the first
                         // cache hit names the read's primary serving tier.
@@ -370,12 +407,8 @@ impl SimCore {
                     // Degraded read: the holding cache tier is offline, but
                     // the backing store remains canonical — serve the bytes
                     // from there instead of failing the application.
-                    let (_s, f) = self.devices[self.backing.index()].schedule(self.now, bytes);
-                    finish = finish.max(f);
-                    let tr = &mut self.report.tiers[self.backing.index()];
-                    tr.read_bytes += bytes;
-                    tr.read_ops += 1;
-                    self.report.faults.rerouted += 1;
+                    finish = finish.max(self.read_from(self.backing, self.now, bytes));
+                    self.book_fault(Fault::Degraded(tier), obs::SpanCtx::NONE, file, range.offset);
                     serving.miss_bytes += bytes;
                 }
                 continue;
@@ -392,87 +425,67 @@ impl SimCore {
             if let Some(active) = self.active_by_file.get(&file) {
                 ids.extend_from_slice(active);
             }
-            {
-                for &id in &ids {
-                    let t = self.transfers[id as usize];
-                    for r in sub_ranges {
-                        let Some(overlap) = t.range.intersection(*r) else { continue };
-                        if !miss.intersects(overlap) {
+            for &id in &ids {
+                let t = self.transfers[id as usize];
+                for r in sub_ranges {
+                    let Some(overlap) = t.range.intersection(*r) else { continue };
+                    if !miss.intersects(overlap) {
+                        continue;
+                    }
+                    // Two options: wait for the in-flight prefetch and read
+                    // from its destination, or go straight to the backing
+                    // store. Pick whichever completes earlier — an
+                    // application never waits on a prefetch that is slower
+                    // than a plain miss.
+                    let bytes = overlap.len;
+                    let est_wait = self.devices[t.dst.index()]
+                        .earliest_start(self.now)
+                        .max(t.finish)
+                        .after(self.devices[t.dst.index()].service_time(bytes));
+                    let est_miss = self.devices[self.backing.index()]
+                        .earliest_start(self.now)
+                        .after(self.devices[self.backing.index()].service_time(bytes));
+                    if self.tier_online(t.dst) && est_wait <= est_miss {
+                        let claimed = miss.remove(overlap);
+                        if claimed == 0 {
                             continue;
                         }
-                        // Two options: wait for the in-flight prefetch and
-                        // read from its destination, or go straight to the
-                        // backing store. Pick whichever completes earlier —
-                        // an application never waits on a prefetch that is
-                        // slower than a plain miss.
-                        let bytes = overlap.len;
-                        let est_wait = self.devices[t.dst.index()]
-                            .earliest_start(self.now)
-                            .max(t.finish)
-                            .after(self.devices[t.dst.index()].service_time(bytes));
-                        let est_miss = self.devices[self.backing.index()]
-                            .earliest_start(self.now)
-                            .after(self.devices[self.backing.index()].service_time(bytes));
-                        if self.tier_online(t.dst) && est_wait <= est_miss {
-                            let claimed = miss.remove(overlap);
-                            if claimed == 0 {
-                                continue;
-                            }
-                            let (_s, f) = self.devices[t.dst.index()].schedule_after(
-                                self.now,
-                                t.finish,
-                                claimed,
-                            );
-                            finish = finish.max(f);
-                            let tr = &mut self.report.tiers[t.dst.index()];
-                            tr.read_bytes += claimed;
-                            tr.read_ops += 1;
-                            if let Some(eff) = effect.as_deref_mut() {
-                                // A late hit: the prefetch was issued but the
-                                // application caught up with it in flight.
-                                serving.late_bytes += claimed;
-                                serving.late_tier = Some(t.dst);
-                                let lateness = t.finish.since(self.now).as_nanos() as u64;
-                                serving.max_lateness_ns =
-                                    serving.max_lateness_ns.max(lateness);
-                                serving.note_root(t.span.root);
-                                eff.waited[id as usize] = true;
-                            }
+                        finish = finish.max(self.read_from(t.dst, t.finish, claimed));
+                        if let Some(eff) = effect.as_deref_mut() {
+                            // A late hit: the prefetch was issued but the
+                            // application caught up with it in flight.
+                            serving.late_bytes += claimed;
+                            serving.late_tier = Some(t.dst);
+                            let lateness = t.finish.since(self.now).as_nanos() as u64;
+                            serving.max_lateness_ns = serving.max_lateness_ns.max(lateness);
+                            serving.note_root(t.span.root);
+                            eff.waited[id as usize] = true;
                         }
-                        // Otherwise leave the bytes in `miss`: they are
-                        // served from backing below.
                     }
+                    // Otherwise leave the bytes in `miss`: they are served
+                    // from backing below.
                 }
             }
             let miss_bytes = miss.total();
             if miss_bytes > 0 {
-                let (_s, f) = self.devices[self.backing.index()].schedule(self.now, miss_bytes);
-                finish = finish.max(f);
-                let tr = &mut self.report.tiers[self.backing.index()];
-                tr.read_bytes += miss_bytes;
-                tr.read_ops += 1;
+                finish = finish.max(self.read_from(self.backing, self.now, miss_bytes));
                 serving.miss_bytes += miss_bytes;
             }
             self.scratch_miss = miss;
             self.scratch_ids = ids;
         }
         self.scratch_plan = plan;
-        let latency = finish.since(self.now);
-        let latency_ns = latency.as_nanos() as u64;
-        self.report.read_time += latency;
-        self.report.read_latency.record(latency_ns);
-        if self.config.obs.is_enabled() {
-            self.config.obs.observe("sim.read.latency_ns", obs::Label::None, latency_ns);
-        }
-        self.close_read(effect, serving, file, range, finish)
+        self.read_done(effect, serving, file, range, finish)
     }
 
-    /// Epilogue of every `serve_read` return path: classify the read, emit
-    /// its `app_read` span (parented under the lifecycle tree of the
-    /// prefetch that served it, when there was one), and put the
-    /// effectiveness state back. Pure observation — always returns `finish`
-    /// unchanged.
-    fn close_read(
+    /// Books a finished application read, on every `serve_read` return
+    /// path: its blocked time (the `SimReport` total and histogram and the
+    /// `sim.read.latency_ns` histogram, for non-empty reads), its
+    /// effectiveness class, and its `app_read` span (parented under the
+    /// lifecycle tree of the prefetch that served it, when there was one).
+    /// Puts the effectiveness state back and returns `finish` unchanged.
+    #[inline]
+    fn read_done(
         &mut self,
         mut effect: Option<Box<EffectState>>,
         serving: ReadServing,
@@ -480,6 +493,13 @@ impl SimCore {
         range: ByteRange,
         finish: Timestamp,
     ) -> Timestamp {
+        if !range.is_empty() {
+            let latency = finish.since(self.now);
+            let latency_ns = latency.as_nanos() as u64;
+            self.report.read_time += latency;
+            self.report.read_latency.record(latency_ns);
+            self.config.obs.observe("sim.read.latency_ns", obs::Label::None, latency_ns);
+        }
         if let Some(eff) = effect.as_deref_mut() {
             let parent_root = eff.classify_read(file, &serving, self.backing, &self.config.obs);
             let parent = obs::SpanCtx { id: parent_root, root: parent_root };
@@ -517,9 +537,8 @@ impl SimCore {
         // completion instead of becoming resident).
         if let Some(ids) = self.active_by_file.get(&file) {
             for &id in ids {
-                if self.transfers[id as usize].range.overlaps(range) {
-                    self.cancelled[id as usize] = true;
-                }
+                let t = &mut self.transfers[id as usize];
+                t.cancelled |= t.range.overlaps(range);
             }
         }
         finish
@@ -528,7 +547,7 @@ impl SimCore {
     fn complete_transfer(&mut self, id: u32) -> Transfer {
         let t = self.transfers[id as usize];
         let now_ns = self.now.as_nanos();
-        if std::mem::replace(&mut self.cancelled[id as usize], false) {
+        if t.cancelled {
             // A write invalidated this transfer mid-flight: drop the
             // reservation, never mark the (stale) bytes resident.
             self.ledger.release_clamped(t.dst, t.range.len);
@@ -544,7 +563,7 @@ impl SimCore {
                     .sum();
                 let _ = self.ledger.reserve(t.src, still);
             }
-            self.clear_inflight_markers(&t, id);
+            self.retire(t.file, id);
             // The transfer span still closes: a cancelled prefetch is part
             // of its lifecycle tree, it just never lands.
             self.config.obs.span_end(t.span, now_ns);
@@ -565,7 +584,7 @@ impl SimCore {
             }
         }
         self.residency.add(t.file, t.range, t.dst);
-        self.clear_inflight_markers(&t, id);
+        self.retire(t.file, id);
         if let Some(mut eff) = self.effect.take() {
             self.config.obs.span_instant("landing", t.span, now_ns, t.file.0, t.range.offset);
             let waited = eff.waited.get(id as usize).copied().unwrap_or(false);
@@ -585,26 +604,71 @@ impl SimCore {
         t
     }
 
-    fn clear_inflight_markers(&mut self, t: &Transfer, id: u32) {
-        if let Some(set) = self.inflight_to.get_mut(&(t.file, t.dst)) {
-            set.remove(t.range);
-            if set.is_empty() {
-                self.inflight_to.remove(&(t.file, t.dst));
-            }
-        }
-        if let Some(set) = self.inflight_any.get_mut(&t.file) {
-            set.remove(t.range);
-            if set.is_empty() {
-                self.inflight_any.remove(&t.file);
-            }
-        }
-        if let Some(ids) = self.active_by_file.get_mut(&t.file) {
+    /// Drops a finished transfer from the in-flight index.
+    fn retire(&mut self, file: FileId, id: u32) {
+        if let Some(ids) = self.active_by_file.get_mut(&file) {
             ids.retain(|&i| i != id);
             if ids.is_empty() {
-                self.active_by_file.remove(&t.file);
+                self.active_by_file.remove(&file);
             }
         }
         self.record_peaks();
+    }
+
+    /// Issues one store-and-forward transfer of `range` from `src` to
+    /// `dst`, departing after `backoff` of retry delay: the source channel
+    /// is busy for its own service time, then the destination channel for
+    /// its own, so a slow source cannot monopolize fast-destination
+    /// channels (and vice versa). Books the prefetched bytes, the
+    /// `sim.fetch.*` lifecycle metrics and the `transfer` span, and
+    /// calendars the landing. Returns the landing time.
+    fn issue_transfer(
+        &mut self,
+        file: FileId,
+        range: ByteRange,
+        src: TierId,
+        dst: TierId,
+        backoff: Duration,
+        parent: obs::SpanCtx,
+    ) -> Timestamp {
+        let depart = self.now.after(backoff);
+        let (s1, f1) = self.devices[src.index()].schedule_after(self.now, depart, range.len);
+        let (_s2, finish) = self.devices[dst.index()].schedule_after(self.now, f1, range.len);
+        if self.config.obs.is_enabled() {
+            // Fetch lifecycle, all in simulated nanoseconds: queue wait at
+            // the source device, then the store-and-forward transfer
+            // through to landing.
+            let rec = &self.config.obs;
+            let pair = obs::Label::tier_pair(src.0, dst.0);
+            let src_label = obs::Label::tier(src.0);
+            rec.span("sim.fetch.queue_wait_ns", src_label, depart.as_nanos(), s1.as_nanos());
+            rec.span("sim.fetch.transfer_ns", pair, s1.as_nanos(), finish.as_nanos());
+            rec.counter_add("sim.fetch.bytes", pair, range.len);
+            rec.counter_inc("sim.fetch.transfers", pair);
+        }
+        let now_ns = self.now.as_nanos();
+        let span = self.config.obs.span_start("transfer", parent, now_ns, file.0, range.offset);
+        let id = self.transfers.len() as u32;
+        self.transfers.push(Transfer {
+            file,
+            range,
+            src,
+            dst,
+            issued: self.now,
+            finish,
+            // Moves out of a cache tier released the source at issue.
+            src_released: src != self.backing,
+            cancelled: false,
+            span,
+        });
+        if let Some(eff) = self.effect.as_deref_mut() {
+            eff.waited.push(false);
+        }
+        self.active_by_file.entry(file).or_default().push(id);
+        self.spawned.push((finish, EventKind::TransferFinished(id)));
+        self.report.prefetch_bytes += range.len;
+        self.report.tiers[dst.index()].prefetched_bytes += range.len;
+        finish
     }
 
     fn record_peaks(&mut self) {
@@ -628,6 +692,7 @@ impl SimCore {
             tr.peak_bytes = tr.peak_bytes.max(self.ledger.peak(TierId(i as u16)));
         }
         let mut report = std::mem::take(&mut self.report);
+        report.faults.injected = self.faults.as_ref().map_or(0, |plan| plan.stats().injected);
         report.policy = policy_name.to_string();
         report.makespan = makespan;
         report.rank_finish = rank_finish;
@@ -643,36 +708,9 @@ pub struct SimCtl<'a> {
 }
 
 impl<'a> SimCtl<'a> {
-    /// Current simulated time.
-    pub fn now(&self) -> Timestamp {
-        self.core.now
-    }
-
-    /// The tier hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.core.config.hierarchy
-    }
-
-    /// The simulation's observability recorder (disabled unless installed
-    /// via [`SimConfig::with_obs`]). Policies may record into it directly;
-    /// cloning the handle shares the same sink.
-    pub fn recorder(&self) -> &obs::Recorder {
-        &self.core.config.obs
-    }
-
     /// Cache tiers, fastest first.
     pub fn cache_tiers(&self) -> &[TierId] {
         &self.core.cache_order
-    }
-
-    /// The backing tier.
-    pub fn backing(&self) -> TierId {
-        self.core.backing
-    }
-
-    /// Bytes currently reserved on `tier` (resident + in-flight).
-    pub fn used(&self, tier: TierId) -> u64 {
-        self.core.ledger.used(tier)
     }
 
     /// Bytes still reservable on `tier`.
@@ -688,18 +726,6 @@ impl<'a> SimCtl<'a> {
     /// True if all of `range` is resident on `tier`.
     pub fn resident_on(&self, file: FileId, range: ByteRange, tier: TierId) -> bool {
         self.core.residency.resident_on(file, range, tier)
-    }
-
-    /// Which tiers currently hold parts of `range`, with byte counts;
-    /// bytes held nowhere are reported under the backing tier.
-    pub fn holders(&self, file: FileId, range: ByteRange) -> Vec<(TierId, u64)> {
-        let range = self.core.clamp(file, range);
-        self.core
-            .residency
-            .plan_read(file, range, &self.core.cache_order, self.core.backing)
-            .into_iter()
-            .map(|(t, _, b)| (t, b))
-            .collect()
     }
 
     /// Fetches `range` of `file` into cache tier `dst`. Bytes already on
@@ -743,29 +769,13 @@ impl<'a> SimCtl<'a> {
             let below = core.cache_order.iter().position(|&t| t == dst).map_or(0, |p| p + 1);
             match core.cache_order[below..].iter().copied().find(|&t| core.tier_online(t)) {
                 Some(alt) => {
-                    dst = alt;
+                    core.book_fault(Fault::Rerouted(alt), parent, file, range.offset);
                     outcome.rerouted_to = Some(alt);
-                    core.report.faults.rerouted += 1;
-                    core.config.obs.counter_inc("sim.fetch.rerouted", obs::Label::tier(alt.0));
-                    core.config.obs.span_instant(
-                        "reroute",
-                        parent,
-                        core.now.as_nanos(),
-                        file.0,
-                        range.offset,
-                    );
+                    dst = alt;
                 }
                 None => {
+                    core.book_fault(Fault::Abandoned(dst), parent, file, range.offset);
                     outcome.abandoned = range.len;
-                    core.report.faults.abandoned += 1;
-                    core.config.obs.counter_inc("sim.fetch.abandoned", obs::Label::None);
-                    core.config.obs.span_instant(
-                        "abandon",
-                        parent,
-                        core.now.as_nanos(),
-                        file.0,
-                        range.offset,
-                    );
                     return outcome;
                 }
             }
@@ -777,9 +787,9 @@ impl<'a> SimCtl<'a> {
         for covered in core.residency.covered_on(file, range, dst) {
             outcome.already_resident += needed.remove(covered);
         }
-        if let Some(inflight) = core.inflight_any.get(&file) {
-            for covered in inflight.covered_ranges(range) {
-                outcome.in_flight += needed.remove(covered);
+        for &id in core.active_by_file.get(&file).map_or(&[][..], Vec::as_slice) {
+            if let Some(overlap) = core.transfers[id as usize].range.intersection(range) {
+                outcome.in_flight += needed.remove(overlap);
             }
         }
 
@@ -793,14 +803,13 @@ impl<'a> SimCtl<'a> {
                 if src == dst {
                     continue; // already there (racy overlap; treated as resident)
                 }
-                let mut src_rerouted = false;
-                if !core.tier_online(src) {
-                    // The holding cache tier is offline; the backing store
-                    // remains canonical, so copy from there instead. The
-                    // offline tier's copy is reclaimed when the transfer
-                    // lands (exclusive cache).
+                // An offline holding tier: the backing store remains
+                // canonical, so copy from there instead. The offline tier's
+                // copy is reclaimed when the transfer lands (exclusive
+                // cache).
+                let src_rerouted = !core.tier_online(src);
+                if src_rerouted {
                     src = core.backing;
-                    src_rerouted = true;
                 }
                 let is_move = src != core.backing;
                 for &full_sub in sub_ranges {
@@ -813,8 +822,7 @@ impl<'a> SimCtl<'a> {
                     }
                     // Partially fill the destination if the whole sub-range
                     // does not fit: take the prefix that does.
-                    let avail = core.ledger.available(dst);
-                    let take = full_sub.len.min(avail);
+                    let take = full_sub.len.min(core.ledger.available(dst));
                     let dropped = full_sub.len - take;
                     if dropped > 0 {
                         outcome.denied += dropped;
@@ -834,137 +842,31 @@ impl<'a> SimCtl<'a> {
                     // (bounded retry, paid for as simulated backoff time
                     // before departure) or permanently (abandoned after
                     // rolling back the reservation).
-                    let mut retry_delay = Duration::ZERO;
-                    let mut abandoned = false;
-                    if let Some(plan) = &mut core.faults {
-                        let injected_before = plan.stats().injected;
-                        let mut retries = 0u32;
-                        loop {
-                            match plan.roll_op() {
-                                OpFault::None => break,
-                                OpFault::Permanent => {
-                                    abandoned = true;
-                                    break;
-                                }
-                                OpFault::Transient => {
-                                    if retries >= plan.config().max_retries {
-                                        abandoned = true;
-                                        break;
-                                    }
-                                    retry_delay += plan.backoff(retries);
-                                    retries += 1;
-                                }
-                            }
-                        }
-                        core.report.faults.injected += plan.stats().injected - injected_before;
-                        core.report.faults.retried += retries as u64;
-                        if retries > 0 {
-                            core.config.obs.counter_add(
-                                "sim.fetch.retries",
-                                obs::Label::tier(dst.0),
-                                retries as u64,
-                            );
-                            core.config.obs.span_instant(
-                                "retry",
-                                parent,
-                                core.now.as_nanos(),
-                                file.0,
-                                full_sub.offset,
-                            );
-                        }
+                    let roll = core
+                        .faults
+                        .as_mut()
+                        .map_or_else(RetriedOp::default, FaultPlan::roll_op_with_retry);
+                    if roll.retries > 0 {
+                        let retried = Fault::Retried(dst, roll.retries);
+                        core.book_fault(retried, parent, file, sub.offset);
                     }
-                    if abandoned {
+                    if roll.abandoned {
                         core.ledger.release_clamped(dst, sub.len);
                         if is_move {
                             // The bytes never left the source.
                             let _ = core.ledger.reserve(src, sub.len);
                         }
-                        core.report.faults.abandoned += 1;
-                        core.config.obs.counter_inc("sim.fetch.abandoned", obs::Label::tier(dst.0));
-                        core.config.obs.span_instant(
-                            "abandon",
-                            parent,
-                            core.now.as_nanos(),
-                            file.0,
-                            sub.offset,
-                        );
+                        core.book_fault(Fault::Abandoned(dst), parent, file, sub.offset);
                         outcome.abandoned += sub.len;
                         continue;
                     }
                     if src_rerouted {
-                        core.report.faults.rerouted += 1;
-                        core.config.obs.counter_inc("sim.fetch.src_rerouted", obs::Label::tier(dst.0));
+                        core.book_fault(Fault::SrcRerouted(dst), parent, file, sub.offset);
                     }
-                    // Store-and-forward: the source channel is busy for its
-                    // own service time, then the destination channel for
-                    // its own. Each device pays only its own cost, so a
-                    // slow source cannot monopolize fast-destination
-                    // channels (and vice versa). Retry backoff (if any)
-                    // postpones the source's departure.
-                    let depart = core.now.after(retry_delay);
-                    let (s1, f1) =
-                        core.devices[src.index()].schedule_after(core.now, depart, sub.len);
-                    let (_s2, f2) =
-                        core.devices[dst.index()].schedule_after(core.now, f1, sub.len);
-                    let finish = f2;
-                    if core.config.obs.is_enabled() {
-                        // Fetch lifecycle, all in simulated nanoseconds:
-                        // queue wait at the source device, then the
-                        // store-and-forward transfer through to landing.
-                        core.config.obs.span(
-                            "sim.fetch.queue_wait_ns",
-                            obs::Label::tier(src.0),
-                            depart.as_nanos(),
-                            s1.as_nanos(),
-                        );
-                        core.config.obs.span(
-                            "sim.fetch.transfer_ns",
-                            obs::Label::tier_pair(src.0, dst.0),
-                            s1.as_nanos(),
-                            finish.as_nanos(),
-                        );
-                        core.config.obs.counter_add(
-                            "sim.fetch.bytes",
-                            obs::Label::tier_pair(src.0, dst.0),
-                            sub.len,
-                        );
-                        core.config.obs.counter_inc(
-                            "sim.fetch.transfers",
-                            obs::Label::tier_pair(src.0, dst.0),
-                        );
-                    }
-                    let span = core.config.obs.span_start(
-                        "transfer",
-                        parent,
-                        core.now.as_nanos(),
-                        file.0,
-                        sub.offset,
-                    );
-                    let id = core.transfers.len() as u32;
-                    core.transfers.push(Transfer {
-                        file,
-                        range: sub,
-                        src,
-                        dst,
-                        issued: core.now,
-                        finish,
-                        src_released: is_move,
-                        span,
-                    });
-                    core.cancelled.push(false);
-                    if let Some(eff) = core.effect.as_deref_mut() {
-                        eff.waited.push(false);
-                    }
-                    core.active_by_file.entry(file).or_default().push(id);
-                    core.spawned.push((finish, EventKind::TransferFinished(id)));
-                    core.inflight_to.entry((file, dst)).or_default().insert(sub);
-                    core.inflight_any.entry(file).or_default().insert(sub);
+                    let finish = core.issue_transfer(file, sub, src, dst, roll.backoff, parent);
                     outcome.scheduled += sub.len;
                     outcome.transfers += 1;
                     outcome.finish = Some(outcome.finish.map_or(finish, |f| f.max(finish)));
-                    core.report.prefetch_transfers += 1;
-                    core.report.prefetch_bytes += sub.len;
-                    core.report.tiers[dst.index()].prefetched_bytes += sub.len;
                 }
             }
         }
@@ -1182,7 +1084,6 @@ impl<P: PrefetchPolicy> Simulation<P> {
         let (process, app) = (self.scripts[r].process, self.scripts[r].app);
         match op {
             Op::Compute(d) => {
-                self.core.report.compute_time += d;
                 let t = self.core.now.after(d);
                 self.push(t, EventKind::RankReady(rank));
             }
@@ -1231,6 +1132,15 @@ impl<P: PrefetchPolicy> Simulation<P> {
     /// Runs to completion, returning the report and the policy (so callers
     /// can inspect learned state).
     pub fn run(mut self) -> (SimReport, P) {
+        self.run_events();
+        let rank_finish = std::mem::take(&mut self.rank_finish);
+        let report = self.core.finalize_report(self.policy.name(), rank_finish);
+        (report, self.policy)
+    }
+
+    /// Dispatches every calendar event, then the post-run policy hook.
+    #[inline]
+    fn run_events(&mut self) {
         while let Some(Reverse(entry)) = self.heap.pop() {
             debug_assert!(entry.time >= self.core.now, "time went backwards");
             self.core.now = entry.time;
@@ -1279,8 +1189,6 @@ impl<P: PrefetchPolicy> Simulation<P> {
         // loop has drained: anything it spawns is dropped, not executed.
         self.policy.on_finish(self.core.now, &mut SimCtl { core: &mut self.core });
         self.core.spawned.clear();
-        let report = self.core.finalize_report(self.policy.name(), self.rank_finish);
-        (report, self.policy)
     }
 }
 
@@ -1289,6 +1197,7 @@ mod tests {
     use super::*;
     use crate::policy::NoPrefetch;
     use crate::script::ScriptBuilder;
+    use tiers::faults::FaultStats;
     use tiers::ids::{AppId, ProcessId};
     use tiers::units::{gib, mib, MIB};
 
@@ -1549,38 +1458,83 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
     }
 
+    /// Runs `sim` to completion, returning its report and what its fault
+    /// plan injected (all zero on fault-free runs).
+    fn run_with_plan<P: PrefetchPolicy>(mut sim: Simulation<P>) -> (SimReport, FaultStats) {
+        sim.run_events();
+        let stats = sim.core.faults.as_ref().map(FaultPlan::stats).unwrap_or_default();
+        let rank_finish = std::mem::take(&mut sim.rank_finish);
+        (sim.core.finalize_report(sim.policy.name(), rank_finish), stats)
+    }
+
     #[test]
     fn enabled_recorder_observes_without_perturbing_the_run() {
-        let build = |rec: obs::Recorder| {
-            let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
-                .open(FileId(0))
-                .timestep_reads(FileId(0), 0, MIB, 16, Duration::from_millis(20))
-                .close(FileId(0))
-                .build()];
-            Simulation::new(
-                config().with_obs(rec),
-                one_file(mib(16)),
-                scripts,
-                Readahead { window: MIB },
-            )
-        };
-        let rec = obs::Recorder::enabled();
-        let (observed, _) = build(rec.clone()).run();
-        let (plain, _) = build(obs::Recorder::disabled()).run();
-        // Observation-free: the simulated run is byte-identical either way
-        // (SimReport has no PartialEq; Debug formatting covers every field).
-        assert_eq!(format!("{observed:?}"), format!("{plain:?}"));
-        let report = rec.report();
-        assert!(report.counter("sim.fetch.bytes{from=3,to=0}").unwrap_or(0) > 0);
-        assert!(report.histogram("sim.fetch.transfer_ns{from=3,to=0}").is_some());
-        let latency = report.histogram("sim.read.latency_ns").unwrap();
-        assert!(latency.count > 0);
-        // The report's histogram books the same samples, bucket for bucket.
-        assert_eq!(&observed.read_latency, latency);
-        // Determinism of the artifact itself.
-        let rec2 = obs::Recorder::enabled();
-        let _ = build(rec2.clone()).run();
-        assert_eq!(rec2.report().to_json(), report.to_json());
+        // Second input: op and event faults, plus a RAM outage over data a
+        // deeper readahead already cached (degraded reads) while later
+        // fetches re-route to NVMe.
+        let chaos = tiers::faults::FaultConfig::with_seed(1)
+            .transient(0.2)
+            .permanent(0.1)
+            .offline_window(TierId(0), Timestamp::from_millis(100), Timestamp::from_millis(200))
+            .event_faults(0.05, 0.05, Duration::from_millis(2));
+        for (faults, window) in [(None, MIB), (Some(chaos), 4 * MIB)] {
+            let build = |rec: obs::Recorder| {
+                let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
+                    .open(FileId(0))
+                    .timestep_reads(FileId(0), 0, MIB, 16, Duration::from_millis(20))
+                    .close(FileId(0))
+                    .build()];
+                let mut config = config().with_obs(rec);
+                if let Some(f) = &faults {
+                    config = config.with_faults(f.clone());
+                }
+                Simulation::new(config, one_file(mib(16)), scripts, Readahead { window })
+            };
+            let rec = obs::Recorder::enabled();
+            let (observed, plan) = run_with_plan(build(rec.clone()));
+            let (plain, _) = build(obs::Recorder::disabled()).run();
+            // Observation-free: the simulated run is byte-identical either
+            // way (SimReport has no PartialEq; Debug covers every field).
+            assert_eq!(format!("{observed:?}"), format!("{plain:?}"));
+            let report = rec.report();
+            assert!(report.counter("sim.fetch.bytes{from=3,to=0}").unwrap_or(0) > 0);
+            assert!(report.histogram("sim.fetch.transfer_ns{from=3,to=0}").is_some());
+            let latency = report.histogram("sim.read.latency_ns").unwrap();
+            assert!(latency.count > 0);
+            // The report's histogram books the same samples, bucket for bucket.
+            assert_eq!(&observed.read_latency, latency);
+            // Both sinks book every fault fact.
+            let c = |key: &str| report.counter(key).unwrap_or(0);
+            let per_tier =
+                |key: &str| (0..4).map(|t| c(&format!("{key}{{tier={t}}}"))).sum::<u64>();
+            let f = observed.faults;
+            let degraded = per_tier("sim.read.degraded");
+            assert_eq!(
+                f.rerouted,
+                per_tier("sim.fetch.rerouted") + per_tier("sim.fetch.src_rerouted") + degraded
+            );
+            assert_eq!(f.abandoned, per_tier("sim.fetch.abandoned"));
+            assert_eq!(f.retried, per_tier("sim.fetch.retries"));
+            assert_eq!(c("sim.notify.dropped"), plan.events_dropped);
+            assert_eq!(c("sim.notify.delayed"), plan.events_delayed);
+            // The report's total is every op fault rolled plus every
+            // notification the obs sink saw dropped or delayed.
+            assert_eq!(
+                f.injected,
+                plan.transient + plan.permanent + c("sim.notify.dropped") + c("sim.notify.delayed")
+            );
+            if faults.is_some() {
+                assert!(degraded > 0, "the outage must catch cached bytes: {f:?}");
+                assert!(f.retried > 0 && f.abandoned > 0, "{f:?}");
+                assert!(plan.events_dropped + plan.events_delayed > 0, "{plan:?}");
+            } else {
+                assert!(!f.any());
+            }
+            // Determinism of the artifact itself.
+            let rec2 = obs::Recorder::enabled();
+            let _ = build(rec2.clone()).run();
+            assert_eq!(rec2.report().to_json(), report.to_json());
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@ use tiers::units::fmt_bytes;
 /// across repeated runs with the same seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Faults injected: op failures + dropped/delayed events.
+    /// Faults injected: op failures + dropped/delayed events. Read from
+    /// [`tiers::faults::FaultPlan::stats`] when the run ends.
     pub injected: u64,
     /// Transfer retry attempts after transient failures.
     pub retried: u64,
@@ -71,10 +72,6 @@ pub struct SimReport {
     /// Distribution of per-read blocked time, in nanoseconds (the same
     /// samples as the `sim.read.latency_ns` histogram).
     pub read_latency: obs::Histogram,
-    /// Sum of scripted compute time actually executed.
-    pub compute_time: Duration,
-    /// Prefetch transfers issued.
-    pub prefetch_transfers: u64,
     /// Bytes moved by prefetching (fetches + promotions + demotions).
     pub prefetch_bytes: u64,
     /// Bytes a policy asked to fetch that were denied (no capacity).

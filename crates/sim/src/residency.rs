@@ -103,24 +103,10 @@ impl ResidencyMap {
 
     /// Splits a read request across tiers: walking `tiers` in the given
     /// order (fastest first), each tier serves whatever part of the
-    /// remaining request it holds; leftovers fall to the final entry of the
-    /// result under `backing`. Returns `(tier, sub-ranges, bytes)` triples;
-    /// every byte of `range` appears exactly once.
-    pub fn plan_read(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        tiers: &[TierId],
-        backing: TierId,
-    ) -> Vec<(TierId, Vec<ByteRange>, u64)> {
-        let mut plan = ReadPlan::new();
-        self.plan_read_into(file, range, tiers, backing, &mut plan);
-        plan.entries[..plan.live].to_vec()
-    }
-
-    /// Allocation-free form of [`ResidencyMap::plan_read`]: results land in
+    /// remaining request it holds; leftovers fall to the final entry under
+    /// `backing`. Results are `(tier, sub-ranges, bytes)` triples in
     /// `plan`'s pooled buffers (the simulator keeps one per core and reuses
-    /// it for every read event).
+    /// it for every read event); every byte of `range` appears exactly once.
     pub fn plan_read_into(
         &self,
         file: FileId,
@@ -291,7 +277,9 @@ mod tests {
         m.add(F, ByteRange::new(100, 100), NVME);
         // [250, 300) on BB; [200,250) nowhere.
         m.add(F, ByteRange::new(250, 50), BB);
-        let plan = m.plan_read(F, ByteRange::new(0, 300), &[RAM, NVME, BB, PFS], PFS);
+        let mut plan = ReadPlan::new();
+        m.plan_read_into(F, ByteRange::new(0, 300), &[RAM, NVME, BB, PFS], PFS, &mut plan);
+        let plan = plan.entries();
         let total: u64 = plan.iter().map(|(_, _, b)| b).sum();
         assert_eq!(total, 300);
         assert_eq!(plan[0].0, RAM);
@@ -308,7 +296,9 @@ mod tests {
     #[test]
     fn plan_read_all_miss_goes_to_backing() {
         let m = ResidencyMap::new();
-        let plan = m.plan_read(F, ByteRange::new(10, 20), &[RAM, NVME], PFS);
+        let mut plan = ReadPlan::new();
+        m.plan_read_into(F, ByteRange::new(10, 20), &[RAM, NVME], PFS, &mut plan);
+        let plan = plan.entries();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0], (PFS, vec![ByteRange::new(10, 20)], 20));
     }
@@ -331,7 +321,7 @@ mod tests {
     }
 
     proptest! {
-        /// Exclusivity holds and plan_read partitions requests under random
+        /// Exclusivity holds and plan_read_into partitions requests under random
         /// add/remove/invalidate sequences.
         #[test]
         fn prop_exclusive_and_partitioning(ops in proptest::collection::vec(
@@ -348,12 +338,13 @@ mod tests {
                 prop_assert!(m.check_exclusive());
             }
             let req = ByteRange::new(0, 700);
-            let plan = m.plan_read(F, req, &tiers, PFS);
-            let total: u64 = plan.iter().map(|(_, _, b)| b).sum();
+            let mut plan = ReadPlan::new();
+            m.plan_read_into(F, req, &tiers, PFS, &mut plan);
+            let total: u64 = plan.entries().iter().map(|(_, _, b)| b).sum();
             prop_assert_eq!(total, req.len);
             // No overlap across plan entries.
             let mut seen = IntervalSet::new();
-            for (_, ranges, _) in &plan {
+            for (_, ranges, _) in plan.entries() {
                 for r in ranges {
                     prop_assert_eq!(seen.insert(*r), r.len, "byte served twice");
                 }

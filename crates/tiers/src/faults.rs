@@ -27,6 +27,7 @@ use bytes::Bytes;
 use crate::backend::StorageBackend;
 use crate::error::{Result, TierError};
 use crate::ids::{FileId, TierId};
+use crate::mover::RetryPolicy;
 use crate::range::ByteRange;
 use crate::time::Timestamp;
 
@@ -62,11 +63,6 @@ pub struct FaultConfig {
     pub transient_op_p: f64,
     /// Probability a data-movement operation fails permanently.
     pub permanent_op_p: f64,
-    /// Bounded retry budget for transient failures.
-    pub max_retries: u32,
-    /// Base backoff after the first transient failure; doubles per attempt.
-    /// Charged to the *simulated* clock by the simulator (never slept).
-    pub retry_backoff: Duration,
     /// Tier offline windows.
     pub offline: Vec<OfflineWindow>,
     /// Per-tier bandwidth slowdown factors (`>= 1.0` divides bandwidth).
@@ -85,8 +81,6 @@ impl Default for FaultConfig {
             seed: 0,
             transient_op_p: 0.0,
             permanent_op_p: 0.0,
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(10),
             offline: Vec::new(),
             slowdowns: Vec::new(),
             event_drop_p: 0.0,
@@ -198,6 +192,17 @@ pub enum EventFault {
     Delay(Duration),
 }
 
+/// How one data-movement operation ended under the plan's retry schedule.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetriedOp {
+    /// Transient failures retried.
+    pub retries: u32,
+    /// Backoff accumulated across those retries (accounted, never slept).
+    pub backoff: Duration,
+    /// True if a permanent failure or an exhausted retry budget gave up.
+    pub abandoned: bool,
+}
+
 /// Counters describing what a plan has injected so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -260,10 +265,26 @@ impl FaultPlan {
             .map_or(1.0, |&(_, f)| f)
     }
 
-    /// Backoff before retry number `attempt` (0-based): exponential from
-    /// [`FaultConfig::retry_backoff`], capped at 2^10 doublings.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        self.cfg.retry_backoff * 2u32.saturating_pow(attempt.min(10))
+    /// Rolls one data-movement operation to its end: transient failures
+    /// retry on [`RetryPolicy::default`], the schedule the real server's
+    /// I/O clients use, until its budget runs out; a permanent failure
+    /// gives up at once. The backoff is accounted, never slept.
+    pub fn roll_op_with_retry(&mut self) -> RetriedOp {
+        let retry = RetryPolicy::default();
+        let mut op = RetriedOp::default();
+        loop {
+            match self.roll_op() {
+                OpFault::None => return op,
+                OpFault::Transient if op.retries < retry.max_retries => {
+                    op.backoff += retry.backoff(op.retries);
+                    op.retries += 1;
+                }
+                OpFault::Transient | OpFault::Permanent => {
+                    op.abandoned = true;
+                    return op;
+                }
+            }
+        }
     }
 
     /// Rolls the fate of one data-movement operation. Zero-probability
@@ -477,13 +498,21 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let plan = FaultPlan::new(FaultConfig::with_seed(0));
-        let base = plan.config().retry_backoff;
-        assert_eq!(plan.backoff(0), base);
-        assert_eq!(plan.backoff(1), base * 2);
-        assert_eq!(plan.backoff(3), base * 8);
-        assert_eq!(plan.backoff(10), plan.backoff(99), "doubling caps");
+    fn retried_ops_spend_the_budget_then_give_up() {
+        let retry = RetryPolicy::default();
+        let mut always = FaultPlan::new(FaultConfig::with_seed(0).transient(1.0));
+        let op = always.roll_op_with_retry();
+        assert_eq!(op.retries, retry.max_retries);
+        assert_eq!(op.backoff, (0..retry.max_retries).map(|a| retry.backoff(a)).sum());
+        assert!(op.abandoned);
+        assert_eq!(always.stats().transient, u64::from(retry.max_retries) + 1);
+        let mut never = FaultPlan::new(FaultConfig::with_seed(0).permanent(1.0));
+        assert_eq!(
+            never.roll_op_with_retry(),
+            RetriedOp { retries: 0, backoff: Duration::ZERO, abandoned: true }
+        );
+        let mut inert = FaultPlan::new(FaultConfig::with_seed(0));
+        assert_eq!(inert.roll_op_with_retry(), RetriedOp::default());
     }
 
     #[test]

@@ -4,14 +4,18 @@
 #   scripts/verify.sh
 #
 # Stages:
-#   1. tier-1: cargo build --release && cargo test -q  (ROADMAP.md)
+#   1. tier-1: cargo build --release && cargo test -q  (ROADMAP.md), then
+#      the other workspace members' tests (cargo test --workspace
+#      --exclude hfetch -q, so the root suite runs once): the member
+#      crates' unit and integration suites (golden traces, thread-count
+#      equivalence, fault invariants, obs-on/off agreement) run only there.
 #   2. clippy: the whole workspace must be warning-free, test, bench and
 #      example targets included.
 #   3. smoke all_figures: seconds-scale figure regeneration through the
 #      parallel scenario runner, into a throwaway results dir so committed
 #      bench_results/ artifacts are not clobbered by smoke-scale numbers.
 #   4. sim_kernel bench in --test mode: one iteration per measurement,
-#      exercising the FxHash/std and raw/coalesced ablations plus the
+#      exercising the DES throughput and obs_{off,on} measurements plus the
 #      BENCH_sim_kernel.json emission path.
 #   5. ingest bench smoke: the telemetry-ingestion benchmark measures the
 #      auditor's one ingestion path at smoke scale (events/s, locks/event;
@@ -22,9 +26,11 @@
 #   6. chaos determinism: the fault-injected scenario grid runs twice with
 #      the same seed (at different worker-thread counts) and the two
 #      fault-counter reports are diffed byte-for-byte; any nondeterminism
-#      in the fault layer fails the build. The binary itself exits
-#      non-zero if graceful degradation (retries/reroutes/abandons) was
-#      not observed.
+#      in the fault layer fails the build. The report is also diffed
+#      against the committed seed-42 golden
+#      (crates/bench/tests/golden/chaos_seed42.txt), which pins the fault
+#      counters themselves. The binary itself exits non-zero if graceful
+#      degradation (retries/reroutes/abandons) was not observed.
 #   7. trace determinism: the fig5 decision trace (--bin trace, with
 #      --format perfetto) runs twice at different worker-thread counts and
 #      all four artifacts (JSONL decision trace, merged ObsReport,
@@ -48,6 +54,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== workspace tests: cargo test --workspace --exclude hfetch -q =="
+cargo test --workspace --exclude hfetch -q
 
 echo "== clippy: workspace, all targets, deny warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -86,6 +95,10 @@ cargo run -p hfetch-bench --release --bin chaos -- \
     --seed "$CHAOS_SEED" --out "$SMOKE_DIR/chaos_b.txt" > /dev/null
 if ! diff -u "$SMOKE_DIR/chaos_a.txt" "$SMOKE_DIR/chaos_b.txt"; then
     echo "chaos scenario is nondeterministic across runs/thread counts" >&2
+    exit 1
+fi
+if ! diff -u crates/bench/tests/golden/chaos_seed42.txt "$SMOKE_DIR/chaos_a.txt"; then
+    echo "chaos fault counters drifted from the committed seed-$CHAOS_SEED golden" >&2
     exit 1
 fi
 
