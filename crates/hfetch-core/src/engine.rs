@@ -495,6 +495,11 @@ impl PlacementEngine {
         self.placed.get(&segment).map(|p| self.tiers[p.tier_idx].id)
     }
 
+    /// The score `segment` is placed by, if it is placed.
+    pub fn score_of(&self, segment: SegmentId) -> Option<f64> {
+        self.placed.get(&segment).map(|p| p.key.score())
+    }
+
     /// Every placed segment with the tier it occupies, in no particular
     /// order.
     pub fn placements(&self) -> impl Iterator<Item = (SegmentId, TierId)> + '_ {

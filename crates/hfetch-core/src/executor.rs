@@ -8,6 +8,11 @@
 //! denied past the retry budget, abandoned, failed or rerouted — the segment
 //! leaves the model, and a `Move` drops its source copy, so the model does
 //! not drift from residency.
+//!
+//! Demand comes first: a fetch or move that places its segment at no more
+//! than the epoch base score is *staging*, and issues only while no demand
+//! action waits. Evictions run at once. An action a later pass superseded
+//! is dropped when its turn comes.
 
 use std::collections::VecDeque;
 
@@ -31,11 +36,11 @@ pub trait Transfers {
 
     /// Starts moving `range` of a `Fetch` or `Move` into its destination;
     /// each transfer the outcome counts is later reported as done or failed.
-    /// `engine` is the current model (the decision spans, and any later
-    /// placement that superseded the action). `None`: the segment is busy
-    /// with an earlier movement, and the action waits without a retry.
+    /// The action is current (the model places its segment on its target)
+    /// and no earlier transfer of its segment is in flight; `engine` gives
+    /// the decision's span.
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
-        -> Option<FetchOutcome>;
+        -> FetchOutcome;
 
     /// Drops `range` of `segment` from cache tier `tier`.
     fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId);
@@ -45,22 +50,38 @@ pub trait Transfers {
     fn invalidate(&mut self, _segment: SegmentId, _range: ByteRange) {}
 }
 
-/// Retry budget for capacity-denied actions. A denied action goes to the
-/// back of the queue, but one `pump` sweep pops up to `queue.len() + 8`
-/// times, so with a short queue and free transfer slots it can spend all
-/// the retries in one call, with no time passing. Retries outlast a
-/// transfer only when the sweep stops early because the slots are full.
+/// Retry budget for capacity-denied actions. A denied action is parked
+/// until the next transfer completes, or until the next tick when nothing
+/// is in flight, so each retry meets capacity that may have changed.
 const RETRIES: u8 = 8;
+
+/// A queued action, with its remaining retries and its class.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    action: PlacementAction,
+    retries: u8,
+    staging: bool,
+}
 
 /// Drives the placement engine and executes its plan.
 pub struct Executor {
     engine: PlacementEngine,
     cfg: HFetchConfig,
     cache_tiers: Vec<TierId>,
-    /// Actions waiting for a transfer slot, with their remaining retries.
-    queue: VecDeque<(PlacementAction, u8)>,
+    /// Demand actions waiting for a transfer slot, oldest first.
+    demand: VecDeque<Queued>,
+    /// Staging actions, oldest first: they issue only while `demand` is
+    /// empty.
+    staging: VecDeque<Queued>,
+    /// Actions denied capacity, or whose segment was busy, waiting for a
+    /// completion to requeue them.
+    parked: Vec<Queued>,
     /// Transfers started and not yet reported.
     inflight: usize,
+    /// The segments those transfers move, with their count. A segment
+    /// moves one action at a time, so its movements happen in plan order
+    /// and an eviction never discards bytes that land afterwards.
+    busy: dht::FxHashMap<SegmentId, u32>,
     executed: u64,
     denied: u64,
 }
@@ -76,8 +97,11 @@ impl Executor {
             engine,
             cfg: cfg.clone(),
             cache_tiers: hierarchy.iter_cache().map(|(id, _)| id).collect(),
-            queue: VecDeque::new(),
+            demand: VecDeque::new(),
+            staging: VecDeque::new(),
+            parked: Vec::new(),
             inflight: 0,
+            busy: Default::default(),
             executed: 0,
             denied: 0,
         }
@@ -108,29 +132,41 @@ impl Executor {
         run
     }
 
-    /// Periodic trigger: mirrors offline tiers, then runs the engine over
-    /// pending updates, or else retries queued actions. Returns whether the
-    /// executor is then idle (nothing queued, no transfer in flight).
+    /// Periodic trigger: mirrors offline tiers, requeues parked actions if
+    /// nothing is in flight to complete, then runs the engine over pending
+    /// updates, or else issues queued actions. Returns whether the executor
+    /// is then idle (nothing queued or parked, no transfer in flight).
     pub fn tick(&mut self, auditor: &Auditor, now: Timestamp, io: &mut impl Transfers) -> bool {
         self.sync_offline(io);
+        if self.inflight == 0 {
+            self.unpark(io);
+        }
         if auditor.pending_updates() > 0 {
             self.run(auditor, now, io);
-        } else if !self.queue.is_empty() {
+        } else {
             self.pump(io);
         }
-        self.queue.is_empty() && self.inflight == 0
+        self.demand.is_empty() && self.staging.is_empty() && self.parked.is_empty() && self.inflight == 0
     }
 
-    /// A transfer landed: frees its slot and issues queued actions.
-    pub fn transfer_done(&mut self, io: &mut impl Transfers) {
+    /// A transfer of `segment` landed: frees its slot, requeues parked
+    /// actions and issues queued ones.
+    pub fn transfer_done(&mut self, segment: SegmentId, io: &mut impl Transfers) {
         self.inflight = self.inflight.saturating_sub(1);
+        if let Some(count) = self.busy.get_mut(&segment) {
+            *count -= 1;
+            if *count == 0 {
+                self.busy.remove(&segment);
+            }
+        }
+        self.unpark(io);
         self.pump(io);
     }
 
     /// A transfer of `action` failed: reconciles, then frees its slot.
     pub fn transfer_failed(&mut self, action: PlacementAction, io: &mut impl Transfers) {
         self.reconcile(action, io);
-        self.transfer_done(io);
+        self.transfer_done(action.target().0, io);
     }
 
     /// Epoch end: when the last reader closed `file`, drops its segments.
@@ -211,51 +247,112 @@ impl Executor {
         }
     }
 
+    /// Runs evictions and queues the rest by class: a `Fetch` or `Move`
+    /// that places its segment at no more than the epoch base score is
+    /// staging, all else is demand.
     fn execute(&mut self, actions: Vec<PlacementAction>, io: &mut impl Transfers) {
-        self.queue.extend(actions.into_iter().map(|a| (a, RETRIES)));
+        let base = self.cfg.epoch_base_score;
+        for action in actions {
+            let (segment, _) = action.target();
+            let staging = self.engine.score_of(segment).is_some_and(|score| score <= base);
+            self.admit(Queued { action, retries: RETRIES, staging }, io);
+        }
         self.pump(io);
     }
 
-    /// Issues queued actions in one sweep while transfer slots are free.
-    /// Evictions are metadata-only and execute at once.
-    fn pump(&mut self, io: &mut impl Transfers) {
-        let mut budget = self.queue.len() + 8; // one sweep, no spinning
-        while self.inflight < self.cfg.max_inflight_fetches && budget > 0 {
-            budget -= 1;
-            let Some((action, retries)) = self.queue.pop_front() else { break };
-            let (segment, tier) = action.target();
-            let range = self.range_of(segment, io);
-            if let PlacementAction::Evict { .. } = action {
-                io.discard(segment, range, tier);
-                self.executed += 1;
-                continue;
-            }
-            let Some(outcome) = io.fetch(action, range, &self.engine) else {
-                self.queue.push_back((action, retries));
-                continue;
-            };
-            self.inflight += outcome.transfers as usize;
-            if outcome.scheduled == 0 && outcome.abandoned > 0 {
-                // Abandoned by a fault: a retry would meet the same fault.
-                self.reconcile(action, io);
-                continue;
-            }
-            if outcome.rerouted_to.is_some() {
-                // Landing on a tier the model did not plan: a later pass
-                // re-places the segment from fresh scores.
-                self.engine.remove_segment(segment);
-            }
-            if outcome.denied > 0 && outcome.scheduled == 0 {
-                if retries > 0 {
-                    self.queue.push_back((action, retries - 1));
-                } else {
-                    self.denied += 1;
-                    self.reconcile(action, io);
-                }
-                continue;
-            }
-            self.executed += 1;
+    /// Runs an eviction, or queues a fetch or move at the tail of its class.
+    fn admit(&mut self, queued: Queued, io: &mut impl Transfers) {
+        match queued.action {
+            PlacementAction::Evict { .. } => self.evict(queued, io),
+            _ if queued.staging => self.staging.push_back(queued),
+            _ => self.demand.push_back(queued),
         }
+    }
+
+    /// Retries every parked action.
+    fn unpark(&mut self, io: &mut impl Transfers) {
+        for queued in std::mem::take(&mut self.parked) {
+            self.admit(queued, io);
+        }
+    }
+
+    /// An eviction is metadata-only and runs at once, without a transfer
+    /// slot. It waits for a completion while a transfer of its segment is in
+    /// flight, which would otherwise land after the discard, and it is
+    /// dropped once a later pass placed the segment back on the tier.
+    fn evict(&mut self, queued: Queued, io: &mut impl Transfers) {
+        let (segment, from) = queued.action.target();
+        if self.engine.location(segment) == Some(from) {
+            self.cfg.obs.counter_inc("executor.superseded", obs::Label::None);
+            return;
+        }
+        if self.busy.contains_key(&segment) {
+            self.parked.push(queued);
+            return;
+        }
+        io.discard(segment, self.range_of(segment, io), from);
+        self.executed += 1;
+    }
+
+    /// Issues queued actions while transfer slots are free: demand first,
+    /// staging only once no demand action waits.
+    fn pump(&mut self, io: &mut impl Transfers) {
+        while self.inflight < self.cfg.max_inflight_fetches {
+            let Some(queued) = self.demand.pop_front().or_else(|| self.staging.pop_front()) else {
+                break;
+            };
+            self.issue(queued, io);
+        }
+    }
+
+    /// Issues one `Fetch` or `Move`, unless a later pass superseded it: the
+    /// model no longer places its segment on its target. A superseded `Move`
+    /// whose segment left the model drops its source copy, which nothing
+    /// else would free.
+    fn issue(&mut self, queued: Queued, io: &mut impl Transfers) {
+        let action = queued.action;
+        let (segment, to) = action.target();
+        let placed = self.engine.location(segment);
+        let orphaned = action.moved_from().filter(|_| placed.is_none());
+        if placed != Some(to) && orphaned.is_none() {
+            self.cfg.obs.counter_inc("executor.superseded", obs::Label::None);
+            return;
+        }
+        if self.busy.contains_key(&segment) {
+            self.parked.push(queued);
+            return;
+        }
+        let range = self.range_of(segment, io);
+        if let Some(from) = orphaned {
+            io.discard(segment, range, from);
+            self.cfg.obs.counter_inc("executor.superseded", obs::Label::None);
+            return;
+        }
+        let outcome = io.fetch(action, range, &self.engine);
+        self.inflight += outcome.transfers as usize;
+        if outcome.transfers > 0 {
+            *self.busy.entry(segment).or_default() += outcome.transfers;
+        }
+        if outcome.scheduled == 0 && outcome.abandoned > 0 {
+            // Abandoned by a fault: a retry would meet the same fault.
+            self.reconcile(action, io);
+            return;
+        }
+        if outcome.rerouted_to.is_some() {
+            // Landing on a tier the model did not plan: a later pass
+            // re-places the segment from fresh scores.
+            self.engine.remove_segment(segment);
+        }
+        if outcome.denied > 0 && outcome.scheduled == 0 {
+            if queued.retries > 0 {
+                self.parked.push(Queued { retries: queued.retries - 1, ..queued });
+            } else {
+                self.denied += 1;
+                self.reconcile(action, io);
+            }
+            return;
+        }
+        self.executed += 1;
     }
 
     /// The placement will never happen: drop it from the model, or the
@@ -303,10 +400,10 @@ mod tests {
             action: PlacementAction,
             range: ByteRange,
             _engine: &PlacementEngine,
-        ) -> Option<FetchOutcome> {
+        ) -> FetchOutcome {
             self.fetches.push(action);
             let scheduled = FetchOutcome { scheduled: range.len, transfers: 1, ..Default::default() };
-            Some(self.script.get(&action.target().0.index).copied().unwrap_or(scheduled))
+            self.script.get(&action.target().0.index).copied().unwrap_or(scheduled)
         }
 
         fn discard(&mut self, segment: SegmentId, _range: ByteRange, tier: TierId) {
@@ -339,44 +436,75 @@ mod tests {
         exec.execute(actions, io);
     }
 
+    fn queued(exec: &Executor) -> usize {
+        exec.demand.len() + exec.staging.len()
+    }
+
     #[test]
-    fn denied_action_requeues_and_succeeds_after_a_completion() {
+    fn denied_action_parks_and_succeeds_after_a_completion() {
         let mut exec = executor(1);
         let mut io = Fake::default();
         io.script.insert(0, denied());
         place(&mut exec, &[0, 1], &mut io);
-        // Segment 0 was denied and requeued behind segment 1, which took
-        // the only slot.
+        // Segment 0 was denied and parked; segment 1 took the only slot.
         assert_eq!(io.fetches.len(), 2);
-        assert_eq!(exec.queue.len(), 1);
+        assert_eq!((queued(&exec), exec.parked.len()), (0, 1));
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
         // The completion frees space: the retry lands.
         io.script.clear();
-        exec.transfer_done(&mut io);
+        exec.transfer_done(seg(1), &mut io);
         assert_eq!(io.fetches.len(), 3);
-        assert!(exec.queue.is_empty());
+        assert!(queued(&exec) == 0 && exec.parked.is_empty());
         assert_eq!((exec.executed(), exec.denied(), exec.inflight), (2, 0, 1));
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
         exec.engine.check_invariants().unwrap();
     }
 
     #[test]
+    fn a_denied_action_retries_once_per_completion() {
+        let mut exec = executor(4);
+        let mut io = Fake::default();
+        io.script.insert(0, denied());
+        place(&mut exec, &[0, 1, 2], &mut io);
+        assert_eq!(io.fetches.len(), 3, "no retry before time passes");
+        for done in 1..=2 {
+            exec.transfer_done(seg(done as u64), &mut io);
+            assert_eq!(io.fetches.len(), 3 + done, "one retry per completion");
+        }
+        // Nothing left in flight: each tick retries once.
+        let auditor = Auditor::new(exec.cfg.clone());
+        assert!(!exec.tick(&auditor, Timestamp::ZERO, &mut io));
+        assert_eq!(io.fetches.len(), 6);
+        assert_eq!(exec.parked[0].retries, RETRIES - 4, "the first try and three retries");
+    }
+
+    /// Every retry waits for a completion or an idle tick, so the budget
+    /// lasts `RETRIES` such events.
+    #[test]
     fn exhausted_retries_drop_the_segment_and_a_move_discards_its_source() {
         let mut exec = executor(4);
         let mut io = Fake::default();
         place(&mut exec, &[0], &mut io);
-        exec.transfer_done(&mut io);
+        exec.transfer_done(seg(0), &mut io);
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
         // RAM goes offline: the evacuation move to NVMe is always denied.
         io.offline.push(TierId(0));
         io.script.insert(0, denied());
         exec.sync_offline(&mut io);
-        let moves = io.fetches.iter().filter(|a| matches!(a, PlacementAction::Move { .. }));
-        assert_eq!(moves.count(), 1 + RETRIES as usize, "first try plus every retry");
+        let moves = |io: &Fake| {
+            io.fetches.iter().filter(|a| matches!(a, PlacementAction::Move { .. })).count()
+        };
+        assert_eq!(moves(&io), 1, "no retry in the same sweep");
+        for retry in 1..=RETRIES as usize {
+            assert_eq!(exec.denied(), 0);
+            exec.inflight += 1;
+            exec.transfer_done(seg(9), &mut io);
+            assert_eq!(moves(&io), 1 + retry, "one retry per completion");
+        }
         assert_eq!(exec.denied(), 1);
         assert_eq!(exec.engine.location(seg(0)), None, "the segment left the model");
         assert_eq!(io.discards, vec![(seg(0), TierId(0))], "the source copy is dropped");
-        assert!(exec.queue.is_empty() && exec.inflight == 0);
+        assert!(queued(&exec) == 0 && exec.parked.is_empty() && exec.inflight == 0);
         exec.engine.check_invariants().unwrap();
     }
 
@@ -389,7 +517,7 @@ mod tests {
         assert_eq!(io.fetches.len(), 1, "no retry against the same fault");
         assert_eq!(exec.engine.location(seg(0)), None);
         assert!(io.discards.is_empty(), "a fetch has no source copy to drop");
-        assert!(exec.queue.is_empty() && exec.inflight == 0);
+        assert!(queued(&exec) == 0 && exec.inflight == 0);
         assert_eq!(exec.executed(), 0);
     }
 
@@ -433,40 +561,131 @@ mod tests {
     }
 
     #[test]
-    fn busy_segment_waits_without_spending_retries() {
-        struct Busy(Fake, bool);
-        impl Transfers for Busy {
-            fn file_size(&self, file: FileId) -> u64 {
-                self.0.file_size(file)
-            }
-            fn tier_online(&self, tier: TierId) -> bool {
-                self.0.tier_online(tier)
-            }
-            fn fetch(
-                &mut self,
-                action: PlacementAction,
-                range: ByteRange,
-                engine: &PlacementEngine,
-            ) -> Option<FetchOutcome> {
-                if self.1 {
-                    return None;
+    fn a_busy_segment_waits_for_its_transfer_and_so_does_its_eviction() {
+        let mut exec = executor(4);
+        let mut io = Fake::default();
+        place(&mut exec, &[0], &mut io);
+        // RAM goes offline while the fetch is in flight: the evacuation
+        // move waits for it, without spending a retry.
+        io.offline.push(TierId(0));
+        exec.sync_offline(&mut io);
+        assert_eq!(io.fetches.len(), 1);
+        assert_eq!(exec.parked.iter().map(|q| q.retries).collect::<Vec<_>>(), vec![RETRIES]);
+        exec.transfer_done(seg(0), &mut io);
+        assert_eq!(io.fetches.len(), 2, "the move issues once the fetch landed");
+        // The epoch ends while the move is in flight: the eviction waits
+        // for the landing, or the bytes would land after the discard.
+        let evicted = exec.engine.evict_file(FileId(0));
+        exec.execute(evicted, &mut io);
+        assert!(io.discards.is_empty());
+        exec.transfer_done(seg(0), &mut io);
+        assert_eq!(io.discards, vec![(seg(0), TierId(1))]);
+        assert!(exec.tick(&Auditor::new(exec.cfg.clone()), Timestamp::ZERO, &mut io));
+    }
+
+    /// Staged (base-score) segments the engine placed, in index order.
+    fn stage(exec: &mut Executor, indices: &[u64], io: &mut Fake) {
+        let base = exec.cfg.epoch_base_score;
+        let updates: Vec<_> = indices
+            .iter()
+            .map(|&i| ScoreUpdate { segment: seg(i), score: base, size: MIB, anticipated: true })
+            .collect();
+        let actions = exec.engine.run(updates, Timestamp::ZERO);
+        exec.execute(actions, io);
+    }
+
+    #[test]
+    fn staging_waits_behind_demand_queued_after_it() {
+        let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+        let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(mib(8), mib(8), mib(8)));
+        let mut io = Fake::default();
+        stage(&mut exec, &[0, 1, 2], &mut io);
+        place(&mut exec, &[3, 4], &mut io);
+        // Staged 0 took the free slot; 3 and 4 then overtake 1 and 2.
+        for done in [0, 3, 4, 1] {
+            exec.transfer_done(seg(done), &mut io);
+        }
+        let order: Vec<u64> = io.fetches.iter().map(|a| a.target().0.index).collect();
+        assert_eq!(order, vec![0, 3, 4, 1, 2]);
+    }
+
+    #[test]
+    fn superseded_actions_are_dropped_and_an_orphaned_move_frees_its_source() {
+        let mut exec = executor(1);
+        let mut io = Fake::default();
+        place(&mut exec, &[0], &mut io);
+        exec.transfer_done(seg(0), &mut io);
+        assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
+        // The slot is taken; a hotter segment demotes 0 (a queued move),
+        // and 5 is queued too.
+        exec.inflight += 1;
+        let hot = |i| ScoreUpdate { segment: seg(i), score: 100.0, size: MIB, anticipated: true };
+        let actions = exec.engine.run(vec![hot(1), hot(2), hot(5)], Timestamp::ZERO);
+        assert!(actions.iter().any(|a| a.moved_from() == Some(TierId(0))));
+        exec.execute(actions, &mut io);
+        // The file's epoch ends before the slot frees: 0 leaves the model.
+        let evicted = exec.engine.evict_file(FileId(0));
+        exec.execute(evicted, &mut io);
+        let orphan = |io: &Fake| io.discards.iter().filter(|d| **d == (seg(0), TierId(0))).count();
+        assert_eq!(orphan(&io), 0, "the eviction dropped 0 from NVMe, where the model had it");
+        let fetched = io.fetches.len();
+        exec.transfer_done(seg(9), &mut io);
+        assert_eq!(io.fetches.len(), fetched, "superseded actions move nothing");
+        assert!(queued(&exec) == 0 && exec.inflight == 0);
+        assert_eq!(orphan(&io), 1, "the dropped move freed its source copy in RAM");
+    }
+
+    proptest::proptest! {
+        /// Over random streams of passes, completions, denials and ticks,
+        /// a staging action issues only when no demand action is queued:
+        /// within one pump every demand issue precedes every staging
+        /// issue, and a pump that issued staging leaves no demand queued.
+        /// Segments 0..12 are staged at the base score, 12..24 are demand.
+        #[test]
+        fn prop_no_staging_issues_while_demand_waits(
+            steps in proptest::collection::vec((0u64..4, 0u64..24, 0u64..3), 1..80),
+        ) {
+            let mut exec = executor(2);
+            let mut io = Fake::default();
+            let auditor = Auditor::new(exec.cfg.clone());
+            let base = exec.cfg.epoch_base_score;
+            let staged = |a: &PlacementAction| a.target().0.index < 12;
+            for (kind, index, deny) in steps {
+                if deny == 0 {
+                    io.script.insert(index, denied());
+                } else {
+                    io.script.remove(&index);
                 }
-                self.0.fetch(action, range, engine)
-            }
-            fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
-                self.0.discard(segment, range, tier)
+                let before = io.fetches.len();
+                match kind {
+                    0 | 1 => {
+                        let score = if index < 12 { base } else { index as f64 };
+                        let u = ScoreUpdate { segment: seg(index), score, size: MIB, anticipated: true };
+                        let actions = exec.engine.run(vec![u], Timestamp::ZERO);
+                        exec.execute(actions, &mut io);
+                    }
+                    2 => {
+                        let done = exec.busy.keys().min_by_key(|s| s.index).copied();
+                        exec.transfer_done(done.unwrap_or(seg(index)), &mut io);
+                    }
+                    _ => {
+                        exec.tick(&auditor, Timestamp::ZERO, &mut io);
+                    }
+                }
+                let issued = &io.fetches[before..];
+                if let Some(first) = issued.iter().position(staged) {
+                    proptest::prop_assert!(
+                        issued[first..].iter().all(staged),
+                        "demand issued after staging in one pump: {issued:?}"
+                    );
+                    proptest::prop_assert!(
+                        exec.demand.is_empty(),
+                        "staging issued while demand waits: {:?}",
+                        exec.demand
+                    );
+                }
+                proptest::prop_assert!(exec.engine.check_invariants().is_ok());
             }
         }
-        let mut exec = executor(4);
-        let mut io = Busy(Fake::default(), true);
-        let actions = exec.engine.run(
-            vec![ScoreUpdate { segment: seg(0), score: 1.0, size: MIB, anticipated: true }],
-            Timestamp::ZERO,
-        );
-        exec.execute(actions, &mut io);
-        assert_eq!(exec.queue.front().map(|&(_, r)| r), Some(RETRIES));
-        io.1 = false;
-        exec.pump(&mut io);
-        assert_eq!((exec.executed(), exec.inflight), (1, 1));
     }
 }

@@ -60,12 +60,10 @@ impl Transfers for SimCtl<'_> {
         SimCtl::tier_online(self, tier)
     }
 
-    /// Superseded actions run too: the simulator tracks residency and
-    /// in-flight bytes itself.
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
-        -> Option<FetchOutcome> {
+        -> FetchOutcome {
         let (segment, to) = action.target();
-        Some(self.fetch_traced(segment.file, range, to, engine.span_of(segment)))
+        self.fetch_traced(segment.file, range, to, engine.span_of(segment))
     }
 
     fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
@@ -137,8 +135,10 @@ impl PrefetchPolicy for HFetchPolicy {
         Some(self.cfg.reactiveness.interval)
     }
 
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.exec.transfer_done(ctl);
+    fn on_transfer_done(&mut self, done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
+        // A fetch's transfers lie within its segment.
+        let segment = SegmentId::new(done.file, done.range.offset / self.cfg.segment_size);
+        self.exec.transfer_done(segment, ctl);
     }
 
     fn on_finish(&mut self, _now: Timestamp, _ctl: &mut SimCtl<'_>) {
@@ -451,6 +451,81 @@ mod tests {
             app_reads.iter().any(|(parent, _, _)| *parent != 0),
             "at least one read must chain into a prefetch lifecycle"
         );
+    }
+
+    /// HFetch whose `on_finish` lists every cached segment the model does
+    /// not place on the tier that holds it.
+    struct DriftCheck {
+        inner: HFetchPolicy,
+        unplaced: Vec<(SegmentId, TierId)>,
+    }
+
+    impl PrefetchPolicy for DriftCheck {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn on_open(&mut self, f: FileId, p: ProcessId, a: AppId, now: Timestamp, ctl: &mut SimCtl<'_>) {
+            self.inner.on_open(f, p, a, now, ctl);
+        }
+        fn on_read(
+            &mut self,
+            f: FileId,
+            r: ByteRange,
+            p: ProcessId,
+            a: AppId,
+            now: Timestamp,
+            ctl: &mut SimCtl<'_>,
+        ) {
+            self.inner.on_read(f, r, p, a, now, ctl);
+        }
+        fn on_close(&mut self, f: FileId, p: ProcessId, a: AppId, now: Timestamp, ctl: &mut SimCtl<'_>) {
+            self.inner.on_close(f, p, a, now, ctl);
+        }
+        fn on_tick(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
+            self.inner.on_tick(now, ctl);
+        }
+        fn tick_interval(&self) -> Option<Duration> {
+            self.inner.tick_interval()
+        }
+        fn on_transfer_done(&mut self, done: TransferDone, now: Timestamp, ctl: &mut SimCtl<'_>) {
+            self.inner.on_transfer_done(done, now, ctl);
+        }
+        fn on_finish(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
+            self.inner.on_finish(now, ctl);
+            let size = self.inner.cfg.segment_size;
+            for (file, tier, _) in ctl.resident_entries() {
+                let whole = ByteRange::new(0, ctl.file_size(file));
+                for held in ctl.covered_on(file, whole, tier) {
+                    for index in held.offset / size..held.end().div_ceil(size) {
+                        let segment = SegmentId::new(file, index);
+                        if self.inner.engine().location(segment) != Some(tier) {
+                            self.unplaced.push((segment, tier));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A staged fetch still queued when its file's last reader closes must
+    /// not land on a tier after the model dropped the segment.
+    #[test]
+    fn no_cached_segment_outlives_its_placement() {
+        let hierarchy = Hierarchy::with_budgets(mib(64), mib(64), mib(64));
+        let files = vec![SimFile { id: FileId(0), size: mib(128) }];
+        let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
+            .open(FileId(0)) // stages 128 segments through one transfer slot
+            .compute(Duration::from_millis(50))
+            .close(FileId(0))
+            .compute(Duration::from_millis(200)) // queued fetches keep landing
+            .build()];
+        let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+        let policy = DriftCheck { inner: HFetchPolicy::new(cfg, &hierarchy), unplaced: Vec::new() };
+        let (report, policy) =
+            Simulation::new(SimConfig::new(hierarchy), files, scripts, policy).run();
+        assert!(report.prefetch_bytes > 0, "staging fetched before the close");
+        assert_eq!(policy.inner.engine().placed_segments(), 0, "the epoch end dropped every segment");
+        assert!(policy.unplaced.is_empty(), "cached but not placed: {:?}", policy.unplaced);
     }
 
     #[test]

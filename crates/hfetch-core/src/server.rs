@@ -82,9 +82,9 @@ pub struct ServerInner {
     hierarchy: Hierarchy,
     auditor: Auditor,
     exec: Mutex<Executor>,
-    /// Segments with a job in flight (one at a time per segment keeps its
-    /// movements in plan order): the source a move released at dispatch,
-    /// and whether a write made the copy stale.
+    /// Segments with a job in flight (the executor runs one at a time per
+    /// segment): the source a move released at dispatch, and whether a
+    /// write made the copy stale.
     moving: Mutex<FxHashMap<SegmentId, (Option<TierId>, bool)>>,
     /// The I/O clients' job channel (`None` once shut down).
     jobs: Mutex<Option<Sender<Job>>>,
@@ -111,35 +111,17 @@ impl Transfers for &ServerInner {
         true
     }
 
-    /// A superseded action moves nothing: run after a retry reordered the
-    /// queue, its copy could take the bytes from where the model wants them.
-    /// A `Move` whose segment left the model while it was queued drops its
-    /// source copy, which nothing else would free, once the segment is no
-    /// longer busy.
+    /// Reserves the destination and hands the copy to the I/O clients.
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
-        -> Option<FetchOutcome> {
+        -> FetchOutcome {
         let (segment, to) = action.target();
-        let placed = engine.location(segment);
-        if placed != Some(to) {
-            if let (None, Some(from)) = (placed, action.moved_from()) {
-                if self.moving.lock().contains_key(&segment) {
-                    return None;
-                }
-                self.discard(segment, range, from);
-            }
-            return Some(FetchOutcome::default());
-        }
-        let mut moving = self.moving.lock();
-        if moving.contains_key(&segment) {
-            return None;
-        }
         let newly = range.len - self.backend(to).covered_bytes(segment.file, range);
         if newly == 0 {
-            return Some(FetchOutcome::default());
+            return FetchOutcome::default();
         }
         let jobs = self.jobs.lock();
         let Some(tx) = jobs.as_ref() else {
-            return Some(FetchOutcome { abandoned: newly, ..Default::default() });
+            return FetchOutcome { abandoned: newly, ..Default::default() };
         };
         // A move releases its source's capacity at dispatch: the plan counts
         // the move as done, and a planned swap (A down, B up) would deadlock
@@ -152,12 +134,12 @@ impl Transfers for &ServerInner {
             if let Some((from, released)) = source {
                 let _ = self.ledger.reserve(from, released);
             }
-            return Some(FetchOutcome { denied: newly, ..Default::default() });
+            return FetchOutcome { denied: newly, ..Default::default() };
         }
-        moving.insert(segment, (action.moved_from(), false));
+        self.moving.lock().insert(segment, (action.moved_from(), false));
         let job = Job { action, range, span: engine.span_of(segment) };
         tx.send(job).expect("I/O clients run until their channel closes");
-        Some(FetchOutcome { scheduled: newly, transfers: 1, ..Default::default() })
+        FetchOutcome { scheduled: newly, transfers: 1, ..Default::default() }
     }
 
     fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
@@ -338,7 +320,7 @@ impl ServerInner {
                 io.discard(segment, range, to);
             }
             match copied {
-                Ok(_) => exec.transfer_done(io),
+                Ok(_) => exec.transfer_done(segment, io),
                 Err(_) => exec.transfer_failed(action, io),
             }
         });

@@ -427,6 +427,9 @@ impl SimCore {
             }
             for &id in &ids {
                 let t = self.transfers[id as usize];
+                if t.cancelled {
+                    continue; // a write made its bytes stale: they never land
+                }
                 for r in sub_ranges {
                     let Some(overlap) = t.range.intersection(*r) else { continue };
                     if !miss.intersects(overlap) {
@@ -1408,6 +1411,38 @@ mod tests {
         let (report, _) = Simulation::new(config(), one_file(MIB), scripts, FetchOnce).run();
         assert_eq!(report.invalidated_bytes, MIB);
         assert_eq!(report.hit_bytes(), 0, "post-write read must go to backing");
+        assert_eq!(report.miss_bytes(), MIB);
+    }
+
+    #[test]
+    fn a_read_never_waits_on_a_prefetch_a_write_cancelled() {
+        struct FetchOnce;
+        impl PrefetchPolicy for FetchOnce {
+            fn name(&self) -> &str {
+                "fetch-once"
+            }
+            fn on_open(
+                &mut self,
+                file: FileId,
+                _p: ProcessId,
+                _a: AppId,
+                _now: Timestamp,
+                ctl: &mut SimCtl<'_>,
+            ) {
+                ctl.fetch(file, ByteRange::new(0, MIB), TierId(0));
+            }
+        }
+        // A small write lands while the prefetch is still in flight and
+        // cancels it; the read right after must not wait on its stale bytes.
+        let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
+            .open(FileId(0))
+            .write(FileId(0), 0, 4096)
+            .read(FileId(0), 0, MIB)
+            .close(FileId(0))
+            .build()];
+        let (report, _) = Simulation::new(config(), one_file(MIB), scripts, FetchOnce).run();
+        assert_eq!(report.prefetch_bytes, MIB, "the prefetch was issued");
+        assert_eq!(report.hit_bytes(), 0, "no late hit on cancelled bytes");
         assert_eq!(report.miss_bytes(), MIB);
     }
 

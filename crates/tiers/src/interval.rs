@@ -137,22 +137,23 @@ impl IntervalSet {
         if range.is_empty() {
             return 0;
         }
-        let before = self.total();
         // Find all ranges that overlap or are adjacent to `range`.
         let start = self.ranges.partition_point(|r| r.end() < range.offset);
         let mut end = start;
         let mut new_start = range.offset;
         let mut new_end = range.end();
+        let mut merged = 0;
         while let Some(r) = self.ranges.get(end) {
             if r.offset > range.end() {
                 break;
             }
             new_start = new_start.min(r.offset);
             new_end = new_end.max(r.end());
+            merged += r.len;
             end += 1;
         }
         self.ranges.splice(start..end, [ByteRange::from_bounds(new_start, new_end)]);
-        self.total() - before
+        (new_end - new_start) - merged
     }
 
     /// Removes `range` from the set, splitting partially covered runs.
@@ -161,23 +162,23 @@ impl IntervalSet {
         if range.is_empty() {
             return 0;
         }
-        let mut removed = 0;
-        let mut result = Vec::with_capacity(self.ranges.len() + 1);
-        for r in self.ranges.drain(..) {
-            match r.intersection(range) {
-                None => result.push(r),
-                Some(cut) => {
-                    removed += cut.len;
-                    if r.offset < cut.offset {
-                        result.push(ByteRange::from_bounds(r.offset, cut.offset));
-                    }
-                    if cut.end() < r.end() {
-                        result.push(ByteRange::from_bounds(cut.end(), r.end()));
-                    }
-                }
-            }
+        // The runs that overlap `range` are contiguous: cut them out, and
+        // keep what sticks out on either side.
+        let lo = self.first_candidate(range.offset);
+        let hi = self.ranges.partition_point(|r| r.offset < range.end());
+        if lo >= hi {
+            return 0;
         }
-        self.ranges = result;
+        let removed = self.ranges[lo..hi]
+            .iter()
+            .filter_map(|r| r.intersection(range))
+            .map(|cut| cut.len)
+            .sum();
+        let (first, last) = (self.ranges[lo], self.ranges[hi - 1]);
+        let head = (first.offset < range.offset)
+            .then(|| ByteRange::from_bounds(first.offset, range.offset));
+        let tail = (range.end() < last.end()).then(|| ByteRange::from_bounds(range.end(), last.end()));
+        self.ranges.splice(lo..hi, head.into_iter().chain(tail));
         removed
     }
 
