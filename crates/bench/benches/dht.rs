@@ -14,10 +14,10 @@ use parking_lot::Mutex;
 use tiers::ids::{FileId, SegmentId};
 
 fn contended_update_sharded(threads: usize, per_thread: usize) {
-    let map: DistributedMap<SegmentId, u64> = DistributedMap::with_topology(4, 16);
+    let map: DistributedMap<SegmentId, u64> = DistributedMap::default();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let map = map.clone();
+            let map = &map;
             s.spawn(move || {
                 for i in 0..per_thread {
                     let seg = SegmentId::new(FileId((i % 64) as u64), (t * 1000 + i) as u64 % 256);
@@ -46,7 +46,7 @@ fn contended_update_single_lock(threads: usize, per_thread: usize) {
 fn bench_dht(c: &mut Criterion) {
     let mut group = c.benchmark_group("dht");
     group.bench_function("update_single_thread", |b| {
-        let map: DistributedMap<SegmentId, u64> = DistributedMap::new();
+        let map: DistributedMap<SegmentId, u64> = DistributedMap::default();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -54,9 +54,9 @@ fn bench_dht(c: &mut Criterion) {
         })
     });
     group.bench_function("get_hit", |b| {
-        let map: DistributedMap<SegmentId, u64> = DistributedMap::new();
+        let map: DistributedMap<SegmentId, u64> = DistributedMap::default();
         for i in 0..512 {
-            map.insert(SegmentId::new(FileId(0), i), i);
+            map.update_with(SegmentId::new(FileId(0), i), || i, |_| ());
         }
         let mut i = 0u64;
         b.iter(|| {

@@ -233,7 +233,7 @@ fn bucket_count(buckets: &[(u64, u64)], idx: u64) -> u64 {
     buckets.iter().find(|&&(i, _)| i == idx).map(|&(_, n)| n).unwrap_or(0)
 }
 
-/// Lints one harness JSON document, parsed by [`json::parse_keyed`], for
+/// Lints one harness JSON document, parsed by [`crate::json::parse_keyed`], for
 /// stability, returning a one-line summary or every violation found. Two
 /// shapes are recognised:
 ///

@@ -5,32 +5,29 @@
 //! O(1) insertion and querying capability, support for concurrent access,
 //! fault tolerance in case of power-downs, and low latency" (§III-A.2).
 //!
-//! This crate reproduces that contract in-process:
+//! This crate reproduces the in-process part of that contract:
 //!
-//! * [`DistributedMap`] — a sharded concurrent hashmap with an explicit
-//!   *node model*: keys hash to a virtual node, then to a shard within that
-//!   node, mirroring how HCL distributes buckets across cluster nodes.
-//!   Single-key operations are atomic (they run under the owning shard's
-//!   lock), which is exactly the property the auditor relies on when several
-//!   processes update one segment's score concurrently.
-//! * [`wal::DurableMap`] — a write-ahead-logged wrapper providing crash
-//!   recovery ("fault tolerance in case of power-downs") with checkpointing.
+//! * [`DistributedMap`] — a concurrent hashmap over [`SHARDS`] shards. A
+//!   key lives in shard `hash(key) % SHARDS`. Single-key operations are
+//!   atomic (they run under the owning shard's lock), which is exactly the
+//!   property the auditor relies on when several processes update one
+//!   segment's score concurrently.
 //! * [`hash`] — the FxHash function (implemented in-tree; see DESIGN.md §6)
 //!   used for shard routing and as a fast drop-in `HashMap` hasher across
 //!   the workspace.
-//! * [`stats`] — operation counters exposing hit/miss/update rates, used by
-//!   the benchmarks.
+//! * [`stats`] — operation counters exported as `dht.map.*`.
+//!
+//! The map is volatile: it lives in one process and is gone when the
+//! process ends. HCL's power-down recovery is not reproduced. The only
+//! state that outlives a run is the file heatmaps (§III-C), which
+//! `hfetch_core::heatmap::HeatmapStore` writes to disk.
 
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod hash;
 pub mod map;
 pub mod stats;
-pub mod wal;
 
-pub use codec::Codec;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use map::DistributedMap;
+pub use map::{DistributedMap, SHARDS};
 pub use stats::MapStats;
-pub use wal::DurableMap;

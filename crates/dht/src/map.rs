@@ -1,61 +1,33 @@
-//! The sharded concurrent map with an explicit node model.
+//! The sharded concurrent map.
 //!
-//! Keys route `hash(key) → virtual node → shard within node`, mirroring how
-//! the paper's HCL container distributes buckets across cluster nodes while
-//! "avoiding a global synchronization barrier" (§III-A.2). All single-key
-//! operations take only the owning shard's lock, so updates to different
-//! segments proceed in parallel and updates to the *same* segment are
-//! atomic — the property the auditor needs when many ranks read one file
-//! region concurrently.
+//! Keys route `hash(key) % SHARDS`, so updates spread over independently
+//! locked shards without "a global synchronization barrier" (§III-A.2).
+//! All single-key operations take only the owning shard's lock, so updates
+//! to different segments proceed in parallel and updates to the *same*
+//! segment are atomic — the property the auditor needs when many ranks read
+//! one file region concurrently.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::hash::{hash_one, FxHashMap};
 use crate::stats::MapStats;
 
-/// Identifies where a key lives in the node/shard model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyLocation {
-    /// Virtual node owning the key.
-    pub node: usize,
-    /// Shard within that node.
-    pub shard: usize,
-    /// Flat shard index (`node * shards_per_node + shard`).
-    pub flat: usize,
-}
+/// Number of shards in every [`DistributedMap`]. The auditor's update queue
+/// has one stripe per shard, so queue contention follows map contention.
+pub const SHARDS: usize = 32;
 
-struct Shard<K, V> {
-    entries: RwLock<FxHashMap<K, V>>,
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
-        Self { entries: RwLock::new(FxHashMap::default()) }
-    }
-}
-
-/// A concurrent hashmap sharded across virtual nodes.
-///
-/// Cloning the handle is cheap (it is an `Arc` internally) — every HFetch
-/// component holds a clone of the same map, which is how the "global view"
-/// of segment statistics is shared without a central lock.
+/// A concurrent hashmap over [`SHARDS`] independently locked shards.
 pub struct DistributedMap<K, V> {
-    inner: Arc<Inner<K, V>>,
-}
-
-struct Inner<K, V> {
-    shards: Vec<Shard<K, V>>,
-    nodes: usize,
-    shards_per_node: usize,
+    shards: [RwLock<FxHashMap<K, V>>; SHARDS],
     stats: MapStats,
 }
 
-impl<K, V> Clone for DistributedMap<K, V> {
-    fn clone(&self) -> Self {
-        Self { inner: Arc::clone(&self.inner) }
+impl<K, V> Default for DistributedMap<K, V> {
+    fn default() -> Self {
+        Self { shards: std::array::from_fn(|_| RwLock::default()), stats: MapStats::default() }
     }
 }
 
@@ -64,58 +36,18 @@ where
     K: Eq + Hash + Clone,
     V: Clone,
 {
-    /// Creates a map spread over `nodes` virtual nodes with
-    /// `shards_per_node` shards each.
-    pub fn with_topology(nodes: usize, shards_per_node: usize) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        assert!(shards_per_node > 0, "need at least one shard per node");
-        let shards = (0..nodes * shards_per_node).map(|_| Shard::default()).collect();
-        Self { inner: Arc::new(Inner { shards, nodes, shards_per_node, stats: MapStats::default() }) }
+    /// The shard `key` lives in: `hash_one(key) % SHARDS`.
+    pub fn locate(&self, key: &K) -> usize {
+        (hash_one(key) % SHARDS as u64) as usize
     }
 
-    /// Single-node map with a sensible shard count (for tests and
-    /// single-process deployments).
-    pub fn new() -> Self {
-        Self::with_topology(1, 16)
-    }
-
-    /// Where `key` lives in the node/shard model.
-    pub fn locate(&self, key: &K) -> KeyLocation {
-        let h = hash_one(key);
-        // High bits pick the node, low bits the shard, so the two choices
-        // are effectively independent.
-        let node = ((h >> 32) as usize) % self.inner.nodes;
-        let shard = (h as usize) % self.inner.shards_per_node;
-        KeyLocation { node, shard, flat: node * self.inner.shards_per_node + shard }
-    }
-
-    fn shard_of(&self, key: &K) -> &Shard<K, V> {
-        &self.inner.shards[self.locate(key).flat]
-    }
-
-    /// Inserts `value` under `key`, returning the previous value if any.
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
-        let shard = self.shard_of(&key);
-        self.inner.stats.record_locks(1);
-        let prev = shard.entries.write().insert(key, value);
-        if prev.is_none() {
-            self.inner.stats.record_insert();
-        } else {
-            self.inner.stats.record_update();
-        }
-        prev
+    fn shard_of(&self, key: &K) -> &RwLock<FxHashMap<K, V>> {
+        &self.shards[self.locate(key)]
     }
 
     /// Returns a clone of the value under `key`.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.inner.stats.record_locks(1);
-        let found = self.shard_of(key).entries.read().get(key).cloned();
-        if found.is_some() {
-            self.inner.stats.record_hit();
-        } else {
-            self.inner.stats.record_miss();
-        }
-        found
+        self.get_with(key, V::clone)
     }
 
     /// Applies `f` to the value under `key` *in place* under the shard's
@@ -126,30 +58,14 @@ where
     ///
     /// [`get`]: DistributedMap::get
     pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.inner.stats.record_locks(1);
-        let result = self.shard_of(key).entries.read().get(key).map(f);
+        self.stats.record_locks(1);
+        let result = self.shard_of(key).read().get(key).map(f);
         if result.is_some() {
-            self.inner.stats.record_hit();
+            self.stats.record_hit();
         } else {
-            self.inner.stats.record_miss();
+            self.stats.record_miss();
         }
         result
-    }
-
-    /// True if `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.stats.record_locks(1);
-        self.shard_of(key).entries.read().contains_key(key)
-    }
-
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.inner.stats.record_locks(1);
-        let removed = self.shard_of(key).entries.write().remove(key);
-        if removed.is_some() {
-            self.inner.stats.record_remove();
-        }
-        removed
     }
 
     /// Atomically updates the value under `key`, inserting
@@ -165,16 +81,29 @@ where
         f: impl FnOnce(&mut V) -> R,
     ) -> R {
         let shard = self.shard_of(&key);
-        self.inner.stats.record_locks(1);
-        let mut entries = shard.entries.write();
+        self.stats.record_locks(1);
+        let mut entries = shard.write();
         self.apply_entry(&mut entries, key, default, f)
+    }
+
+    /// Builds the shard-grouped visit order for `keys`: `(shard, input
+    /// index)` pairs sorted by shard, input order preserved within each
+    /// shard's run. Callers that batch several structures by the same
+    /// routing (the auditor batches map writes *and* queue pushes per
+    /// shard) compute this once and reuse it.
+    pub fn route(&self, keys: &[K]) -> Vec<(usize, usize)> {
+        let mut order: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(i, k)| (self.locate(k), i)).collect();
+        order.sort_by_key(|&(shard, _)| shard);
+        order
     }
 
     /// Atomically updates every key in `keys`, inserting `default()` for
     /// absent ones, taking each owning shard's **write lock exactly once**
-    /// even when several keys share a shard. `f` receives the index of the
-    /// key within `keys` plus the mutable value; results come back in
-    /// input order.
+    /// even when several keys share a shard. `order` must be exactly
+    /// `self.route(keys)` (checked in debug builds). `f` receives the index
+    /// of the key within `keys` plus the mutable value; results come back
+    /// in input order.
     ///
     /// This is the batched form of [`update_with`] the auditor uses for
     /// multi-segment reads: a 3-segment request that lands on one shard
@@ -184,43 +113,6 @@ where
     /// in HFetch don't (each segment's update is self-contained).
     ///
     /// [`update_with`]: DistributedMap::update_with
-    pub fn update_many_with<R>(
-        &self,
-        keys: &[K],
-        default: impl FnMut() -> V,
-        mut f: impl FnMut(usize, &mut V) -> R,
-    ) -> Vec<R> {
-        match keys {
-            [] => Vec::new(),
-            [key] => {
-                // Single-key fast path: no grouping scratch.
-                vec![self.update_with(key.clone(), default, |v| f(0, v))]
-            }
-            _ => {
-                let order = self.route(keys);
-                self.update_ordered_with(&order, keys, default, f)
-            }
-        }
-    }
-
-    /// Builds the shard-grouped visit order for `keys`: `(flat shard,
-    /// input index)` pairs sorted by shard, input order preserved within
-    /// each shard's run. Callers that batch several structures by the
-    /// same topology (the auditor batches map writes *and* queue pushes
-    /// per shard) compute this once and reuse it.
-    pub fn route(&self, keys: &[K]) -> Vec<(usize, usize)> {
-        let mut order: Vec<(usize, usize)> =
-            keys.iter().enumerate().map(|(i, k)| (self.locate(k).flat, i)).collect();
-        order.sort_by_key(|&(flat, _)| flat);
-        order
-    }
-
-    /// [`update_many_with`] with the grouping precomputed by [`route`]:
-    /// `order` must be exactly `self.route(keys)` (checked in debug
-    /// builds). Visits each shard run under one write-lock acquisition.
-    ///
-    /// [`update_many_with`]: DistributedMap::update_many_with
-    /// [`route`]: DistributedMap::route
     pub fn update_ordered_with<R>(
         &self,
         order: &[(usize, usize)],
@@ -234,11 +126,11 @@ where
         out.resize_with(keys.len(), || None);
         let mut i = 0;
         while i < order.len() {
-            let flat = order[i].0;
-            debug_assert_eq!(flat, self.locate(&keys[order[i].1]).flat, "order/keys mismatch");
-            self.inner.stats.record_locks(1);
-            let mut entries = self.inner.shards[flat].entries.write();
-            while i < order.len() && order[i].0 == flat {
+            let shard = order[i].0;
+            debug_assert_eq!(shard, self.locate(&keys[order[i].1]), "order/keys mismatch");
+            self.stats.record_locks(1);
+            let mut entries = self.shards[shard].write();
+            while i < order.len() && order[i].0 == shard {
                 let idx = order[i].1;
                 out[idx] =
                     Some(self.apply_entry(&mut entries, keys[idx].clone(), &mut default, |v| {
@@ -262,39 +154,24 @@ where
         f: impl FnOnce(&mut V) -> R,
     ) -> R {
         match entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                self.inner.stats.record_update();
+            Entry::Occupied(mut e) => {
+                self.stats.record_update();
                 f(e.get_mut())
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.inner.stats.record_insert();
+            Entry::Vacant(e) => {
+                self.stats.record_insert();
                 f(e.insert(default()))
             }
         }
     }
 
-    /// Applies `f` to the value under `key` if present; returns its result.
-    pub fn with_existing<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        let shard = self.shard_of(key);
-        self.inner.stats.record_locks(1);
-        let mut entries = shard.entries.write();
-        let result = entries.get_mut(key).map(f);
-        if result.is_some() {
-            self.inner.stats.record_update();
-        } else {
-            self.inner.stats.record_miss();
-        }
-        result
-    }
-
     /// Number of entries across all shards. Served from the stats entry
     /// gauge in O(1) — no shard locks are touched, so hot-path callers
-    /// (e.g. `snapshot` preallocation, placement-engine sizing) don't
-    /// contend with writers. The value is a consistent-ish snapshot, not a
-    /// linearizable one: an in-flight insert/remove may or may not be
-    /// counted yet, exactly as with the old per-shard sweep.
+    /// don't contend with writers. The value is a consistent-ish snapshot,
+    /// not a linearizable one: an in-flight insert or removal may or may
+    /// not be counted yet.
     pub fn len(&self) -> usize {
-        self.inner.stats.entries() as usize
+        self.stats.entries() as usize
     }
 
     /// True if the map holds no entries (O(1), gauge-served like [`len`]).
@@ -304,35 +181,12 @@ where
         self.len() == 0
     }
 
-    /// Removes every entry.
-    pub fn clear(&self) {
-        let mut dropped = 0u64;
-        self.inner.stats.record_locks(self.inner.shards.len() as u64);
-        for shard in &self.inner.shards {
-            let mut entries = shard.entries.write();
-            dropped += entries.len() as u64;
-            entries.clear();
-        }
-        self.inner.stats.record_bulk_remove(dropped);
-    }
-
-    /// Clones out all `(key, value)` pairs. Order is unspecified.
-    pub fn snapshot(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.inner.stats.record_locks(self.inner.shards.len() as u64);
-        for shard in &self.inner.shards {
-            let entries = shard.entries.read();
-            out.extend(entries.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
-    }
-
     /// Applies `f` to every entry, shard by shard (each shard is visited
     /// under its read lock).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        self.inner.stats.record_locks(self.inner.shards.len() as u64);
-        for shard in &self.inner.shards {
-            for (k, v) in shard.entries.read().iter() {
+        self.stats.record_locks(SHARDS as u64);
+        for shard in &self.shards {
+            for (k, v) in shard.read().iter() {
                 f(k, v);
             }
         }
@@ -342,49 +196,20 @@ where
     /// were removed.
     pub fn retain(&self, mut pred: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0;
-        self.inner.stats.record_locks(self.inner.shards.len() as u64);
-        for shard in &self.inner.shards {
-            let mut entries = shard.entries.write();
+        self.stats.record_locks(SHARDS as u64);
+        for shard in &self.shards {
+            let mut entries = shard.write();
             let before = entries.len();
             entries.retain(|k, v| pred(k, v));
             removed += before - entries.len();
         }
-        self.inner.stats.record_bulk_remove(removed as u64);
+        self.stats.record_removes(removed as u64);
         removed
-    }
-
-    /// Per-node entry counts — exposes the distribution model for tests
-    /// and for the paper's "globality" discussion.
-    pub fn node_loads(&self) -> Vec<usize> {
-        let mut loads = vec![0usize; self.inner.nodes];
-        self.inner.stats.record_locks(self.inner.shards.len() as u64);
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            loads[i / self.inner.shards_per_node] += shard.entries.read().len();
-        }
-        loads
-    }
-
-    /// Total shard count (`nodes * shards_per_node`). The auditor aligns
-    /// its update-queue stripe count with this so queue stripes and map
-    /// shards contend on the same topology.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Number of virtual nodes.
-    pub fn nodes(&self) -> usize {
-        self.inner.nodes
     }
 
     /// Operation counters.
     pub fn stats(&self) -> &MapStats {
-        &self.inner.stats
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Default for DistributedMap<K, V> {
-    fn default() -> Self {
-        Self::new()
+        &self.stats
     }
 }
 
@@ -393,24 +218,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn insert_get_remove_round_trip() {
-        let m: DistributedMap<u64, String> = DistributedMap::new();
-        assert!(m.insert(1, "one".into()).is_none());
-        assert_eq!(m.insert(1, "uno".into()), Some("one".into()));
-        assert_eq!(m.get(&1), Some("uno".into()));
-        assert!(m.contains(&1));
-        assert_eq!(m.remove(&1), Some("uno".into()));
-        assert!(!m.contains(&1));
-        assert_eq!(m.get(&1), None);
-        assert!(m.remove(&1).is_none());
+    fn contents(m: &DistributedMap<u64, u64>) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        m.for_each(|k, v| out.push((*k, *v)));
+        out.sort_unstable();
+        out
+    }
+
+    fn update_batch(m: &DistributedMap<u64, u64>, keys: &[u64], add: u64) -> Vec<u64> {
+        m.update_ordered_with(&m.route(keys), keys, || 0, |_, v| {
+            *v += add;
+            *v
+        })
     }
 
     #[test]
     fn update_with_inserts_default() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
         let r = m.update_with(5, || 100, |v| {
             *v += 1;
             *v
@@ -421,26 +246,32 @@ mod tests {
             *v
         });
         assert_eq!(r, 102, "default not re-applied on existing key");
+        assert_eq!(m.get(&5), Some(102));
     }
 
     #[test]
     fn get_with_reads_in_place() {
-        let m: DistributedMap<u64, Vec<u64>> = DistributedMap::new();
+        let m: DistributedMap<u64, Vec<u64>> = DistributedMap::default();
         assert_eq!(m.get_with(&1, |v| v.len()), None);
-        m.insert(1, vec![10, 20, 30]);
+        m.update_with(1, || vec![10, 20, 30], |_| ());
         assert_eq!(m.get_with(&1, |v| v.iter().sum::<u64>()), Some(60));
         // Parity with `get`: a hit and a miss were recorded for get_with
         // exactly as the cloning lookup would have recorded them.
         let s = m.stats().snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(m.get(&1), Some(vec![10, 20, 30]));
+        assert_eq!(m.get(&2), None);
+        let s = m.stats().snapshot();
+        assert_eq!((s.hits, s.misses), (2, 2));
     }
 
     #[test]
-    fn update_many_with_matches_sequential_updates() {
-        let batched: DistributedMap<u64, u64> = DistributedMap::with_topology(2, 4);
-        let sequential: DistributedMap<u64, u64> = DistributedMap::with_topology(2, 4);
+    fn update_ordered_with_matches_sequential_updates() {
+        let batched: DistributedMap<u64, u64> = DistributedMap::default();
+        let sequential: DistributedMap<u64, u64> = DistributedMap::default();
         let keys: Vec<u64> = vec![3, 50, 3, 17, 99, 50, 8];
-        let got = batched.update_many_with(&keys, || 100, |idx, v| {
+        let order = batched.route(&keys);
+        let got = batched.update_ordered_with(&order, &keys, || 100, |idx, v| {
             *v += idx as u64 + 1;
             *v
         });
@@ -457,126 +288,81 @@ mod tests {
         // Duplicate keys land in the same shard group in input order, so
         // per-key results and final contents match the one-at-a-time path.
         assert_eq!(got, want);
-        let mut a: Vec<(u64, u64)> = batched.snapshot();
-        let mut b: Vec<(u64, u64)> = sequential.snapshot();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // Stats parity (satellite: batched ops count inserts/updates
-        // exactly as single-key ops): 5 distinct keys inserted, 2 updates.
+        assert_eq!(contents(&batched), contents(&sequential));
+        // Batched ops count inserts/updates exactly as single-key ops:
+        // 5 distinct keys inserted, 2 updates.
         let sa = batched.stats().snapshot();
         let sb = sequential.stats().snapshot();
         assert_eq!((sa.inserts, sa.updates), (sb.inserts, sb.updates));
         assert_eq!((sa.inserts, sa.updates), (5, 2));
+        assert!(batched.update_ordered_with(&[], &[], || 0, |_, v| *v).is_empty());
     }
 
     #[test]
-    fn update_many_with_locks_once_per_shard_visited() {
-        let m: DistributedMap<u64, u64> = DistributedMap::with_topology(1, 4);
+    fn update_ordered_with_locks_once_per_shard_visited() {
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
         // All copies of one key share a shard: the batch must take exactly
         // one lock no matter how many keys ride along.
-        let keys = vec![7u64; 16];
         let before = m.stats().snapshot().shard_locks;
-        m.update_many_with(&keys, || 0, |_, v| *v += 1);
+        update_batch(&m, &[7u64; 16], 1);
         let after = m.stats().snapshot().shard_locks;
         assert_eq!(after - before, 1, "same-shard batch takes one lock");
         assert_eq!(m.get(&7), Some(16));
 
         // Mixed batch: lock count equals the number of distinct shards
         // visited, never the key count.
-        let keys: Vec<u64> = (0..64).collect();
-        let distinct_shards = {
-            let mut flats: Vec<usize> = keys.iter().map(|k| m.locate(k).flat).collect();
-            flats.sort_unstable();
-            flats.dedup();
-            flats.len()
-        };
+        let keys: Vec<u64> = (0..128).collect();
+        let mut shards: Vec<usize> = keys.iter().map(|k| m.locate(k)).collect();
+        shards.sort_unstable();
+        shards.dedup();
         let before = m.stats().snapshot().shard_locks;
-        m.update_many_with(&keys, || 0, |_, v| *v += 1);
+        update_batch(&m, &keys, 1);
         let after = m.stats().snapshot().shard_locks;
-        assert_eq!(after - before, distinct_shards as u64);
-        assert!(distinct_shards < keys.len(), "batching must beat per-key locking");
+        assert_eq!(after - before, shards.len() as u64);
+        assert!(shards.len() < keys.len(), "batching must beat per-key locking");
     }
 
     #[test]
-    fn update_many_with_empty_and_single() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
-        assert!(m.update_many_with(&[], || 0, |_, v| *v).is_empty());
-        assert_eq!(m.update_many_with(&[4], || 9, |idx, v| (idx, *v)), vec![(0, 9)]);
-    }
-
-    #[test]
-    fn with_existing_skips_absent() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
-        assert_eq!(m.with_existing(&9, |v| *v), None);
-        m.insert(9, 3);
-        assert_eq!(m.with_existing(&9, |v| *v * 2), Some(6));
-    }
-
-    #[test]
-    fn len_snapshot_clear() {
-        let m: DistributedMap<u64, u64> = DistributedMap::with_topology(4, 4);
-        for k in 0..100 {
-            m.insert(k, k * 10);
+    fn route_is_shard_sorted_and_keeps_input_order_within_a_shard() {
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
+        let keys: Vec<u64> = (0..200).map(|k| k * 31 % 97).collect();
+        let order = m.route(&keys);
+        assert_eq!(order.len(), keys.len());
+        for &(shard, idx) in &order {
+            assert_eq!(shard, (hash_one(&keys[idx]) % SHARDS as u64) as usize);
         }
-        assert_eq!(m.len(), 100);
-        let snap: HashMap<u64, u64> = m.snapshot().into_iter().collect();
-        assert_eq!(snap.len(), 100);
-        assert_eq!(snap[&7], 70);
-        m.clear();
-        assert!(m.is_empty());
+        for w in order.windows(2) {
+            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+        }
     }
 
     #[test]
-    fn retain_filters() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
+    fn retain_filters_and_len_follows_it() {
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
         for k in 0..20 {
-            m.insert(k, k);
+            m.update_with(k, || k, |_| ());
         }
+        assert_eq!(m.len(), 20);
         let removed = m.retain(|_, v| *v % 2 == 0);
         assert_eq!(removed, 10);
         assert_eq!(m.len(), 10);
         m.for_each(|_, v| assert_eq!(v % 2, 0));
-    }
-
-    #[test]
-    fn keys_spread_across_nodes() {
-        let m: DistributedMap<u64, ()> = DistributedMap::with_topology(8, 4);
-        for k in 0..8000 {
-            m.insert(k, ());
-        }
-        let loads = m.node_loads();
-        assert_eq!(loads.len(), 8);
-        assert_eq!(loads.iter().sum::<usize>(), 8000);
-        for (node, &load) in loads.iter().enumerate() {
-            assert!(
-                (600..=1400).contains(&load),
-                "node {node} load {load} badly imbalanced"
-            );
-        }
-    }
-
-    #[test]
-    fn locate_is_stable_and_in_range() {
-        let m: DistributedMap<u64, ()> = DistributedMap::with_topology(3, 5);
-        for k in 0..100 {
-            let loc = m.locate(&k);
-            assert_eq!(loc, m.locate(&k));
-            assert!(loc.node < 3);
-            assert!(loc.shard < 5);
-            assert_eq!(loc.flat, loc.node * 5 + loc.shard);
-        }
+        assert_eq!(m.retain(|_, _| false), 10);
+        assert!(m.is_empty());
+        let s = m.stats().snapshot();
+        assert_eq!((s.inserts, s.removes, s.entries), (20, 20, 0));
+        m.update_with(7, || 7, |_| ());
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn concurrent_updates_to_one_key_are_atomic() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
         let threads = 8;
         let per_thread = 10_000;
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let m = m.clone();
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..per_thread {
                         m.update_with(0, || 0, |v| *v += 1);
                     }
@@ -586,96 +372,26 @@ mod tests {
         assert_eq!(m.get(&0), Some(threads * per_thread));
     }
 
+    /// Threads race upserts, batched upserts, peeks and retains over
+    /// overlapping keys; afterwards the O(1) gauge-served `len()` must
+    /// equal an actual shard sweep.
     #[test]
-    fn concurrent_mixed_workload_is_consistent() {
-        let m: DistributedMap<u64, u64> = DistributedMap::with_topology(4, 8);
-        let inserted = AtomicUsize::new(0);
+    fn concurrent_upsert_retain_len_is_consistent() {
+        let m: DistributedMap<u64, u64> = DistributedMap::default();
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let m = m.clone();
-                let inserted = &inserted;
-                s.spawn(move || {
-                    for i in 0..1000u64 {
-                        let key = t * 1000 + i;
-                        if m.insert(key, key).is_none() {
-                            inserted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        assert_eq!(m.get(&key), Some(key));
-                    }
-                });
-            }
-        });
-        assert_eq!(m.len(), inserted.load(Ordering::Relaxed));
-        assert_eq!(m.len(), 8000);
-    }
-
-    #[test]
-    fn stats_reflect_operations() {
-        let m: DistributedMap<u64, u64> = DistributedMap::new();
-        m.insert(1, 1);
-        m.get(&1);
-        m.get(&2);
-        m.update_with(1, || 0, |v| *v += 1);
-        m.remove(&1);
-        let s = m.stats().snapshot();
-        assert_eq!(s.inserts, 1);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.updates, 1);
-        assert_eq!(s.removes, 1);
-        assert_eq!(s.entries, 0);
-    }
-
-    /// `len()` is gauge-served; every removal path (remove / retain /
-    /// clear) and a telemetry reset must keep it truthful.
-    #[test]
-    fn gauge_len_survives_bulk_removals_and_reset() {
-        let m: DistributedMap<u64, u64> = DistributedMap::with_topology(4, 4);
-        for k in 0..40 {
-            m.insert(k, k);
-        }
-        assert_eq!(m.len(), 40);
-        assert_eq!(m.retain(|k, _| *k % 2 == 0), 20);
-        assert_eq!(m.len(), 20);
-        m.stats().reset();
-        assert_eq!(m.len(), 20, "telemetry reset must not fake an empty map");
-        m.remove(&0);
-        assert_eq!(m.len(), 19);
-        m.clear();
-        assert_eq!(m.len(), 0);
-        assert!(m.is_empty());
-        m.insert(7, 7);
-        assert_eq!(m.len(), 1);
-    }
-
-    /// Threads race upserts and removes over overlapping keys; afterwards
-    /// the O(1) gauge-served `len()` must equal an actual shard sweep.
-    #[test]
-    fn concurrent_upsert_remove_len_is_consistent() {
-        let m: DistributedMap<u64, u64> = DistributedMap::with_topology(4, 8);
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let m = m.clone();
+                let m = &m;
                 s.spawn(move || {
                     for i in 0..4000u64 {
                         let key = (t * 977 + i * 13) % 512; // heavy key overlap
-                        match i % 6 {
+                        match i % 4 {
                             0 => {
-                                m.insert(key, i);
-                            }
-                            1 => {
                                 m.update_with(key, || 0, |v| *v += 1);
                             }
+                            1 => {
+                                update_batch(m, &[key, (key + 7) % 512, key], 1);
+                            }
                             2 => {
-                                m.remove(&key);
-                            }
-                            3 => {
-                                // Batched upsert over overlapping keys must
-                                // keep the gauge as honest as per-key ops.
-                                let keys = [key, (key + 7) % 512, key];
-                                m.update_many_with(&keys, || 0, |_, v| *v += 1);
-                            }
-                            4 => {
                                 m.get_with(&key, |v| *v);
                             }
                             _ => {
@@ -686,48 +402,43 @@ mod tests {
                 });
             }
         });
-        let swept: usize = m.snapshot().len();
+        let swept = contents(&m).len();
         assert_eq!(m.len(), swept, "gauge diverged from actual contents");
         let snap = m.stats().snapshot();
         assert_eq!(snap.entries as usize, swept);
         assert_eq!(snap.inserts - snap.removes, snap.entries);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.snapshot().len(), 0);
     }
 
     proptest! {
         /// The map agrees with a HashMap model under arbitrary op sequences.
         #[test]
         fn prop_matches_model(ops in proptest::collection::vec(
-            (0u8..6, 0u64..50, 0u64..1000), 0..200)) {
-            let m: DistributedMap<u64, u64> = DistributedMap::with_topology(3, 4);
+            (0u8..5, 0u64..50, 0u64..1000), 0..200)) {
+            let m: DistributedMap<u64, u64> = DistributedMap::default();
             let mut model: HashMap<u64, u64> = HashMap::new();
             for (op, k, v) in ops {
                 match op {
                     0 => {
-                        prop_assert_eq!(m.insert(k, v), model.insert(k, v));
-                    }
-                    1 => {
                         prop_assert_eq!(m.get(&k), model.get(&k).copied());
                     }
-                    2 => {
-                        prop_assert_eq!(m.remove(&k), model.remove(&k));
-                    }
-                    3 => {
+                    1 => {
                         prop_assert_eq!(m.get_with(&k, |x| *x), model.get(&k).copied());
                     }
-                    4 => {
+                    2 => {
                         // Batched upsert, duplicate key included: results
                         // must equal applying the ops one at a time.
                         let keys = [k, (k + v) % 50, k];
-                        let got = m.update_many_with(&keys, || 0, |_, x| { *x += v; *x });
+                        let got = update_batch(&m, &keys, v);
                         let want: Vec<u64> = keys.iter().map(|&key| {
                             let e = model.entry(key).or_insert(0);
                             *e += v;
                             *e
                         }).collect();
                         prop_assert_eq!(got, want);
+                    }
+                    3 => {
+                        let removed = m.retain(|key, _| *key != k);
+                        prop_assert_eq!(removed, usize::from(model.remove(&k).is_some()));
                     }
                     _ => {
                         let got = m.update_with(k, || 0, |x| { *x += v; *x });

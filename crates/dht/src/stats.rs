@@ -5,8 +5,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts of map operations since creation (or the last [`MapStats::reset`]),
-/// plus a live entry-count gauge.
+/// Counts of map operations since creation, plus a live entry-count gauge.
 #[derive(Debug, Default)]
 pub struct MapStats {
     inserts: AtomicU64,
@@ -19,9 +18,8 @@ pub struct MapStats {
     /// acquisition per *shard visited* instead of one per key.
     shard_locks: AtomicU64,
     /// Live entries across all shards. A *gauge*, not an op counter: it
-    /// moves with inserts/removes (including bulk removals from
-    /// `retain`/`clear`) and is NOT zeroed by [`MapStats::reset`], so the
-    /// map can serve `len()` from it in O(1) without sweeping shard locks.
+    /// moves with inserts and `retain` removals, so the map can serve
+    /// `len()` from it in O(1) without sweeping shard locks.
     entries: AtomicU64,
 }
 
@@ -40,50 +38,31 @@ pub struct StatsSnapshot {
     pub removes: u64,
     /// Shard lock acquisitions (read or write; one per shard visited).
     pub shard_locks: u64,
-    /// Live entries at snapshot time (gauge; survives [`MapStats::reset`]).
+    /// Live entries at snapshot time (gauge).
     pub entries: u64,
 }
 
 impl StatsSnapshot {
-    /// Hit fraction of all lookups, or `None` when no lookups happened.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-
-    /// Exports the snapshot into an [`obs::Recorder`] under
-    /// `dht.<map>.<counter>` names: op counts and shard-lock acquisitions as
-    /// counters, live entries as a gauge. `map` must be a static name so the
-    /// registry stays allocation-light; callers export once per run (at
-    /// report time), not per operation.
-    pub fn export_obs(&self, rec: &obs::Recorder, map: &'static str) {
+    /// Exports the snapshot into an [`obs::Recorder`] under `dht.map.*`
+    /// names: op counts and shard-lock acquisitions as counters, live
+    /// entries as a gauge. Callers export once per run (at report time),
+    /// not per operation.
+    pub fn export_obs(&self, rec: &obs::Recorder) {
         if !rec.is_enabled() {
             return;
         }
         let label = obs::Label::None;
-        let pairs: [(&'static str, u64); 6] = match map {
-            "heatmap" => [
-                ("dht.heatmap.inserts", self.inserts),
-                ("dht.heatmap.updates", self.updates),
-                ("dht.heatmap.hits", self.hits),
-                ("dht.heatmap.misses", self.misses),
-                ("dht.heatmap.removes", self.removes),
-                ("dht.heatmap.shard_locks", self.shard_locks),
-            ],
-            _ => [
-                ("dht.map.inserts", self.inserts),
-                ("dht.map.updates", self.updates),
-                ("dht.map.hits", self.hits),
-                ("dht.map.misses", self.misses),
-                ("dht.map.removes", self.removes),
-                ("dht.map.shard_locks", self.shard_locks),
-            ],
-        };
-        for (name, value) in pairs {
+        for (name, value) in [
+            ("dht.map.inserts", self.inserts),
+            ("dht.map.updates", self.updates),
+            ("dht.map.hits", self.hits),
+            ("dht.map.misses", self.misses),
+            ("dht.map.removes", self.removes),
+            ("dht.map.shard_locks", self.shard_locks),
+        ] {
             rec.counter_add(name, label, value);
         }
-        let entries_name = if map == "heatmap" { "dht.heatmap.entries" } else { "dht.map.entries" };
-        rec.gauge_set(entries_name, label, self.entries);
+        rec.gauge_set("dht.map.entries", label, self.entries);
     }
 }
 
@@ -105,13 +84,8 @@ impl MapStats {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_remove(&self) {
-        self.removes.fetch_add(1, Ordering::Relaxed);
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries dropped by a bulk removal (`retain`, `clear`).
-    pub(crate) fn record_bulk_remove(&self, n: u64) {
+    /// Records `n` entries dropped by `retain`.
+    pub(crate) fn record_removes(&self, n: u64) {
         self.removes.fetch_add(n, Ordering::Relaxed);
         self.entries.fetch_sub(n, Ordering::Relaxed);
     }
@@ -138,18 +112,6 @@ impl MapStats {
             entries: self.entries.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes the operation counters. The `entries` gauge is left alone —
-    /// it tracks live map contents, which a telemetry reset must not
-    /// pretend were dropped.
-    pub fn reset(&self) {
-        self.inserts.store(0, Ordering::Relaxed);
-        self.updates.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.removes.store(0, Ordering::Relaxed);
-        self.shard_locks.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +119,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let s = MapStats::default();
         s.record_insert();
         s.record_insert();
         s.record_hit();
         s.record_miss();
         s.record_update();
-        s.record_remove();
+        s.record_removes(1);
         s.record_locks(3);
         let snap = s.snapshot();
         assert_eq!(snap.inserts, 2);
@@ -174,15 +136,9 @@ mod tests {
         assert_eq!(snap.removes, 1);
         assert_eq!(snap.shard_locks, 3);
         assert_eq!(snap.entries, 1, "gauge = inserts - removes");
-        assert_eq!(snap.hit_ratio(), Some(0.5));
-        s.reset();
-        let after = s.snapshot();
-        assert_eq!(after, StatsSnapshot { entries: 1, ..StatsSnapshot::default() });
-        assert_eq!(after.entries, 1, "reset zeroes op counters, not the gauge");
-        assert_eq!(after.hit_ratio(), None);
-        s.record_bulk_remove(1);
+        s.record_removes(1);
         assert_eq!(s.snapshot().entries, 0);
-        assert_eq!(s.snapshot().removes, 1);
+        assert_eq!(s.snapshot().removes, 2);
     }
 
     #[test]
@@ -192,13 +148,13 @@ mod tests {
         s.record_hit();
         s.record_locks(5);
         let rec = obs::Recorder::enabled();
-        s.snapshot().export_obs(&rec, "heatmap");
+        s.snapshot().export_obs(&rec);
         let report = rec.report();
-        assert_eq!(report.counter("dht.heatmap.inserts"), Some(1));
-        assert_eq!(report.counter("dht.heatmap.hits"), Some(1));
-        assert_eq!(report.counter("dht.heatmap.shard_locks"), Some(5));
-        assert_eq!(report.gauge("dht.heatmap.entries"), Some(1));
+        assert_eq!(report.counter("dht.map.inserts"), Some(1));
+        assert_eq!(report.counter("dht.map.hits"), Some(1));
+        assert_eq!(report.counter("dht.map.shard_locks"), Some(5));
+        assert_eq!(report.gauge("dht.map.entries"), Some(1));
         // A disabled recorder takes the early-out path.
-        s.snapshot().export_obs(&obs::Recorder::disabled(), "heatmap");
+        s.snapshot().export_obs(&obs::Recorder::disabled());
     }
 }

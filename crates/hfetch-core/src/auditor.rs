@@ -151,15 +151,13 @@ impl Auditor {
     /// contention follows map contention.
     pub fn with_heatmaps(cfg: HFetchConfig, heatmaps: Arc<HeatmapStore>) -> Self {
         cfg.validate();
-        let stats: DistributedMap<SegmentId, SegmentStat> = DistributedMap::with_topology(1, 32);
-        let stripes = stats.shard_count();
         Self {
             cfg,
-            stats,
+            stats: DistributedMap::default(),
             files: Mutex::new(FxHashMap::default()),
             last_by_process: Mutex::new(FxHashMap::default()),
             epoch_refs: Mutex::new(FxHashMap::default()),
-            updates: StripedUpdateQueue::new(stripes),
+            updates: StripedUpdateQueue::default(),
             aux_locks: AtomicU64::new(0),
             heatmaps,
             pending_since: Mutex::new(None),
@@ -221,7 +219,7 @@ impl Auditor {
     /// Routes `update` to the queue stripe matching its segment's map
     /// shard, so queue contention follows map contention.
     fn push_update(&self, update: ScoreUpdate) {
-        let stripe = self.stats.locate(&update.segment).flat;
+        let stripe = self.stats.locate(&update.segment);
         self.updates.push(stripe, update);
     }
 
@@ -247,13 +245,13 @@ impl Auditor {
         if !self.cfg.obs.is_enabled() {
             return;
         }
-        self.stats.stats().snapshot().export_obs(&self.cfg.obs, "stats");
+        self.stats.stats().snapshot().export_obs(&self.cfg.obs);
         let locks = self.ingest_lock_stats();
         let o = &self.cfg.obs;
         o.counter_add("ingest.locks.map_shard", obs::Label::None, locks.map_shard);
         o.counter_add("ingest.locks.queue_stripe", obs::Label::None, locks.queue_stripe);
         o.counter_add("ingest.locks.auxiliary", obs::Label::None, locks.auxiliary);
-        o.gauge_set("ingest.queue.stripes", obs::Label::None, self.updates.stripes() as u64);
+        o.gauge_set("ingest.queue.stripes", obs::Label::None, dht::SHARDS as u64);
         o.gauge_set("ingest.queue.pending", obs::Label::None, self.updates.pending());
     }
 
@@ -871,7 +869,7 @@ mod tests {
         for i in 0..50u64 {
             let first = i % 16;
             let shards: std::collections::HashSet<usize> = (first..first + 48)
-                .map(|index| a.stats.locate(&SegmentId::new(F, index)).flat)
+                .map(|index| a.stats.locate(&SegmentId::new(F, index)))
                 .collect();
             assert!(shards.len() < 48, "pigeonhole: some segments share a shard");
             let peeks = a.config().lookahead.min(total_segments - (first + 48));

@@ -3,9 +3,9 @@
 //! The auditor's update vector is the one piece of state every monitor
 //! daemon writes on every event, so a single `Mutex<Vec<_>>` serialises
 //! the whole ingestion path even though the segment *statistics* are
-//! already sharded. [`StripedUpdateQueue`] stripes the queue the same way
-//! the DHT stripes the statistics — the auditor routes each segment's
-//! updates to the stripe matching its map shard — so two daemons
+//! already sharded. [`StripedUpdateQueue`] has one stripe per statistics
+//! map shard ([`dht::SHARDS`]) and the auditor routes each segment's
+//! updates to the stripe matching its map shard, so two daemons
 //! ingesting different segments take different queue locks exactly when
 //! they take different map locks.
 //!
@@ -219,9 +219,10 @@ struct Stripe {
 }
 
 /// Pending score updates, coalesced to the latest value per segment and
-/// striped across independently locked queues.
+/// striped across [`dht::SHARDS`] independently locked queues.
+#[derive(Default)]
 pub struct StripedUpdateQueue {
-    stripes: Vec<Mutex<Stripe>>,
+    stripes: [Mutex<Stripe>; dht::SHARDS],
     /// Pending fills, at most one per file.
     fills: Mutex<Vec<FillSlot>>,
     /// First-touch stamp source (never reset; see module docs).
@@ -233,29 +234,13 @@ pub struct StripedUpdateQueue {
 }
 
 impl StripedUpdateQueue {
-    /// Creates a queue with `stripes` independently locked stripes.
-    pub fn new(stripes: usize) -> Self {
-        assert!(stripes > 0, "need at least one stripe");
-        Self {
-            stripes: (0..stripes).map(|_| Mutex::new(Stripe::default())).collect(),
-            fills: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
-            locks: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Pushes `update` onto stripe `stripe` (caller routes; the auditor
-    /// uses the segment's DHT shard so queue and map contention align).
-    /// Coalesces into the segment's existing slot if one is pending.
+    /// Pushes `update` onto stripe `stripe`, which must be below
+    /// [`dht::SHARDS`] (caller routes; the auditor uses the segment's DHT
+    /// shard so queue and map contention align). Coalesces into the
+    /// segment's existing slot if one is pending.
     pub fn push(&self, stripe: usize, update: ScoreUpdate) {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.stripes[stripe % self.stripes.len()].lock();
+        let mut s = self.stripes[stripe].lock();
         let stripe_state = &mut *s;
         match stripe_state.index.entry(update.segment) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -272,61 +257,19 @@ impl StripedUpdateQueue {
         self.pending.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pushes a batch of routed updates, taking each stripe's lock once
-    /// per *group* instead of once per update. `items` is `(stripe,
-    /// update)` in request order; a block of sequence stamps is reserved
-    /// up front and new slots are stamped by their position in the batch,
-    /// so the drain order is byte-identical to pushing the same items
-    /// one at a time — grouping changes lock traffic, never results.
-    pub fn push_many(&self, items: &[(usize, ScoreUpdate)]) {
-        match items {
-            [] => {}
-            [(stripe, update)] => self.push(*stripe, *update),
-            _ => {
-                let mut order: Vec<(usize, usize)> = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (stripe, _))| (stripe % self.stripes.len(), i))
-                    .collect();
-                order.sort_unstable();
-                self.push_grouped(&order, |i| items[i].1);
-            }
-        }
-    }
-
     /// Pushes a batch whose routing was already computed by the map:
-    /// `order` is `(flat shard, index)` sorted by shard (the exact value
+    /// `order` is `(shard, index)` sorted by shard (the exact value
     /// `DistributedMap::route` returns), and `make(index)` produces the
-    /// update for that position. When the queue's stripe count matches
-    /// the map's shard count — the default — the shard grouping *is* the
-    /// stripe grouping, so the batch reuses it with no extra routing
-    /// pass or sort; mismatched stripe counts fall back to regrouping.
+    /// update for that position. The shard grouping *is* the stripe
+    /// grouping, so each stripe's lock is taken once per group instead of
+    /// once per update. A block of sequence stamps is reserved up front
+    /// and new slots are stamped by their *index*, so drains order the
+    /// batch exactly as request order — grouping changes lock traffic,
+    /// never results.
     pub fn push_ordered(&self, order: &[(usize, usize)], mut make: impl FnMut(usize) -> ScoreUpdate) {
-        let n = self.stripes.len();
-        match order {
-            [] => {}
-            [(stripe, idx)] => self.push(*stripe, make(*idx)),
-            _ if order[order.len() - 1].0 < n => self.push_grouped(order, make),
-            _ if n == 1 => {
-                let regrouped: Vec<(usize, usize)> =
-                    order.iter().map(|&(_, idx)| (0, idx)).collect();
-                self.push_grouped(&regrouped, make)
-            }
-            _ => {
-                let mut regrouped: Vec<(usize, usize)> =
-                    order.iter().map(|&(flat, idx)| (flat % n, idx)).collect();
-                regrouped.sort_unstable();
-                self.push_grouped(&regrouped, make)
-            }
+        if let [(stripe, idx)] = order {
+            return self.push(*stripe, make(*idx));
         }
-    }
-
-    /// Core grouped push: `order` is `(stripe, index)` sorted by stripe
-    /// with every stripe already in `0..self.stripes.len()`. Reserves a
-    /// block of sequence stamps and stamps new slots by their *index*, so
-    /// drains order the batch exactly as request order regardless of the
-    /// stripe grouping.
-    fn push_grouped(&self, order: &[(usize, usize)], mut make: impl FnMut(usize) -> ScoreUpdate) {
         let base = self.seq.fetch_add(order.len() as u64, Ordering::Relaxed);
         let mut i = 0;
         while i < order.len() {
@@ -466,7 +409,7 @@ mod tests {
 
     #[test]
     fn coalesces_to_latest_in_first_touch_order() {
-        let q = StripedUpdateQueue::new(4);
+        let q = StripedUpdateQueue::default();
         // Route everything to one stripe to pin intra-stripe behaviour.
         q.push(0, upd(1, 0, 1.0));
         q.push(0, upd(1, 1, 1.0));
@@ -483,7 +426,7 @@ mod tests {
 
     #[test]
     fn merge_across_stripes_is_seq_ordered() {
-        let q = StripedUpdateQueue::new(8);
+        let q = StripedUpdateQueue::default();
         // First touches interleave across stripes; drain must restore the
         // global stamp order, not stripe-by-stripe order.
         q.push(7, upd(1, 70, 1.0));
@@ -497,19 +440,22 @@ mod tests {
     }
 
     #[test]
-    fn push_many_drains_identically_to_single_pushes() {
-        // Same routed items, once via push(), once via push_many(): the
+    fn push_ordered_drains_identically_to_single_pushes() {
+        // Same routed items, once via push(), once via push_ordered(): the
         // drains must match byte-for-byte (order and values), and the
-        // grouped push must take at most as many stripe locks.
+        // grouped push must take fewer stripe locks.
         let items: Vec<(usize, ScoreUpdate)> = (0..40)
             .map(|i| ((i * 7 % 5) as usize, upd(1 + i % 2, i % 13, i as f64)))
             .collect();
-        let one = StripedUpdateQueue::new(5);
+        let one = StripedUpdateQueue::default();
         for (stripe, u) in &items {
             one.push(*stripe, *u);
         }
-        let many = StripedUpdateQueue::new(5);
-        many.push_many(&items);
+        let mut order: Vec<(usize, usize)> =
+            items.iter().enumerate().map(|(i, (stripe, _))| (*stripe, i)).collect();
+        order.sort_unstable();
+        let many = StripedUpdateQueue::default();
+        many.push_ordered(&order, |i| items[i].1);
         assert_eq!(many.pending(), one.pending());
         let grouped_locks = many.lock_acquisitions();
         assert!(grouped_locks < one.lock_acquisitions(), "grouping must save stripe locks");
@@ -519,19 +465,21 @@ mod tests {
             assert_eq!(x.segment, y.segment, "first-touch order must match");
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
-        many.push_many(&[]);
+        many.push_ordered(&[], |i| items[i].1);
         assert_eq!(many.pending(), 0, "empty batch is a no-op");
+        many.push_ordered(&[(items[7].0, 7)], |i| items[i].1);
+        assert_eq!(many.drain().updates(), &[items[7].1], "one-item batch");
     }
 
     #[test]
     fn pending_is_exact_under_concurrent_push_and_drain() {
-        let q = std::sync::Arc::new(StripedUpdateQueue::new(4));
+        let q = std::sync::Arc::new(StripedUpdateQueue::default());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let q = q.clone();
                 s.spawn(move || {
                     for i in 0..2000 {
-                        q.push((t + i) as usize, upd(t, i % 64, i as f64));
+                        q.push((t + i) as usize % dht::SHARDS, upd(t, i % 64, i as f64));
                     }
                 });
             }
@@ -554,7 +502,7 @@ mod tests {
 
     #[test]
     fn purge_file_drops_only_that_file() {
-        let q = StripedUpdateQueue::new(4);
+        let q = StripedUpdateQueue::default();
         q.push(0, upd(1, 0, 1.0));
         q.push(1, upd(2, 0, 1.0));
         q.push(2, upd(1, 1, 1.0));
@@ -570,7 +518,7 @@ mod tests {
 
     #[test]
     fn purge_then_push_same_segment_lands_in_a_fresh_slot() {
-        let q = StripedUpdateQueue::new(2);
+        let q = StripedUpdateQueue::default();
         q.push(0, upd(1, 5, 1.0));
         q.push(0, upd(2, 9, 1.0));
         q.purge_file(FileId(1));
@@ -586,7 +534,7 @@ mod tests {
 
     #[test]
     fn fill_rewrites_pending_slots_and_later_pushes_supersede_it() {
-        let q = StripedUpdateQueue::new(4);
+        let q = StripedUpdateQueue::default();
         q.push(0, upd(1, 2, 9.0)); // pending before staging: rewritten
         q.push(1, upd(1, 40, 9.0)); // past the staged size: kept
         q.push(2, upd(2, 0, 9.0)); // another file: kept
@@ -614,7 +562,7 @@ mod tests {
 
     #[test]
     fn a_second_fill_replaces_the_first_and_purge_drops_it() {
-        let q = StripedUpdateQueue::new(2);
+        let q = StripedUpdateQueue::default();
         q.push_fill(Fill::new(FileId(1), 2048, 1024, 0.5), 2);
         q.push_fill(Fill::new(FileId(1), 4096, 1024, 0.5), 4);
         q.push_fill(Fill::new(FileId(2), 1024, 1024, 0.5), 1);
@@ -629,11 +577,12 @@ mod tests {
 
     #[test]
     fn lock_telemetry_counts_stripe_visits() {
-        let q = StripedUpdateQueue::new(4);
+        let q = StripedUpdateQueue::default();
         q.push(0, upd(1, 0, 1.0));
         q.push(1, upd(1, 1, 1.0));
         assert_eq!(q.lock_acquisitions(), 2);
         q.drain();
-        assert_eq!(q.lock_acquisitions(), 2 + 4 + 1, "drain visits every stripe and the fills");
+        let drain_locks = dht::SHARDS as u64 + 1;
+        assert_eq!(q.lock_acquisitions(), 2 + drain_locks, "drain visits every stripe and fills");
     }
 }

@@ -4,8 +4,9 @@
 //! change *what* the placement engine sees, only how cheaply it gets
 //! there. These tests pin that contract from outside the crate:
 //!
-//! * single-threaded, any stripe count drains byte-identically to the
-//!   one-stripe (global queue) layout, in first-touch order;
+//! * single-threaded, any routing of segments to stripes drains
+//!   byte-identically to the one-stripe (global queue) layout, in
+//!   first-touch order;
 //! * concurrent producers coalesce to the latest score per segment, with
 //!   a raw-push counter that stays exact.
 
@@ -49,21 +50,21 @@ fn assert_byte_identical(a: &[ScoreUpdate], b: &[ScoreUpdate]) {
 
 proptest! {
     /// Single-threaded pushes drain identically — same order, same bit
-    /// patterns — whether the queue has 1, 3 or 32 stripes, and both
-    /// match the first-touch/latest-score model.
+    /// patterns — whether every segment shares one stripe or segments
+    /// spread over 3 or all 32 stripes, and each matches the
+    /// first-touch/latest-score model.
     #[test]
-    fn prop_stripe_count_never_changes_a_serial_drain(
+    fn prop_routing_never_changes_a_serial_drain(
         pushes in proptest::collection::vec(
             (0u64..3, 0u64..24, 0.0f64..100.0), 0..200),
     ) {
         let expected = model_drain(&pushes);
-        for stripes in [1usize, 3, 32] {
-            let q = StripedUpdateQueue::new(stripes);
+        for stripes in [1u64, 3, 32] {
+            let q = StripedUpdateQueue::default();
             for &(file, index, score) in &pushes {
                 // Route the way the auditor does: by a per-segment value,
-                // here the segment index (stable across stripe counts
-                // after the modulo inside push).
-                q.push(index as usize, upd(file, index, score));
+                // here the segment index.
+                q.push((index % stripes) as usize, upd(file, index, score));
             }
             prop_assert_eq!(q.pending(), pushes.len() as u64);
             let drained = q.drain().updates().to_vec();
@@ -82,7 +83,7 @@ proptest! {
             (0u64..3, 0u64..16, 0.0f64..100.0), 1..120),
         cadence in 1usize..40,
     ) {
-        let q = StripedUpdateQueue::new(4);
+        let q = StripedUpdateQueue::default();
         let mut batches: Vec<Vec<ScoreUpdate>> = Vec::new();
         for (i, &(file, index, score)) in pushes.iter().enumerate() {
             q.push(index as usize, upd(file, index, score));
@@ -123,7 +124,7 @@ fn concurrent_producers_coalesce_to_latest_per_segment() {
     const THREADS: u64 = 4;
     const ROUNDS: u64 = 500;
     const SEGMENTS: u64 = 8;
-    let q = Arc::new(StripedUpdateQueue::new(8));
+    let q = Arc::new(StripedUpdateQueue::default());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let q = Arc::clone(&q);

@@ -117,8 +117,8 @@ pub trait PrefetchPolicy {
 
     /// The run is over: every rank finished and the event calendar drained.
     /// For end-of-run exporting (e.g. flushing internal telemetry into the
-    /// recorder via [`SimCtl::recorder`]) — fetches issued here are never
-    /// executed, and mutating simulator state would taint the report.
+    /// policy's own recorder) — fetches issued here are never executed,
+    /// and mutating simulator state would taint the report.
     fn on_finish(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {}
 }
 

@@ -10,7 +10,8 @@
 #      crates' unit and integration suites (golden traces, thread-count
 #      equivalence, fault invariants, obs-on/off agreement) run only there.
 #   2. clippy: the whole workspace must be warning-free, test, bench and
-#      example targets included.
+#      example targets included. Then rustdoc over the workspace with
+#      warnings denied, so a doc link to a renamed or deleted item fails.
 #   3. smoke all_figures: seconds-scale figure regeneration through the
 #      parallel scenario runner, into a throwaway results dir so committed
 #      bench_results/ artifacts are not clobbered by smoke-scale numbers.
@@ -64,6 +65,9 @@ cargo test --workspace --exclude hfetch -q
 
 echo "== clippy: workspace, all targets, deny warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc: workspace, deny warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -42,7 +42,7 @@
 //! |---|---|
 //! | [`tiers`] | storage substrate: tier specs, hierarchy, capacity, backends, byte ranges |
 //! | [`events`] | enriched inotify-equivalent event feed, queue, monitor daemons, I/O shim |
-//! | [`dht`] | HCL-equivalent distributed hashmap with WAL crash recovery |
+//! | [`dht`] | HCL-equivalent hashmap: volatile, in-process, 32 locked shards |
 //! | [`sim`] | discrete-event cluster simulator (devices, scripts, policies, reports) |
 //! | [`hfetch_core`] | the paper's contribution: auditor, Eq. 1 scoring, heatmaps, Algorithm 1 engine, server, agents |
 //! | [`baselines`] | serial/parallel, in-memory optimal/naive, app-centric, Stacker-like, KnowAc-like |
