@@ -58,7 +58,11 @@ pub struct HFetchConfig {
     /// epoch starts (lets the engine stage cold files into spare capacity,
     /// hotter-ranked first).
     pub epoch_base_score: f64,
-    /// Drop a file's prefetched segments when its last reader closes it.
+    /// A closed file gives up its place: when its last reader closes it,
+    /// its placed segments cool to score 0 where they sit, and any hotter
+    /// segment may then evict them (a cold victim is never demoted). A
+    /// re-open re-keys the resident ones in place. `false` keeps the
+    /// closed file's scores.
     pub evict_on_epoch_end: bool,
     /// Displacement hysteresis passed to the placement engine: a segment
     /// only displaces a placed one when its score exceeds the victim's by

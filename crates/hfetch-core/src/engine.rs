@@ -7,7 +7,9 @@
 //! down the hierarchy (`DemoteSegments`), naturally handling eviction —
 //! "each segment has its natural position in the hierarchy based on its
 //! score" (§III-D). Placement is *exclusive*: a segment lives in exactly
-//! one tier.
+//! one tier. A closed file's segments cool to score 0 where they sit
+//! ([`PlacementEngine::cool_file`]); a displaced cold segment is evicted,
+//! never demoted, and an update re-keys a cold one in place.
 //!
 //! The engine is a pure planner: it models tier contents and emits
 //! [`PlacementAction`]s; executing the data movement is the job of the I/O
@@ -40,6 +42,10 @@ use crate::update_queue::{Fill, UpdateBatch};
 pub struct ScoreKey(u64);
 
 impl ScoreKey {
+    /// The score of a cooled segment: its file's last reader closed it.
+    /// Observed, anticipated and staged scores are always above it.
+    pub(crate) const COLD: ScoreKey = ScoreKey(0);
+
     /// Builds a key from a non-negative score (negatives clamp to 0).
     pub fn new(score: f64) -> Self {
         ScoreKey(score.max(0.0).to_bits())
@@ -330,6 +336,26 @@ impl PlacementEngine {
                 order.push(u.segment);
             }
         }
+        // A cooled resident segment this pass updates is re-keyed where it
+        // sits before anything settles, so no other update of the pass
+        // evicts it as a cold victim only for it to be fetched back.
+        if self.holds_cold() {
+            for u in order.iter().map(|seg| latest[seg]).filter(|u| u.size > 0) {
+                if self.score_of(u.segment) == Some(0.0) {
+                    self.rekey(u.segment, ScoreKey::new(u.score));
+                }
+            }
+            if !fills.is_empty() {
+                self.rekey_all(|key, s| {
+                    if key != ScoreKey::COLD {
+                        return key;
+                    }
+                    (fills.iter())
+                        .find(|f| f.file() == s.file && s.index < f.segments() && f.covers(s.index))
+                        .map_or(key, |f| ScoreKey::new(f.update(s.index).score))
+                });
+            }
+        }
         // Place hotter segments first so they claim fast tiers before
         // colder ones fill them.
         order.sort_by(|a, b| settle_order(&latest[a], &latest[b]));
@@ -395,14 +421,52 @@ impl PlacementEngine {
     }
 
     /// Settles one update: takes the segment out of the model and places
-    /// it by its new score. Returns the tier it was on.
+    /// it by its new score. Returns the tier it was on. A segment on an
+    /// offline tier is re-keyed where it sits: its bytes can be neither
+    /// read nor dropped until the tier is back.
     fn apply(&mut self, u: ScoreUpdate, actions: &mut Vec<PlacementAction>) -> Option<TierId> {
         if u.size == 0 {
             return None;
         }
+        if self.placed.get(&u.segment).is_some_and(|p| self.offline[p.tier_idx]) {
+            return self.rekey(u.segment, ScoreKey::new(u.score));
+        }
         let origin = self.unplace(u.segment);
         self.settle(u.segment, u.size, ScoreKey::new(u.score), origin, 0, actions);
         origin
+    }
+
+    /// Moves a placed segment to `key` within its tier; returns the tier.
+    fn rekey(&mut self, segment: SegmentId, key: ScoreKey) -> Option<TierId> {
+        let p = self.placed.get_mut(&segment)?;
+        let tier = &mut self.tiers[p.tier_idx];
+        tier.contents.remove(&(p.key, segment));
+        p.key = key;
+        tier.contents.insert((key, segment));
+        Some(tier.id)
+    }
+
+    /// Re-keys placed segments where they sit: `key_of` maps each one's
+    /// key to its new key. One rebuild per tier, not one tree search per
+    /// segment: this re-keys up to the whole cache at once.
+    fn rekey_all(&mut self, mut key_of: impl FnMut(ScoreKey, SegmentId) -> ScoreKey) {
+        for tier in &mut self.tiers {
+            let entries: Vec<_> = (std::mem::take(&mut tier.contents).into_iter())
+                .map(|(key, s)| {
+                    let new = key_of(key, s);
+                    if new != key {
+                        self.placed.get_mut(&s).expect("tier contents are placed").key = new;
+                    }
+                    (new, s)
+                })
+                .collect();
+            tier.contents = entries.into_iter().collect();
+        }
+    }
+
+    /// True while some tier holds a cold segment (cold keys sort first).
+    fn holds_cold(&self) -> bool {
+        self.tiers.iter().any(|t| t.min_key() == Some(ScoreKey::COLD))
     }
 
     /// Removes a segment from the model, returning its previous tier.
@@ -416,7 +480,9 @@ impl PlacementEngine {
 
     /// Algorithm 1: finds `segment`'s natural tier starting from
     /// `start_idx`, demoting colder segments as needed. `origin` is where
-    /// the segment's bytes currently are (None = not cached).
+    /// the segment's bytes currently are (None = not cached). A displaced
+    /// cold victim is evicted, not demoted: a zero score never justifies a
+    /// transfer.
     fn settle(
         &mut self,
         segment: SegmentId,
@@ -453,7 +519,8 @@ impl PlacementEngine {
                 let (vkey, vseg) = victim;
                 let vsize = self.placed[&vseg].size;
                 let vorigin = self.unplace(vseg);
-                self.settle(vseg, vsize, vkey, vorigin, idx + 1, actions);
+                let below = if vkey == ScoreKey::COLD { self.tiers.len() } else { idx + 1 };
+                self.settle(vseg, vsize, vkey, vorigin, below, actions);
             }
             if self.tiers[idx].free() < size {
                 continue; // could not make room; try the next tier down
@@ -518,9 +585,10 @@ impl PlacementEngine {
     /// evacuates the tier's modeled contents: each segment re-settles into
     /// the remaining online tiers, hottest first, yielding `Move` actions
     /// down the hierarchy (or `Evict` when nothing fits) for the caller to
-    /// execute. Unknown tiers (e.g. the backing tier) are ignored. Going
-    /// back online emits nothing — subsequent engine runs will repopulate
-    /// the tier naturally.
+    /// execute. Cold segments stay where they are: moving them is not worth
+    /// a transfer, and an offline tier cannot drop them. Unknown tiers
+    /// (e.g. the backing tier) are ignored. Going back online emits nothing
+    /// — subsequent engine runs will repopulate the tier naturally.
     pub fn set_tier_offline(&mut self, tier: TierId, offline: bool) -> Vec<PlacementAction> {
         let Some(idx) = self.tiers.iter().position(|t| t.id == tier) else {
             return Vec::new();
@@ -534,8 +602,10 @@ impl PlacementEngine {
         }
         // Evacuate hottest-first so hot segments claim the best remaining
         // slots before colder ones fill them.
-        let contents: Vec<(ScoreKey, SegmentId)> =
-            self.tiers[idx].contents.iter().rev().copied().collect();
+        let contents: Vec<(ScoreKey, SegmentId)> = (self.tiers[idx].contents.iter().rev())
+            .take_while(|(key, _)| *key != ScoreKey::COLD)
+            .copied()
+            .collect();
         let mut actions = Vec::with_capacity(contents.len());
         self.evacuating = true;
         for (key, seg) in contents {
@@ -547,28 +617,12 @@ impl PlacementEngine {
         actions
     }
 
-    /// Removes every segment of `file` from the model (epoch end),
-    /// returning eviction actions for the caller to execute. One sweep
-    /// per structure, not one tree removal per segment: an epoch end
-    /// evicts up to the whole cache.
-    pub fn evict_file(&mut self, file: FileId) -> Vec<PlacementAction> {
-        let evicted: Vec<(SegmentId, Placed)> =
-            self.placed.iter().filter(|(s, _)| s.file == file).map(|(&s, &p)| (s, p)).collect();
-        if evicted.is_empty() {
-            return Vec::new();
-        }
-        self.placed.retain(|s, _| s.file != file);
-        for tier in &mut self.tiers {
-            tier.contents.retain(|(_, s)| s.file != file);
-        }
-        let mut actions = Vec::with_capacity(evicted.len());
-        for (seg, p) in evicted {
-            self.tiers[p.tier_idx].used -= p.size;
-            let from = self.tiers[p.tier_idx].id;
-            actions.push(PlacementAction::Evict { segment: seg, from });
-            self.record_placement(seg, Some(from), None, p.key, p.size, obs::Cause::Evict);
-        }
-        actions
+    /// Cools every placed segment of `file` to score 0 where it sits
+    /// (epoch end): the segments keep their bytes and their tier, and leave
+    /// only when a hotter segment needs the room. Emits no action and no
+    /// placement event.
+    pub fn cool_file(&mut self, file: FileId) {
+        self.rekey_all(|key, s| if s.file == file { ScoreKey::COLD } else { key });
     }
 
     /// Removes one segment from the model (e.g. after a write invalidated
@@ -873,24 +927,81 @@ mod tests {
     }
 
     #[test]
-    fn evict_file_clears_only_that_file() {
+    fn cool_file_rekeys_only_that_file_in_place() {
         let mut e = engine();
-        e.run(
-            vec![
-                update(0, 5.0),
-                ScoreUpdate {
-                    segment: SegmentId::new(FileId(9), 0),
-                    score: 4.0,
-                    size: MIB,
-                    anticipated: false,
-                },
-            ],
-            Timestamp::ZERO,
-        );
-        let actions = e.evict_file(F);
-        assert_eq!(actions.len(), 1);
-        assert_eq!(e.placed_segments(), 1);
-        assert_eq!(e.location(SegmentId::new(FileId(9), 0)), Some(TierId(0)));
+        let other = SegmentId::new(FileId(9), 0);
+        let foreign = ScoreUpdate { segment: other, score: 4.0, size: MIB, anticipated: false };
+        let updates: Vec<ScoreUpdate> = (0..4).map(|i| update(i, 5.0 + i as f64)).collect();
+        e.run(updates.into_iter().chain([foreign]).collect::<Vec<_>>(), Timestamp::ZERO);
+        let before: Vec<_> = (0..4).map(|i| e.location(SegmentId::new(F, i))).collect();
+        e.cool_file(F);
+        for (i, tier) in before.into_iter().enumerate() {
+            let seg = SegmentId::new(F, i as u64);
+            assert_eq!((e.location(seg), e.score_of(seg)), (tier, Some(0.0)), "segment {i}");
+        }
+        assert_eq!(e.score_of(other), Some(4.0));
+        assert_eq!(e.placed_segments(), 5);
+        e.check_invariants().unwrap();
+        // A re-open's update re-keys a resident segment where it sits.
+        assert!(e.run(vec![update(2, 6.0)], Timestamp::ZERO).is_empty());
+        assert_eq!(e.score_of(SegmentId::new(F, 2)), Some(6.0));
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_cold_victim_is_evicted_not_demoted() {
+        let mut e = engine();
+        e.run(vec![update(0, 5.0), update(1, 4.0)], Timestamp::ZERO);
+        e.cool_file(F);
+        // NVMe has room, but a cold segment is not worth a transfer.
+        let hot = SegmentId::new(FileId(1), 0);
+        let u = ScoreUpdate { segment: hot, score: 0.5, size: MIB, anticipated: true };
+        let actions = e.run(vec![u], Timestamp::ZERO);
+        assert_eq!(actions, vec![
+            PlacementAction::Evict { segment: SegmentId::new(F, 0), from: TierId(0) },
+            PlacementAction::Fetch { segment: hot, to: TierId(0) },
+        ]);
+        assert_eq!(e.location(SegmentId::new(F, 1)), Some(TierId(0)), "one victim made room");
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_reopen_rekeys_resident_segments_without_shuffling_them() {
+        let mut e = engine();
+        // RAM holds 4 and 5, NVMe 0..=3.
+        let placed: Vec<ScoreUpdate> = (0..6).map(|i| update(i, 1.0 + i as f64)).collect();
+        e.run(placed, Timestamp::ZERO);
+        assert_eq!(e.location(SegmentId::new(F, 4)), Some(TierId(0)));
+        e.cool_file(F);
+        // Equal scores, settled by segment id: 0 must not take RAM from the
+        // cold 4 only for 4 to be fetched back into 0's old room.
+        let reopen: Vec<ScoreUpdate> = (0..6).map(|i| update(i, 0.5)).collect();
+        assert_eq!(e.run(reopen, Timestamp::ZERO), vec![]);
+        let fill = Fill::new(F, 8 * MIB, MIB, 0.5);
+        e.cool_file(F);
+        let staged = e.run(UpdateBatch::new(Vec::new(), vec![fill]), Timestamp::ZERO);
+        assert!(staged.iter().all(|a| matches!(a, PlacementAction::Fetch { .. })), "{staged:?}");
+        assert_eq!(e.location(SegmentId::new(F, 4)), Some(TierId(0)));
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn going_offline_leaves_cold_segments_and_rekeys_them_in_place() {
+        let mut e = engine();
+        e.run(vec![update(0, 5.0), update(1, 4.0)], Timestamp::ZERO);
+        e.cool_file(F);
+        e.run(vec![update(1, 4.0)], Timestamp::ZERO);
+        let actions = e.set_tier_offline(TierId(0), true);
+        assert_eq!(actions, vec![PlacementAction::Move {
+            segment: SegmentId::new(F, 1),
+            from: TierId(0),
+            to: TierId(1)
+        }]);
+        assert_eq!(e.location(SegmentId::new(F, 0)), Some(TierId(0)), "cold: stays put");
+        // An update cannot move it off the offline tier either.
+        assert!(e.run(vec![update(0, 9.0)], Timestamp::ZERO).is_empty());
+        let seg = SegmentId::new(F, 0);
+        assert_eq!((e.location(seg), e.score_of(seg)), (Some(TierId(0)), Some(9.0)));
         e.check_invariants().unwrap();
     }
 

@@ -169,11 +169,37 @@ impl Executor {
         self.transfer_done(action.target().0, io);
     }
 
-    /// Epoch end: when the last reader closed `file`, drops its segments.
-    pub fn close(&mut self, auditor: &Auditor, file: FileId, now: Timestamp, io: &mut impl Transfers) {
+    /// Epoch end: when the last reader closed `file`, its segments cool to
+    /// score 0 where they sit. They leave only when a hotter segment needs
+    /// their room, and a re-open re-keys the resident ones in place.
+    pub fn close(&mut self, auditor: &Auditor, file: FileId, now: Timestamp) {
         if auditor.end_epoch(file, now) && self.cfg.evict_on_epoch_end {
-            let actions = self.engine.evict_file(file);
-            self.execute(actions, io);
+            self.engine.cool_file(file);
+        }
+    }
+
+    /// The run is over and nothing queued will issue, so no cached copy may
+    /// outlive its placement. Parked evictions run once their segment is
+    /// idle. A segment with a queued `Move` leaves the model and every cache
+    /// tier: its bytes are still where the first unissued move found them,
+    /// not where the model places it.
+    pub fn finish(&mut self, io: &mut impl Transfers) {
+        let queued: Vec<Queued> = (self.demand.drain(..).chain(self.staging.drain(..)))
+            .chain(self.parked.drain(..))
+            .collect();
+        for queued in queued {
+            let (segment, _) = queued.action.target();
+            match queued.action {
+                PlacementAction::Evict { .. } => self.evict(queued, io),
+                PlacementAction::Move { .. } => {
+                    self.engine.remove_segment(segment);
+                    let range = self.range_of(segment, io);
+                    for &tier in &self.cache_tiers {
+                        io.discard(segment, range, tier);
+                    }
+                }
+                PlacementAction::Fetch { .. } => {}
+            }
         }
     }
 
@@ -573,13 +599,18 @@ mod tests {
         assert_eq!(exec.parked.iter().map(|q| q.retries).collect::<Vec<_>>(), vec![RETRIES]);
         exec.transfer_done(seg(0), &mut io);
         assert_eq!(io.fetches.len(), 2, "the move issues once the fetch landed");
-        // The epoch ends while the move is in flight: the eviction waits
-        // for the landing, or the bytes would land after the discard.
-        let evicted = exec.engine.evict_file(FileId(0));
-        exec.execute(evicted, &mut io);
+        // The epoch ends while the move is in flight, and four segments
+        // fill NVMe: the last displaces the cold 0. Its eviction waits for
+        // the landing, or the bytes would land after the discard.
+        exec.engine.cool_file(FileId(0));
+        place(&mut exec, &[1, 2, 3, 4], &mut io);
+        assert_eq!(exec.engine.location(seg(0)), None);
         assert!(io.discards.is_empty());
         exec.transfer_done(seg(0), &mut io);
         assert_eq!(io.discards, vec![(seg(0), TierId(1))]);
+        for done in 1..=4 {
+            exec.transfer_done(seg(done), &mut io);
+        }
         assert!(exec.tick(&Auditor::new(exec.cfg.clone()), Timestamp::ZERO, &mut io));
     }
 
@@ -616,23 +647,44 @@ mod tests {
         place(&mut exec, &[0], &mut io);
         exec.transfer_done(seg(0), &mut io);
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
-        // The slot is taken; a hotter segment demotes 0 (a queued move),
-        // and 5 is queued too.
+        // The slot is taken; 1 and 2 are queued, and 2 demotes 0 (a queued
+        // move).
         exec.inflight += 1;
         let hot = |i| ScoreUpdate { segment: seg(i), score: 100.0, size: MIB, anticipated: true };
-        let actions = exec.engine.run(vec![hot(1), hot(2), hot(5)], Timestamp::ZERO);
+        let actions = exec.engine.run(vec![hot(1), hot(2)], Timestamp::ZERO);
         assert!(actions.iter().any(|a| a.moved_from() == Some(TierId(0))));
         exec.execute(actions, &mut io);
-        // The file's epoch ends before the slot frees: 0 leaves the model.
-        let evicted = exec.engine.evict_file(FileId(0));
-        exec.execute(evicted, &mut io);
+        // A write drops 0, 1 and 2 from the model before the slot frees.
+        let auditor = Auditor::new(exec.cfg.clone());
+        exec.write(&auditor, FileId(0), ByteRange::new(0, mib(3)), Timestamp::ZERO, &mut io);
+        assert_eq!(exec.engine.placed_segments(), 0);
         let orphan = |io: &Fake| io.discards.iter().filter(|d| **d == (seg(0), TierId(0))).count();
-        assert_eq!(orphan(&io), 0, "the eviction dropped 0 from NVMe, where the model had it");
+        assert_eq!(orphan(&io), 0);
         let fetched = io.fetches.len();
         exec.transfer_done(seg(9), &mut io);
         assert_eq!(io.fetches.len(), fetched, "superseded actions move nothing");
         assert!(queued(&exec) == 0 && exec.inflight == 0);
         assert_eq!(orphan(&io), 1, "the dropped move freed its source copy in RAM");
+    }
+
+    #[test]
+    fn finish_drops_a_segment_whose_move_never_issued() {
+        let mut exec = executor(1);
+        let mut io = Fake::default();
+        place(&mut exec, &[0], &mut io);
+        exec.transfer_done(seg(0), &mut io);
+        // The slot is taken, so 2's demotion of 0 stays queued: the model
+        // places 0 on NVMe while its bytes stay in RAM.
+        exec.inflight += 1;
+        let hot = |i| ScoreUpdate { segment: seg(i), score: 100.0, size: MIB, anticipated: true };
+        let actions = exec.engine.run(vec![hot(1), hot(2)], Timestamp::ZERO);
+        exec.execute(actions, &mut io);
+        assert!(io.discards.is_empty());
+        exec.finish(&mut io);
+        let tiers = [TierId(0), TierId(1), TierId(2)];
+        assert_eq!(io.discards, tiers.map(|t| (seg(0), t)), "wherever the move left its bytes");
+        assert_eq!(exec.engine.location(seg(0)), None);
+        assert!(queued(&exec) == 0 && exec.parked.is_empty());
     }
 
     proptest::proptest! {

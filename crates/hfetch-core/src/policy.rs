@@ -122,9 +122,9 @@ impl PrefetchPolicy for HFetchPolicy {
         _process: ProcessId,
         _app: AppId,
         now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        _ctl: &mut SimCtl<'_>,
     ) {
-        self.exec.close(&self.auditor, file, now, ctl);
+        self.exec.close(&self.auditor, file, now);
     }
 
     fn on_tick(&mut self, now: Timestamp, ctl: &mut SimCtl<'_>) {
@@ -141,7 +141,8 @@ impl PrefetchPolicy for HFetchPolicy {
         self.exec.transfer_done(segment, ctl);
     }
 
-    fn on_finish(&mut self, _now: Timestamp, _ctl: &mut SimCtl<'_>) {
+    fn on_finish(&mut self, _now: Timestamp, ctl: &mut SimCtl<'_>) {
+        self.exec.finish(ctl);
         // End-of-run telemetry: the auditor's DHT shard counters and the
         // ingestion lock/queue statistics land in the ObsReport, where the
         // obs-diff gate can watch them. No-op when the recorder is off.
@@ -153,6 +154,7 @@ impl PrefetchPolicy for HFetchPolicy {
 mod tests {
     use super::*;
     use sim::engine::{SimConfig, Simulation};
+    use sim::report::SimReport;
     use sim::policy::NoPrefetch;
     use sim::script::{RankScript, ScriptBuilder, SimFile};
     use std::time::Duration;
@@ -217,21 +219,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn epoch_end_evicts_prefetched_data() {
-        let hierarchy = Hierarchy::with_budgets(gib(1), gib(1), gib(1));
-        let files = vec![SimFile { id: FileId(0), size: mib(8) }];
-        let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
-            .open(FileId(0))
-            .compute(Duration::from_secs(2)) // staging completes
-            .read(FileId(0), 0, mib(8))
-            .close(FileId(0))
-            .compute(Duration::from_secs(2)) // engine has time after close
-            .build()];
+    /// One rank runs `epochs`, each opening a file, waiting for staging,
+    /// reading the whole file and closing it, on 8 MiB of cache.
+    fn epochs_on_a_small_cache(files: &[u64], epochs: &[u64]) -> (SimReport, HFetchPolicy) {
+        let hierarchy = Hierarchy::with_budgets(mib(2), mib(2), mib(4));
+        let files = files.iter().map(|&f| SimFile { id: FileId(f), size: mib(8) }).collect();
+        let mut b = ScriptBuilder::new(ProcessId(0), AppId(0));
+        for &f in epochs {
+            b = b
+                .open(FileId(f))
+                .compute(Duration::from_secs(2)) // staging completes
+                .read(FileId(f), 0, mib(8))
+                .close(FileId(f))
+                .compute(Duration::from_secs(2)); // the engine runs after close
+        }
         let policy = HFetchPolicy::new(HFetchConfig::default(), &hierarchy);
-        let (report, _) =
-            Simulation::new(SimConfig::new(hierarchy), files, scripts, policy).run();
-        assert!(report.evicted_bytes > 0, "epoch end must evict: {report:?}");
+        Simulation::new(SimConfig::new(hierarchy), files, vec![b.build()], policy).run()
+    }
+
+    #[test]
+    fn epoch_end_cools_a_file_where_it_sits() {
+        let (report, policy) = epochs_on_a_small_cache(&[0], &[0]);
+        assert_eq!(report.hit_ratio(), Some(1.0));
+        assert_eq!(report.evicted_bytes, 0, "a closed file keeps its place: {report:?}");
+        let engine = policy.engine();
+        assert_eq!(engine.placed_segments(), 8);
+        assert!(engine.placements().all(|(s, _)| engine.score_of(s) == Some(0.0)));
+    }
+
+    #[test]
+    fn a_file_opened_after_a_closed_one_takes_its_room() {
+        let (report, policy) = epochs_on_a_small_cache(&[0, 1], &[0, 1]);
+        assert_eq!(report.hit_ratio(), Some(1.0));
+        assert_eq!(report.evicted_bytes, mib(8), "the cold file gave up its room: {report:?}");
+        assert!(policy.engine().placements().all(|(s, _)| s.file == FileId(1)));
+    }
+
+    #[test]
+    fn reopening_a_closed_file_reads_no_new_backing_store_bytes() {
+        let (report, policy) = epochs_on_a_small_cache(&[0], &[0, 0]);
+        assert_eq!(report.hit_ratio(), Some(1.0));
+        assert_eq!(report.prefetch_bytes, mib(8), "the re-open fetched again: {report:?}");
+        assert_eq!(report.evicted_bytes, 0);
+        assert_eq!(policy.engine().placed_segments(), 8);
     }
 
     #[test]
@@ -524,7 +554,8 @@ mod tests {
         let (report, policy) =
             Simulation::new(SimConfig::new(hierarchy), files, scripts, policy).run();
         assert!(report.prefetch_bytes > 0, "staging fetched before the close");
-        assert_eq!(policy.inner.engine().placed_segments(), 0, "the epoch end dropped every segment");
+        let engine = policy.inner.engine();
+        assert!(engine.placements().all(|(s, _)| engine.score_of(s) == Some(0.0)), "all cooled");
         assert!(policy.unplaced.is_empty(), "cached but not placed: {:?}", policy.unplaced);
     }
 

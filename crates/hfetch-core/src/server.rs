@@ -105,10 +105,10 @@ impl Transfers for &ServerInner {
         self.auditor.file_size(file)
     }
 
-    /// Backends report no liveness: an offline tier surfaces as failed
-    /// fetches, which reconcile like any other failure.
-    fn tier_online(&self, _tier: TierId) -> bool {
-        true
+    /// The tier's backend reports its liveness; the engine routes around
+    /// an offline tier instead of failing fetches into it.
+    fn tier_online(&self, tier: TierId) -> bool {
+        self.backend(tier).online()
     }
 
     /// Reserves the destination and hands the copy to the I/O clients.
@@ -339,7 +339,7 @@ impl ServerInner {
             }
             // Consistency: drop stale prefetched bytes everywhere.
             AccessKind::Write => self.with_exec(|e, io| e.write(&self.auditor, file, range, now, io)),
-            AccessKind::Close => self.with_exec(|e, io| e.close(&self.auditor, file, now, io)),
+            AccessKind::Close => self.with_exec(|e, _| e.close(&self.auditor, file, now)),
         }
     }
 }
@@ -550,9 +550,21 @@ mod tests {
         assert!(server.stats().prefetched_bytes.load(Ordering::Relaxed) >= mib(2));
         shim.fclose(&h);
         server.quiesce();
-        // Epoch end evicts.
+        // Epoch end cools the file where it sits, and a re-open reads
+        // nothing new from the backing store.
         let ram = server.inner().backend(TierId(0));
-        assert_eq!(ram.resident_bytes(h.file()), 0, "evicted on epoch end");
+        assert_eq!(ram.resident_bytes(h.file()), mib(2), "cooled in place on epoch end");
+        let prefetched = server.stats().prefetched_bytes.load(Ordering::Relaxed);
+        let (h, _) = shim.fopen(
+            "/data/input",
+            events::shim::OpenMode::Read,
+            tiers::ids::ProcessId(0),
+            tiers::ids::AppId(0),
+        );
+        server.quiesce();
+        assert_eq!(server.stats().prefetched_bytes.load(Ordering::Relaxed), prefetched);
+        server.inner().check_drift().unwrap();
+        shim.fclose(&h);
         server.shutdown();
     }
 
@@ -654,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn offline_tier_rolls_back_and_recovers() {
+    fn offline_tier_is_routed_around_and_recovers() {
         use tiers::faults::{FaultConfig, FaultPlan, FlakyBackend};
         let hierarchy = small_hierarchy();
         let n = hierarchy.len();
@@ -680,10 +692,12 @@ mod tests {
             tiers::ids::AppId(0),
         );
         server.quiesce();
-        // Every staging fetch into the offline RAM tier failed and was
-        // rolled back: no bytes resident, no capacity leaked, no panic.
-        assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
-        assert_eq!(server.inner().backend(TierId(0)).resident_bytes(h.file()), 0);
+        // The backend reports RAM offline: staging goes to NVMe, and
+        // nothing lands on RAM or fails.
+        assert_eq!(server.inner().backend(TierId(0)).used_bytes(), 0);
+        assert_eq!(server.inner().backend(TierId(1)).resident_bytes(h.file()), mib(1));
+        assert_eq!(server.stats().failed_fetches.load(Ordering::Relaxed), 0);
+        server.inner().check_drift().unwrap();
         shim.fclose(&h);
         server.quiesce();
         // Tier repaired: a fresh epoch stages successfully.
@@ -696,7 +710,43 @@ mod tests {
         );
         server.quiesce();
         assert_eq!(server.inner().backend(TierId(0)).resident_bytes(h2.file()), mib(1));
+        server.inner().check_drift().unwrap();
         shim.fclose(&h2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn permanent_write_faults_roll_back() {
+        use tiers::faults::{FaultConfig, FaultPlan, FlakyBackend};
+        let hierarchy = small_hierarchy();
+        let n = hierarchy.len();
+        // Every RAM data operation fails for good.
+        let flaky = Arc::new(FlakyBackend::new(
+            Arc::new(MemoryBackend::new()),
+            TierId(0),
+            FaultPlan::new(FaultConfig::with_seed(0).permanent(1.0)),
+        ));
+        let server = HFetchServer::start(
+            HFetchConfig::default(),
+            hierarchy,
+            backends_with_tier0(Arc::clone(&flaky) as Arc<dyn StorageBackend>, n),
+            2,
+        );
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/broken/input", mib(2)).unwrap();
+        let (h, _) = shim.fopen(
+            "/broken/input",
+            events::shim::OpenMode::Read,
+            tiers::ids::ProcessId(0),
+            tiers::ids::AppId(0),
+        );
+        server.quiesce();
+        // Every staging fetch into RAM failed and was rolled back: no bytes
+        // resident, no capacity leaked, and the model let go.
+        assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
+        assert_eq!(server.inner().backend(TierId(0)).used_bytes(), 0);
+        server.inner().check_drift().unwrap();
+        shim.fclose(&h);
         server.shutdown();
     }
 
@@ -799,11 +849,15 @@ mod tests {
         agent.close(&a);
         settle();
 
-        // RAM offline: staging into it fails, and the model lets go.
+        // RAM offline, holding the cooled `a`: staging routes around it,
+        // and nothing new lands there.
         flaky.set_offline(true);
+        let ram = server.inner().backend(TierId(0));
+        let held = ram.used_bytes();
+        assert!(held > 0, "RAM holds part of the cooled `a`");
         let b = agent.open("/chaos/b");
         settle();
-        assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
+        assert_eq!((ram.used_bytes(), ram.resident_bytes(b.file())), (held, 0));
         agent.close(&b);
         settle();
 

@@ -16,15 +16,17 @@
 //!   budget.
 //!
 //! The update sequences are pseudo-random but deterministic (inline LCG,
-//! fixed seeds), covering displacement cascades, file eviction and
-//! offline-tier evacuation.
+//! fixed seeds), covering displacement cascades, epoch-end cooling and
+//! offline-tier evacuation; a proptest checks that cooled segments are
+//! never the target of a transfer.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use hfetch_core::auditor::ScoreUpdate;
 use hfetch_core::config::Reactiveness;
-use hfetch_core::engine::PlacementEngine;
+use hfetch_core::engine::{PlacementAction, PlacementEngine};
+use proptest::prelude::*;
 use tiers::capacity::CapacityLedger;
 use tiers::ids::{FileId, SegmentId, TierId};
 use tiers::time::Timestamp;
@@ -203,18 +205,73 @@ fn random_update_streams_satisfy_algorithm1_invariants() {
 }
 
 #[test]
-fn file_eviction_keeps_the_stream_closed() {
+fn cooled_files_keep_the_stream_closed() {
     let hierarchy = Hierarchy::with_budgets(mib(4), mib(8), mib(16));
     let (mut engine, rec) = checked_engine(&hierarchy);
     drive(&mut engine, &rec, 7, 20);
-    engine.evict_file(FileId(0));
-    engine.evict_file(FileId(1));
-    let resident = replay_and_check(&hierarchy, &rec.trace_events());
-    assert!(
-        resident.keys().all(|&(file, _)| file != 0 && file != 1),
-        "evicted files must leave no replayed residency"
-    );
+    let before = replay_and_check(&hierarchy, &rec.trace_events());
+    let traced = rec.trace_events().len();
+    engine.cool_file(FileId(0));
+    engine.cool_file(FileId(1));
+    assert_eq!(rec.trace_events().len(), traced, "cooling moves nothing and traces nothing");
+    assert_replay_matches_model(&engine, &before);
+    // Later passes displace cold segments: each leaves by an eviction.
+    drive(&mut engine, &rec, 8, 20);
+    let events = rec.trace_events();
+    let cold_evictions = events[traced..]
+        .iter()
+        .filter(|e| matches!(e, obs::TraceEvent::Placement(p) if p.score == 0.0))
+        .inspect(|e| assert!(matches!(e, obs::TraceEvent::Placement(p) if p.cause == obs::Cause::Evict)))
+        .count();
+    assert!(cold_evictions > 0, "no cold segment was displaced");
+    let resident = replay_and_check(&hierarchy, &events);
+    engine.check_invariants().unwrap();
     assert_replay_matches_model(&engine, &resident);
+}
+
+proptest! {
+    /// Over random update streams with epoch ends mixed in, a cold
+    /// segment is never worth a transfer: no `Fetch` or `Move` targets a
+    /// segment placed at score 0, and no traced move or fetch carries
+    /// score 0. Every update scores above 0, as observed, anticipated and
+    /// staged updates do.
+    #[test]
+    fn prop_no_transfer_targets_a_cold_segment(
+        steps in proptest::collection::vec(
+            (0u64..4, proptest::collection::vec((0u64..3, 0u64..24, 1u64..1000), 1..12)),
+            1..40,
+        )
+    ) {
+        let hierarchy = Hierarchy::with_budgets(mib(2), mib(4), mib(8));
+        let (mut engine, rec) = checked_engine(&hierarchy);
+        let mut now = Timestamp::from_millis(1);
+        for (cool, batch) in steps {
+            if cool < 3 {
+                engine.cool_file(FileId(cool));
+            }
+            let updates: Vec<ScoreUpdate> = batch
+                .iter()
+                .map(|&(file, index, score)| ScoreUpdate {
+                    segment: SegmentId::new(FileId(file), index),
+                    score: score as f64 / 100.0,
+                    size: MIB,
+                    anticipated: true,
+                })
+                .collect();
+            now = now.after(Duration::from_millis(50));
+            for action in engine.run(updates, now) {
+                if let PlacementAction::Fetch { segment, .. } | PlacementAction::Move { segment, .. } = action {
+                    prop_assert!(engine.score_of(segment) != Some(0.0), "{:?}", action);
+                }
+            }
+            prop_assert!(engine.check_invariants().is_ok(), "{:?}", engine.check_invariants());
+        }
+        for ev in rec.trace_events() {
+            if let obs::TraceEvent::Placement(p) = ev {
+                prop_assert!(p.to_tier.is_none() || p.score > 0.0, "transfer of a cold segment: {:?}", p);
+            }
+        }
+    }
 }
 
 #[test]

@@ -123,6 +123,12 @@ fn check_case(seed: u64) {
         let now = Timestamp::from_millis(t);
         assert_eq!(lazy.run(batch.clone(), now), eager.run(batch, now));
     }
+    if rng.chance(50) {
+        // An epoch end: the fill and explicit updates re-key cold segments.
+        let file = files[rng.below(files.len() as u64) as usize].file;
+        lazy.cool_file(file);
+        eager.cool_file(file);
+    }
     if rng.chance(30) {
         let tier = TierId(rng.below(3) as u16);
         assert_eq!(lazy.set_tier_offline(tier, true), eager.set_tier_offline(tier, true));

@@ -63,6 +63,12 @@ pub trait StorageBackend: Send + Sync {
 
     /// Files with at least one resident byte.
     fn files(&self) -> Vec<FileId>;
+
+    /// False while the device is unreachable: data operations then fail
+    /// with [`TierError::TierOffline`].
+    fn online(&self) -> bool {
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------

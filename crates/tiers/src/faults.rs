@@ -363,7 +363,7 @@ impl FlakyBackend {
     }
 
     fn gate(&self, op: &'static str) -> Result<()> {
-        if self.offline.load(std::sync::atomic::Ordering::SeqCst) {
+        if !self.online() {
             return Err(TierError::TierOffline(self.tier));
         }
         match self.plan.lock().roll_op() {
@@ -419,6 +419,10 @@ impl StorageBackend for FlakyBackend {
 
     fn files(&self) -> Vec<FileId> {
         self.inner.files()
+    }
+
+    fn online(&self) -> bool {
+        !self.offline.load(std::sync::atomic::Ordering::SeqCst)
     }
 }
 

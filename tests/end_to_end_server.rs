@@ -82,23 +82,31 @@ fn second_reader_benefits_from_first_readers_heat() {
     finish(server);
 }
 
+/// Epoch end frees the hierarchy for whatever needs it next: the closed
+/// file stays cached at score 0, and a file opened after it takes its room.
 #[test]
 fn epoch_end_eviction_frees_the_hierarchy() {
     let server = server();
     let shim = Arc::clone(server.shim());
     shim.stage_file("/tmpfile", mib(2)).unwrap();
+    shim.stage_file("/big", mib(28)).unwrap();
     let agent = HFetchAgent::new(Arc::clone(server.inner()), Arc::clone(&shim), ProcessId(0), AppId(0));
+    let cached = |file| -> u64 {
+        (0..3u16).map(|i| server.inner().backend(TierId(i)).resident_bytes(file)).sum()
+    };
     let h = agent.open("/tmpfile");
     server.quiesce();
     let file = agent.file_id("/tmpfile").unwrap();
-    let cached: u64 =
-        (0..3u16).map(|i| server.inner().backend(TierId(i)).resident_bytes(file)).sum();
-    assert_eq!(cached, mib(2), "fully staged during the epoch");
+    assert_eq!(cached(file), mib(2), "fully staged during the epoch");
     agent.close(&h);
     server.quiesce();
-    let cached: u64 =
-        (0..3u16).map(|i| server.inner().backend(TierId(i)).resident_bytes(file)).sum();
-    assert_eq!(cached, 0, "dropped when the last reader closed");
+    assert_eq!(cached(file), mib(2), "cooled in place when the last reader closed");
+    // A file as large as the whole hierarchy displaces the cold one.
+    let big = agent.open("/big");
+    server.quiesce();
+    assert_eq!(cached(file), 0, "the closed file gave up its room");
+    assert_eq!(cached(agent.file_id("/big").unwrap()), mib(28));
+    agent.close(&big);
     finish(server);
 }
 
