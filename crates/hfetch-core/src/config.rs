@@ -56,7 +56,11 @@ pub struct HFetchConfig {
     pub lookahead_decay: f64,
     /// Base score given to every segment of a file when its prefetching
     /// epoch starts (lets the engine stage cold files into spare capacity,
-    /// hotter-ranked first).
+    /// hotter-ranked first). A fetch or move placing a segment at no more
+    /// than this score is staging: it issues only while no demand action
+    /// waits and the backing store has a channel free, so it uses only
+    /// backing-store time that demand leaves idle. 0 turns the base-score
+    /// fill off.
     pub epoch_base_score: f64,
     /// A closed file gives up its place: when its last reader closes it,
     /// its placed segments cool to score 0 where they sit, and any hotter
@@ -74,6 +78,8 @@ pub struct HFetchConfig {
     /// harnesses set this to 4 × node count). Placement actions beyond
     /// the cap queue and issue as transfers complete — without a cap a
     /// large placement plan would flood the devices ahead of demand reads.
+    /// Demand actions take free slots first; a staging action also waits
+    /// for a free backing-store channel, so it may leave a slot idle.
     pub max_inflight_fetches: usize,
     /// Observability sink shared by the auditor, placement engine and
     /// policy/server built from this config. Disabled by default (every

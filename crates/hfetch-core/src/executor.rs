@@ -11,8 +11,9 @@
 //!
 //! Demand comes first: a fetch or move that places its segment at no more
 //! than the epoch base score is *staging*, and issues only while no demand
-//! action waits. Evictions run at once. An action a later pass superseded
-//! is dropped when its turn comes.
+//! action waits and the backing store has a channel free, so it uses only
+//! backing-store time that demand leaves idle. Evictions run at once. An
+//! action a later pass superseded is dropped when its turn comes.
 
 use std::collections::VecDeque;
 
@@ -33,6 +34,11 @@ pub trait Transfers {
 
     /// False while `tier` is unreachable; the engine then routes around it.
     fn tier_online(&self, tier: TierId) -> bool;
+
+    /// True while the backing store has a channel free at the current time.
+    /// Staging issues only then; a held staging action is retried at the
+    /// next completion or tick.
+    fn backing_free(&self) -> bool;
 
     /// Starts moving `range` of a `Fetch` or `Move` into its destination;
     /// each transfer the outcome counts is later reported as done or failed.
@@ -71,7 +77,7 @@ pub struct Executor {
     /// Demand actions waiting for a transfer slot, oldest first.
     demand: VecDeque<Queued>,
     /// Staging actions, oldest first: they issue only while `demand` is
-    /// empty.
+    /// empty and the backing store has a channel free.
     staging: VecDeque<Queued>,
     /// Actions denied capacity, or whose segment was busy, waiting for a
     /// completion to requeue them.
@@ -321,10 +327,17 @@ impl Executor {
     }
 
     /// Issues queued actions while transfer slots are free: demand first,
-    /// staging only once no demand action waits.
+    /// staging only once no demand action waits and while the backing store
+    /// has a channel free. A held staging action waits for the next
+    /// completion or tick.
     fn pump(&mut self, io: &mut impl Transfers) {
         while self.inflight < self.cfg.max_inflight_fetches {
-            let Some(queued) = self.demand.pop_front().or_else(|| self.staging.pop_front()) else {
+            let next = match self.demand.pop_front() {
+                Some(queued) => Some(queued),
+                None if io.backing_free() => self.staging.pop_front(),
+                None => None,
+            };
+            let Some(queued) = next else {
                 break;
             };
             self.issue(queued, io);
@@ -407,6 +420,7 @@ mod tests {
     #[derive(Default)]
     struct Fake {
         offline: Vec<TierId>,
+        backing_busy: bool,
         script: HashMap<u64, FetchOutcome>,
         fetches: Vec<PlacementAction>,
         discards: Vec<(SegmentId, TierId)>,
@@ -419,6 +433,10 @@ mod tests {
 
         fn tier_online(&self, tier: TierId) -> bool {
             !self.offline.contains(&tier)
+        }
+
+        fn backing_free(&self) -> bool {
+            !self.backing_busy
         }
 
         fn fetch(
@@ -641,6 +659,36 @@ mod tests {
     }
 
     #[test]
+    fn staging_waits_for_a_free_backing_channel() {
+        let cfg = HFetchConfig { max_inflight_fetches: 4, ..Default::default() };
+        let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(mib(8), mib(8), mib(8)));
+        let auditor = Auditor::new(exec.cfg.clone());
+        let mut io = Fake { backing_busy: true, ..Default::default() };
+        let issued = |io: &Fake| io.fetches.iter().map(|a| a.target().0.index).collect::<Vec<_>>();
+        // Demand issues past staged work held by the busy backing store.
+        stage(&mut exec, &[0, 1], &mut io);
+        place(&mut exec, &[2], &mut io);
+        assert_eq!(issued(&io), vec![2]);
+        exec.transfer_done(seg(2), &mut io);
+        exec.tick(&auditor, Timestamp::ZERO, &mut io);
+        assert_eq!((issued(&io), exec.staging.len()), (vec![2], 2), "held while busy");
+        // The next tick after the backing store frees issues them.
+        io.backing_busy = false;
+        assert!(!exec.tick(&auditor, Timestamp::ZERO, &mut io));
+        assert_eq!(issued(&io), vec![2, 0, 1]);
+        // So does the next completion.
+        io.backing_busy = true;
+        stage(&mut exec, &[3], &mut io);
+        place(&mut exec, &[4], &mut io);
+        assert_eq!(issued(&io), vec![2, 0, 1, 4]);
+        io.backing_busy = false;
+        exec.transfer_done(seg(4), &mut io);
+        assert_eq!(issued(&io), vec![2, 0, 1, 4, 3]);
+        assert!(exec.staging.is_empty() && exec.demand.is_empty());
+        exec.engine.check_invariants().unwrap();
+    }
+
+    #[test]
     fn superseded_actions_are_dropped_and_an_orphaned_move_frees_its_source() {
         let mut exec = executor(1);
         let mut io = Fake::default();
@@ -688,21 +736,23 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Over random streams of passes, completions, denials and ticks,
-        /// a staging action issues only when no demand action is queued:
+        /// Over random streams of passes, completions, denials, ticks and
+        /// backing-store load, a staging action issues only when no demand
+        /// action is queued and the backing store has a free channel:
         /// within one pump every demand issue precedes every staging
         /// issue, and a pump that issued staging leaves no demand queued.
         /// Segments 0..12 are staged at the base score, 12..24 are demand.
         #[test]
         fn prop_no_staging_issues_while_demand_waits(
-            steps in proptest::collection::vec((0u64..4, 0u64..24, 0u64..3), 1..80),
+            steps in proptest::collection::vec((0u64..4, 0u64..24, 0u64..3, 0u8..3), 1..80),
         ) {
             let mut exec = executor(2);
             let mut io = Fake::default();
             let auditor = Auditor::new(exec.cfg.clone());
             let base = exec.cfg.epoch_base_score;
             let staged = |a: &PlacementAction| a.target().0.index < 12;
-            for (kind, index, deny) in steps {
+            for (kind, index, deny, load) in steps {
+                io.backing_busy = load == 0;
                 if deny == 0 {
                     io.script.insert(index, denied());
                 } else {
@@ -726,6 +776,7 @@ mod tests {
                 }
                 let issued = &io.fetches[before..];
                 if let Some(first) = issued.iter().position(staged) {
+                    proptest::prop_assert!(!io.backing_busy, "staging issued on a busy backing store");
                     proptest::prop_assert!(
                         issued[first..].iter().all(staged),
                         "demand issued after staging in one pump: {issued:?}"

@@ -60,6 +60,10 @@ impl Transfers for SimCtl<'_> {
         SimCtl::tier_online(self, tier)
     }
 
+    fn backing_free(&self) -> bool {
+        SimCtl::backing_free(self)
+    }
+
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
         -> FetchOutcome {
         let (segment, to) = action.target();
@@ -577,5 +581,56 @@ mod tests {
             Simulation::new(SimConfig::new(hierarchy), files, scripts, policy).run();
         assert!(report.invalidated_bytes >= MIB);
         policy.engine().check_invariants().unwrap();
+    }
+
+    /// A scaled-down `sim_large_file`: 48 ranks each own a 1 GiB stripe of
+    /// one file 9x the cache, and each epoch re-reads half of the previous
+    /// one's range. The PFS, not the cache, bounds the run, so staging may
+    /// use only the backing-store time the ranks' misses leave idle: HFetch
+    /// then finishes no later than `NoPrefetch`.
+    #[test]
+    fn staging_on_a_saturated_pfs_costs_no_makespan() {
+        let (ranks, epochs, steps) = (48u32, 3u32, 16u32);
+        let file = FileId(0);
+        let files = vec![SimFile { id: file, size: gib(1) * u64::from(ranks) }];
+        // Xorshift: each rank's start within its stripe, and compute jitter.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let scripts: Vec<RankScript> = (0..ranks)
+            .map(|r| {
+                let base = u64::from(r) * gib(1) + next() % 64 * MIB;
+                let mut b = ScriptBuilder::new(ProcessId(r), AppId(0));
+                for epoch in 0..epochs {
+                    b = b.open(file);
+                    for step in 0..steps {
+                        let offset = base + u64::from(epoch * steps / 2 + step) * MIB;
+                        let compute = Duration::from_micros(800 + next() % 400);
+                        b = b.compute(compute).read(file, offset, MIB);
+                    }
+                    b = b.close(file).barrier(epoch);
+                }
+                b.build()
+            })
+            .collect();
+        // RAM : NVMe : BB = 1 : 2 : 4, one ninth of the file in all.
+        let unit = gib(1) * u64::from(ranks) / 9 / 7;
+        let hierarchy = Hierarchy::with_budgets(unit, 2 * unit, 4 * unit);
+        let sim = SimConfig::new(hierarchy.clone()).with_nodes(2);
+        let policy = HFetchPolicy::new(HFetchConfig::default(), &hierarchy);
+        let (hfetch, _) =
+            Simulation::new(sim.clone(), files.clone(), scripts.clone(), policy).run();
+        let (none, _) = Simulation::new(sim, files, scripts, NoPrefetch).run();
+        assert!(hfetch.hit_ratio().unwrap() > 0.5, "hit ratio {:?}", hfetch.hit_ratio());
+        assert!(
+            hfetch.seconds() <= none.seconds(),
+            "hfetch {} s, none {} s",
+            hfetch.seconds(),
+            none.seconds()
+        );
     }
 }

@@ -111,6 +111,12 @@ impl Transfers for &ServerInner {
         self.backend(tier).online()
     }
 
+    /// The memory and directory backends have no channel queue: staging
+    /// never waits on the backing store here.
+    fn backing_free(&self) -> bool {
+        true
+    }
+
     /// Reserves the destination and hands the copy to the I/O clients.
     fn fetch(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
         -> FetchOutcome {

@@ -917,6 +917,14 @@ impl<'a> SimCtl<'a> {
         self.core.tier_online(tier)
     }
 
+    /// True while the backing store has a channel free right now, so a
+    /// transfer issued now would start at once instead of queueing behind
+    /// the reads and transfers already scheduled there.
+    pub fn backing_free(&self) -> bool {
+        let now = self.core.now;
+        self.core.devices[self.core.backing.index()].earliest_start(now) <= now
+    }
+
     /// Verifies the simulator's core data invariants: every byte resident
     /// on at most one cache tier (the exclusive cache of §III-D) and no
     /// cache tier's usage above its capacity. Returns a description of the
