@@ -95,7 +95,9 @@ impl HardwareMonitor {
                             for event in &buf {
                                 sink.on_event(event);
                             }
-                            consumed.fetch_add(n as u64, Ordering::Relaxed);
+                            // Pairs with `drain`'s Acquire load: once counted,
+                            // the sink's work on the batch is visible.
+                            consumed.fetch_add(n as u64, Ordering::Release);
                         }
                     })
                     .expect("spawn daemon thread"),
@@ -114,10 +116,20 @@ impl HardwareMonitor {
         self.handles.len()
     }
 
-    /// Blocks until the queue has been fully drained (producers must have
-    /// stopped pushing for this to terminate).
+    /// Blocks until every event pushed so far has been popped *and* handed
+    /// to the sink: a daemon still inside [`EventSink::on_event`] for a
+    /// batch it popped holds `drain` back. Producers must have stopped
+    /// pushing for this to terminate, and the daemons must be the queue's
+    /// only consumers.
     pub fn drain(&self) {
-        while !self.queue.is_empty() {
+        loop {
+            let stats = self.queue.stats();
+            // A daemon counts a batch as popped only after taking it off the
+            // channel, so `popped < pushed` also covers a batch in transit.
+            let popped = stats.popped();
+            if popped >= stats.pushed() && self.consumed.load(Ordering::Acquire) >= popped {
+                return;
+            }
             std::thread::sleep(Duration::from_micros(200));
         }
     }
@@ -254,5 +266,53 @@ mod tests {
         monitor.drain();
         assert!(q.is_empty());
         monitor.stop();
+    }
+
+    #[test]
+    fn drain_waits_for_the_sink_to_finish_a_popped_event() {
+        use crossbeam::channel::{bounded, RecvTimeoutError};
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let handled = Arc::new(AtomicBool::new(false));
+        let sink = {
+            let handled = handled.clone();
+            Arc::new(move |_: &Event| {
+                entered_tx.send(()).unwrap();
+                // A dropped sender also releases the sink.
+                let _ = release_rx.recv();
+                handled.store(true, Ordering::Release);
+            })
+        };
+        let q = EventQueue::with_capacity(16);
+        let monitor = Arc::new(HardwareMonitor::start(
+            q.clone(),
+            sink,
+            MonitorConfig { daemons: 1, poll_interval: Duration::from_millis(1), ..Default::default() },
+        ));
+        // Rebound after the monitor so that a failing assert drops it (and
+        // frees the daemon) before the monitor's drop joins the daemon.
+        let release_tx = release_tx;
+        q.push_blocking(ev(0));
+        // The daemon has popped the event and is blocked inside the sink:
+        // the queue is empty, but the event is not handled yet.
+        entered_rx.recv().unwrap();
+        assert!(q.is_empty());
+        let (drained_tx, drained_rx) = bounded::<bool>(1);
+        let drainer = {
+            let (monitor, handled) = (monitor.clone(), handled.clone());
+            std::thread::spawn(move || {
+                monitor.drain();
+                drained_tx.send(handled.load(Ordering::Acquire)).unwrap();
+            })
+        };
+        assert_eq!(
+            drained_rx.recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Timeout),
+            "drain returned while the sink was still handling a popped event"
+        );
+        release_tx.send(()).unwrap();
+        assert_eq!(drained_rx.recv(), Ok(true), "drain returns once the event is handled");
+        drainer.join().unwrap();
+        Arc::try_unwrap(monitor).ok().expect("drainer released its handle").stop();
     }
 }

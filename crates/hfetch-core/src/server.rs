@@ -482,7 +482,8 @@ impl HFetchServer {
             if let Some(m) = &self.monitor {
                 m.drain();
             }
-            // Allow in-flight daemon handoffs to land.
+            // `drain` already waits for every popped event to be handled;
+            // this only paces the settle loop.
             std::thread::sleep(Duration::from_millis(5));
             let now = inner.clock.now();
             let idle = inner.with_exec(|exec, io| exec.tick(&inner.auditor, now, io));

@@ -3,17 +3,20 @@
 //! Three implementations cover the repo's use cases:
 //!
 //! * [`MemoryBackend`] — bytes in RAM; the default for unit/integration
-//!   tests and the RAM tier of the real data path.
+//!   tests and the RAM tier of the real data path. A file is a map of
+//!   extents holding exactly its resident bytes, so evicting a range frees
+//!   it at once.
 //! * [`DirectoryBackend`] — bytes in real files under a directory; point it
 //!   at a tmpfs mount for a RAM tier or an NVMe mount for an NVMe tier and
 //!   you have the paper's hierarchy on commodity hardware.
 //! * [`NullBackend`] — bookkeeping only; backs the discrete-event simulator
 //!   where only timing and residency matter, not payloads.
 //!
-//! All backends track *residency* per file with an [`IntervalSet`] because a
-//! cache tier holds arbitrary subsets of a file's segments.
+//! A cache tier holds arbitrary subsets of a file's segments, so every
+//! backend tracks residency per file in ranges. [`MemoryBackend`] derives it
+//! from its extents; the other two keep an [`IntervalSet`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -75,14 +78,100 @@ pub trait StorageBackend: Send + Sync {
 // MemoryBackend
 // ---------------------------------------------------------------------------
 
+/// One file's bytes on a memory tier: disjoint extents keyed by start
+/// offset. The map is the file's only residency record: a byte is resident
+/// iff an extent holds it, and each extent's buffer is exactly as long as
+/// its range, so the payload held always equals the resident bytes.
 #[derive(Default)]
 struct MemFile {
-    /// Dense buffer; bytes outside `resident` are meaningless.
-    data: Vec<u8>,
-    resident: IntervalSet,
+    extents: BTreeMap<u64, Bytes>,
 }
 
-/// In-memory backend: one growable buffer per file plus a residency set.
+/// The part of `extent` (stored at `start`) that lies inside `range`.
+fn clip(start: u64, extent: &[u8], range: ByteRange) -> &[u8] {
+    let from = range.offset.saturating_sub(start) as usize;
+    let to = (range.end().min(start + extent.len() as u64) - start) as usize;
+    &extent[from..to]
+}
+
+impl MemFile {
+    /// Extents overlapping `range`, in offset order.
+    fn overlapping(&self, range: ByteRange) -> impl Iterator<Item = (u64, &Bytes)> {
+        let head = self
+            .extents
+            .range(..range.offset)
+            .next_back()
+            .filter(|(&start, data)| start + data.len() as u64 > range.offset);
+        head.into_iter().chain(self.extents.range(range.offset..range.end())).map(|(&s, d)| (s, d))
+    }
+
+    /// True if every byte of `range` is held. Empty ranges are covered.
+    fn covers(&self, range: ByteRange) -> bool {
+        let mut cursor = range.offset;
+        for (start, data) in self.overlapping(range) {
+            if start > cursor {
+                return false;
+            }
+            cursor = start + data.len() as u64;
+        }
+        cursor >= range.end()
+    }
+
+    /// Resident sub-ranges of `range`; touching extents merge into one run.
+    fn covered_ranges(&self, range: ByteRange) -> Vec<ByteRange> {
+        let mut runs: Vec<ByteRange> = Vec::new();
+        for (start, data) in self.overlapping(range) {
+            let piece = ByteRange::new(start, data.len() as u64);
+            let Some(piece) = piece.intersection(range) else { continue };
+            match runs.last_mut() {
+                Some(last) if last.end() == piece.offset => last.len += piece.len,
+                _ => runs.push(piece),
+            }
+        }
+        runs
+    }
+
+    fn covered_bytes(&self, range: ByteRange) -> u64 {
+        self.overlapping(range).map(|(start, data)| clip(start, data, range).len() as u64).sum()
+    }
+
+    fn total(&self) -> u64 {
+        self.extents.values().map(|data| data.len() as u64).sum()
+    }
+
+    /// Removes `range` from the file and returns the bytes removed. An
+    /// extent cut in two keeps copies of its surviving head and tail, so no
+    /// buffer outlives the bytes it holds.
+    fn cut(&mut self, range: ByteRange) -> u64 {
+        if range.is_empty() {
+            return 0;
+        }
+        let hit: Vec<u64> = self.overlapping(range).map(|(start, _)| start).collect();
+        let mut removed = 0;
+        for start in hit {
+            let data = self.extents.remove(&start).expect("overlapping extent");
+            let end = start + data.len() as u64;
+            if start < range.offset {
+                let head = ByteRange::from_bounds(start, range.offset);
+                self.extents.insert(start, Bytes::copy_from_slice(clip(start, &data, head)));
+            }
+            if end > range.end() {
+                let tail = ByteRange::from_bounds(range.end(), end);
+                self.extents.insert(range.end(), Bytes::copy_from_slice(clip(start, &data, tail)));
+            }
+            removed += clip(start, &data, range).len() as u64;
+        }
+        removed
+    }
+}
+
+/// In-memory backend: each file is a map of extents holding exactly its
+/// resident bytes.
+///
+/// Eviction frees the evicted bytes at once, and a file with no resident
+/// byte is dropped. Writes copy their payload before taking the tier lock,
+/// and reads copy theirs after releasing it: under the lock a write only
+/// cuts and inserts extents, and a read only clones extent handles.
 #[derive(Default)]
 pub struct MemoryBackend {
     files: RwLock<HashMap<FileId, MemFile>>,
@@ -93,6 +182,13 @@ impl MemoryBackend {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Payload bytes held across all files. Equals
+    /// [`StorageBackend::used_bytes`]: a memory tier holds no byte it does
+    /// not count as resident.
+    pub fn held_bytes(&self) -> u64 {
+        self.files.read().values().map(MemFile::total).sum()
+    }
 }
 
 impl StorageBackend for MemoryBackend {
@@ -100,36 +196,44 @@ impl StorageBackend for MemoryBackend {
         if data.is_empty() {
             return Ok(());
         }
+        let data = Bytes::copy_from_slice(data);
+        let range = ByteRange::new(offset, data.len() as u64);
         let mut files = self.files.write();
         let f = files.entry(file).or_default();
-        let end = offset as usize + data.len();
-        if f.data.len() < end {
-            f.data.resize(end, 0);
-        }
-        f.data[offset as usize..end].copy_from_slice(data);
-        f.resident.insert(ByteRange::new(offset, data.len() as u64));
+        f.cut(range);
+        f.extents.insert(offset, data);
         Ok(())
     }
 
     fn read(&self, file: FileId, range: ByteRange) -> Result<Bytes> {
-        let files = self.files.read();
-        let f = files.get(&file).ok_or(TierError::FileNotFound(file))?;
-        if !f.resident.covers(range) {
-            return Err(TierError::RangeNotResident { file, offset: range.offset, len: range.len });
-        }
-        if range.is_empty() {
-            return Ok(Bytes::new());
-        }
-        let start = range.offset as usize;
-        let end = range.end() as usize;
-        Ok(Bytes::copy_from_slice(&f.data[start..end]))
+        let pieces: Vec<(u64, Bytes)> = {
+            let files = self.files.read();
+            let f = files.get(&file).ok_or(TierError::FileNotFound(file))?;
+            if !f.covers(range) {
+                return Err(TierError::RangeNotResident { file, offset: range.offset, len: range.len });
+            }
+            if range.is_empty() {
+                return Ok(Bytes::new());
+            }
+            f.overlapping(range).map(|(start, data)| (start, data.clone())).collect()
+        };
+        Ok(match pieces.as_slice() {
+            [(start, data)] => Bytes::copy_from_slice(clip(*start, data, range)),
+            _ => {
+                let mut buf = Vec::with_capacity(range.len as usize);
+                for (start, data) in &pieces {
+                    buf.extend_from_slice(clip(*start, data, range));
+                }
+                Bytes::from(buf)
+            }
+        })
     }
 
     fn evict(&self, file: FileId, range: ByteRange) -> Result<u64> {
         let mut files = self.files.write();
         let Some(f) = files.get_mut(&file) else { return Ok(0) };
-        let evicted = f.resident.remove(range);
-        if f.resident.is_empty() {
+        let evicted = f.cut(range);
+        if f.extents.is_empty() {
             files.remove(&file);
         }
         Ok(evicted)
@@ -137,27 +241,27 @@ impl StorageBackend for MemoryBackend {
 
     fn delete(&self, file: FileId) -> Result<u64> {
         let mut files = self.files.write();
-        Ok(files.remove(&file).map_or(0, |f| f.resident.total()))
+        Ok(files.remove(&file).map_or(0, |f| f.total()))
     }
 
     fn resident(&self, file: FileId, range: ByteRange) -> bool {
-        self.files.read().get(&file).is_some_and(|f| f.resident.covers(range))
+        self.files.read().get(&file).is_some_and(|f| f.covers(range))
     }
 
     fn covered_bytes(&self, file: FileId, range: ByteRange) -> u64 {
-        self.files.read().get(&file).map_or(0, |f| f.resident.covered_bytes(range))
+        self.files.read().get(&file).map_or(0, |f| f.covered_bytes(range))
     }
 
     fn covered_ranges(&self, file: FileId, range: ByteRange) -> Vec<ByteRange> {
-        self.files.read().get(&file).map_or_else(Vec::new, |f| f.resident.covered_ranges(range))
+        self.files.read().get(&file).map_or_else(Vec::new, |f| f.covered_ranges(range))
     }
 
     fn resident_bytes(&self, file: FileId) -> u64 {
-        self.files.read().get(&file).map_or(0, |f| f.resident.total())
+        self.files.read().get(&file).map_or(0, MemFile::total)
     }
 
     fn used_bytes(&self) -> u64 {
-        self.files.read().values().map(|f| f.resident.total()).sum()
+        self.held_bytes()
     }
 
     fn files(&self) -> Vec<FileId> {
@@ -514,5 +618,176 @@ mod tests {
         for t in 0..8u64 {
             assert!(b.resident(FileId(t), ByteRange::new(0, 500)));
         }
+    }
+
+    #[test]
+    fn memory_backend_holds_only_resident_bytes() {
+        const MIB: u64 = 1 << 20;
+        let b = MemoryBackend::new();
+        let f = FileId(3);
+        b.write(f, 20 * MIB, &vec![7u8; MIB as usize]).unwrap();
+        assert_eq!(b.held_bytes(), MIB, "no buffer below the first written byte");
+        assert_eq!(b.evict(f, ByteRange::new(20 * MIB, MIB)).unwrap(), MIB);
+        assert_eq!(b.held_bytes(), 0, "eviction frees the bytes");
+        assert!(b.files().is_empty(), "an empty file is dropped");
+    }
+
+    /// Dense reference model of one tier: per file, a payload buffer and a
+    /// residency flag per byte.
+    #[derive(Default)]
+    struct DenseModel {
+        files: HashMap<FileId, (Vec<u8>, Vec<bool>)>,
+    }
+
+    impl DenseModel {
+        const SIZE: usize = 320;
+
+        fn write(&mut self, file: FileId, offset: u64, data: &[u8]) {
+            if data.is_empty() {
+                return;
+            }
+            let (bytes, held) =
+                self.files.entry(file).or_insert_with(|| (vec![0; Self::SIZE], vec![false; Self::SIZE]));
+            let at = offset as usize;
+            bytes[at..at + data.len()].copy_from_slice(data);
+            held[at..at + data.len()].iter_mut().for_each(|h| *h = true);
+        }
+
+        fn evict(&mut self, file: FileId, range: ByteRange) -> u64 {
+            let Some((_, held)) = self.files.get_mut(&file) else { return 0 };
+            let span = &mut held[range.offset as usize..range.end() as usize];
+            let evicted = span.iter().filter(|&&h| h).count() as u64;
+            span.iter_mut().for_each(|h| *h = false);
+            if !held.contains(&true) {
+                self.files.remove(&file);
+            }
+            evicted
+        }
+
+        fn delete(&mut self, file: FileId) -> u64 {
+            self.files.remove(&file).map_or(0, |(_, held)| held.iter().filter(|&&h| h).count() as u64)
+        }
+
+        /// `Ok(bytes)`, or `Err(true)` for an unknown file and `Err(false)`
+        /// for a hole.
+        fn read(&self, file: FileId, range: ByteRange) -> std::result::Result<Vec<u8>, bool> {
+            let (bytes, held) = self.files.get(&file).ok_or(true)?;
+            let span = range.offset as usize..range.end() as usize;
+            if !held[span.clone()].iter().all(|&h| h) {
+                return Err(false);
+            }
+            Ok(bytes[span].to_vec())
+        }
+
+        fn covered_ranges(&self, file: FileId) -> Vec<ByteRange> {
+            let Some((_, held)) = self.files.get(&file) else { return Vec::new() };
+            let mut runs: Vec<ByteRange> = Vec::new();
+            for (i, _) in held.iter().enumerate().filter(|(_, &h)| h) {
+                match runs.last_mut() {
+                    Some(last) if last.end() == i as u64 => last.len += 1,
+                    _ => runs.push(ByteRange::new(i as u64, 1)),
+                }
+            }
+            runs
+        }
+
+        fn used_bytes(&self) -> u64 {
+            self.files.values().map(|(_, held)| held.iter().filter(|&&h| h).count() as u64).sum()
+        }
+    }
+
+    proptest::proptest! {
+        /// The extent store matches a dense model over random writes,
+        /// evictions, deletes and reads, and never holds a byte it does not
+        /// count as resident.
+        #[test]
+        fn prop_memory_backend_matches_dense_model(ops in proptest::collection::vec(
+            (0u8..4, 0u64..3, 0u64..256, 0u64..64), 1..80)) {
+            let b = MemoryBackend::new();
+            let mut model = DenseModel::default();
+            for (step, (op, file, offset, len)) in ops.into_iter().enumerate() {
+                let file = FileId(file);
+                let range = ByteRange::new(offset, len);
+                match op {
+                    0 => {
+                        let data: Vec<u8> =
+                            (0..len).map(|i| (step as u64 * 31 + i) as u8).collect();
+                        b.write(file, offset, &data).unwrap();
+                        model.write(file, offset, &data);
+                    }
+                    1 => proptest::prop_assert_eq!(b.evict(file, range).unwrap(), model.evict(file, range)),
+                    2 => proptest::prop_assert_eq!(b.delete(file).unwrap(), model.delete(file)),
+                    _ => {
+                        let got = match b.read(file, range) {
+                            Ok(bytes) => Ok(bytes.to_vec()),
+                            Err(TierError::FileNotFound(_)) => Err(true),
+                            Err(TierError::RangeNotResident { .. }) => Err(false),
+                            Err(e) => panic!("unexpected error {e}"),
+                        };
+                        proptest::prop_assert_eq!(got, model.read(file, range), "step {}", step);
+                    }
+                }
+                for f in 0..3 {
+                    let f = FileId(f);
+                    proptest::prop_assert_eq!(
+                        b.covered_ranges(f, ByteRange::new(0, 400)),
+                        model.covered_ranges(f),
+                        "step {}", step
+                    );
+                    proptest::prop_assert_eq!(
+                        b.resident(f, range),
+                        model.read(f, range).is_ok(),
+                        "step {}", step
+                    );
+                }
+                proptest::prop_assert_eq!(b.used_bytes(), model.used_bytes());
+                proptest::prop_assert_eq!(b.held_bytes(), b.used_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_see_whole_versions() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+        const READERS: usize = 3;
+        const VERSIONS: u64 = 200;
+        let region = ByteRange::new(4096, 16 * 1024);
+        let pattern = move |version: u64| -> Vec<u8> {
+            (0..region.len).map(|i| (version * 7 + i) as u8).collect()
+        };
+        let b = Arc::new(MemoryBackend::new());
+        // The region sits inside a larger extent, so the first rewrite
+        // splits it.
+        b.write(FileId(0), 0, &vec![0xAA; 64 * 1024]).unwrap();
+        b.write(FileId(0), region.offset, &pattern(0)).unwrap();
+        let start = Arc::new(Barrier::new(READERS + 1));
+        let done = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (b, start, done) = (b.clone(), start.clone(), done.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut reads = 0u64;
+                    while !done.load(Ordering::Acquire) || reads == 0 {
+                        let got = b.read(FileId(0), region).unwrap();
+                        // 7 is odd, so the first byte names the version.
+                        let version = (0..VERSIONS).find(|&v| (v * 7) as u8 == got[0]).unwrap();
+                        assert_eq!(&got[..], &pattern(version)[..], "a read mixed two versions");
+                        reads += 1;
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for version in 1..VERSIONS {
+            b.write(FileId(0), region.offset, &pattern(version)).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(b.held_bytes(), 64 * 1024);
+        assert_eq!(&b.read(FileId(0), region).unwrap()[..], &pattern(VERSIONS - 1)[..]);
     }
 }

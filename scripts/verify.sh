@@ -54,6 +54,11 @@
 #      0.275, and issuing staging ahead of demand ~0.04. Issuing staging
 #      while the PFS has no free channel reads a makespan of 2.307 s, later
 #      than NoPrefetch's 2.269 s.
+#  11. server_agents memory gate: a short seed-7 run of the real-thread
+#      server must report correct and a peak RSS of at most 150 MiB. A
+#      memory tier that held a dense buffer per file up to its highest
+#      offset, and kept evicted bytes until the file's last byte left,
+#      read 175-195 MiB across seeds 1-10; the extent store reads 123-129.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -157,5 +162,16 @@ hit = metrics["hit_ratio"]["value"]
 makespan = metrics["makespan_s"]["value"]
 print(f"hit_ratio {hit:.3f} (floor 0.65), makespan_s {makespan:.3f} (ceiling 2.20)")
 sys.exit(0 if hit >= 0.65 and makespan <= 2.20 else 1)'
+
+echo "== server_agents gate: correct and peak RSS, seed 7 =="
+CARGO_TARGET_DIR=.bench_build \
+python3 hfbench/run.py --workload server_agents --seed 7 --seconds 1 --trace 0 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+result = json.load(sys.stdin)
+correct = result["correct"]
+rss = result["metrics"]["peak_rss_mib"]["value"]
+print(f"correct {correct}, peak_rss_mib {rss:.1f} (ceiling 150)")
+sys.exit(0 if correct and rss <= 150 else 1)'
 
 echo "== verify OK =="
