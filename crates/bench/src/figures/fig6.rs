@@ -132,7 +132,7 @@ fn hfetch_cfg(inflight: usize, request: u64) -> HFetchConfig {
         // Workflow phases re-open the same files; dropping the cache at
         // every close would forfeit the cross-phase reuse the workflows
         // exhibit.
-        evict_on_epoch_end: false,
+        cool_on_epoch_end: false,
         ..Default::default()
     }
 }

@@ -57,29 +57,29 @@ pub struct HFetchConfig {
     /// Base score given to every segment of a file when its prefetching
     /// epoch starts (lets the engine stage cold files into spare capacity,
     /// hotter-ranked first). A fetch or move placing a segment at no more
-    /// than this score is staging: it issues only while no demand action
-    /// waits and the backing store has a channel free, so it uses only
-    /// backing-store time that demand leaves idle. 0 turns the base-score
-    /// fill off.
+    /// than this score is staging: it takes no transfer slot, and issues
+    /// only while no demand action waits and the backing store has a
+    /// channel free, so it uses only backing-store time that demand leaves
+    /// idle. 0 turns the base-score fill off.
     pub epoch_base_score: f64,
     /// A closed file gives up its place: when its last reader closes it,
     /// its placed segments cool to score 0 where they sit, and any hotter
     /// segment may then evict them (a cold victim is never demoted). A
     /// re-open re-keys the resident ones in place. `false` keeps the
     /// closed file's scores.
-    pub evict_on_epoch_end: bool,
+    pub cool_on_epoch_end: bool,
     /// Displacement hysteresis passed to the placement engine: a segment
     /// only displaces a placed one when its score exceeds the victim's by
     /// this factor. 1.0 is the paper's strict Algorithm 1; ~2.0 damps
     /// movement churn under near-tied scores.
     pub displacement_margin: f64,
-    /// Maximum concurrent data movements the I/O clients sustain (the
-    /// paper runs one I/O client thread per tier per node; the figure
-    /// harnesses set this to 4 × node count). Placement actions beyond
-    /// the cap queue and issue as transfers complete — without a cap a
-    /// large placement plan would flood the devices ahead of demand reads.
-    /// Demand actions take free slots first; a staging action also waits
-    /// for a free backing-store channel, so it may leave a slot idle.
+    /// Maximum concurrent *demand* data movements (the paper runs one I/O
+    /// client thread per tier per node; the figure harnesses set this to
+    /// 4 × node count). Demand actions beyond the cap queue and issue as
+    /// demand transfers complete. Staging transfers take no slot: the
+    /// backing store's free channels bound them instead (see
+    /// [`epoch_base_score`](Self::epoch_base_score)), so a staged fill in
+    /// flight never holds back a demand fetch.
     pub max_inflight_fetches: usize,
     /// Observability sink shared by the auditor, placement engine and
     /// policy/server built from this config. Disabled by default (every
@@ -98,7 +98,7 @@ impl Default for HFetchConfig {
             lookahead: 4,
             lookahead_decay: 0.5,
             epoch_base_score: 1e-6,
-            evict_on_epoch_end: true,
+            cool_on_epoch_end: true,
             displacement_margin: 2.0,
             max_inflight_fetches: 64,
             obs: obs::Recorder::default(),
@@ -118,7 +118,7 @@ impl HFetchConfig {
         );
         assert!(self.epoch_base_score >= 0.0, "epoch_base_score must be non-negative");
         assert!(self.reactiveness.score_updates > 0, "score_updates trigger must be positive");
-        assert!(self.max_inflight_fetches > 0, "need at least one I/O client slot");
+        assert!(self.max_inflight_fetches > 0, "need at least one demand transfer slot");
         assert!(self.displacement_margin >= 1.0, "displacement_margin must be >= 1.0");
     }
 }

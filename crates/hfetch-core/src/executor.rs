@@ -10,10 +10,12 @@
 //! not drift from residency.
 //!
 //! Demand comes first: a fetch or move that places its segment at no more
-//! than the epoch base score is *staging*, and issues only while no demand
-//! action waits and the backing store has a channel free, so it uses only
-//! backing-store time that demand leaves idle. Evictions run at once. An
-//! action a later pass superseded is dropped when its turn comes.
+//! than the epoch base score is *staging*, and all else is demand. Demand
+//! transfers share `max_inflight_fetches` slots. Staging takes no slot: it
+//! issues only while no demand action waits and the backing store has a
+//! channel free, so the device's own free channels bound it and it uses
+//! only backing-store time that demand leaves idle. Evictions run at once.
+//! An action a later pass superseded is dropped when its turn comes.
 
 use std::collections::VecDeque;
 
@@ -36,8 +38,9 @@ pub trait Transfers {
     fn tier_online(&self, tier: TierId) -> bool;
 
     /// True while the backing store has a channel free at the current time.
-    /// Staging issues only then; a held staging action is retried at the
-    /// next completion or tick.
+    /// Staging takes no transfer slot and issues only then, so this answer
+    /// alone bounds the staging transfers in flight; a held staging action
+    /// is retried at the next completion or tick.
     fn backing_free(&self) -> bool;
 
     /// Starts moving `range` of a `Fetch` or `Move` into its destination;
@@ -69,6 +72,13 @@ struct Queued {
     staging: bool,
 }
 
+/// A segment's transfers in flight: their count, and whether they stage.
+#[derive(Debug, Clone, Copy)]
+struct Busy {
+    transfers: u32,
+    staging: bool,
+}
+
 /// Drives the placement engine and executes its plan.
 pub struct Executor {
     engine: PlacementEngine,
@@ -82,19 +92,21 @@ pub struct Executor {
     /// Actions denied capacity, or whose segment was busy, waiting for a
     /// completion to requeue them.
     parked: Vec<Queued>,
-    /// Transfers started and not yet reported.
+    /// Transfers started and not yet reported, demand and staging.
     inflight: usize,
-    /// The segments those transfers move, with their count. A segment
-    /// moves one action at a time, so its movements happen in plan order
-    /// and an eviction never discards bytes that land afterwards.
-    busy: dht::FxHashMap<SegmentId, u32>,
+    /// The demand transfers among them: at most `max_inflight_fetches`.
+    demand_inflight: usize,
+    /// The segments those transfers move. A segment moves one action at a
+    /// time, so its movements happen in plan order and an eviction never
+    /// discards bytes that land afterwards.
+    busy: dht::FxHashMap<SegmentId, Busy>,
     executed: u64,
     denied: u64,
 }
 
 impl Executor {
     /// An executor over `hierarchy`'s cache tiers, with `cfg`'s
-    /// displacement margin and in-flight bound.
+    /// displacement margin and demand in-flight bound.
     pub fn new(cfg: &HFetchConfig, hierarchy: &Hierarchy) -> Self {
         let mut engine =
             PlacementEngine::with_margin(hierarchy, cfg.reactiveness, cfg.displacement_margin);
@@ -107,6 +119,7 @@ impl Executor {
             staging: VecDeque::new(),
             parked: Vec::new(),
             inflight: 0,
+            demand_inflight: 0,
             busy: Default::default(),
             executed: 0,
             denied: 0,
@@ -155,13 +168,16 @@ impl Executor {
         self.demand.is_empty() && self.staging.is_empty() && self.parked.is_empty() && self.inflight == 0
     }
 
-    /// A transfer of `segment` landed: frees its slot, requeues parked
-    /// actions and issues queued ones.
+    /// A transfer of `segment` landed: frees its slot if it was demand,
+    /// requeues parked actions and issues queued ones.
     pub fn transfer_done(&mut self, segment: SegmentId, io: &mut impl Transfers) {
         self.inflight = self.inflight.saturating_sub(1);
-        if let Some(count) = self.busy.get_mut(&segment) {
-            *count -= 1;
-            if *count == 0 {
+        if let Some(busy) = self.busy.get_mut(&segment) {
+            if !busy.staging {
+                self.demand_inflight -= 1;
+            }
+            busy.transfers -= 1;
+            if busy.transfers == 0 {
                 self.busy.remove(&segment);
             }
         }
@@ -179,7 +195,7 @@ impl Executor {
     /// score 0 where they sit. They leave only when a hotter segment needs
     /// their room, and a re-open re-keys the resident ones in place.
     pub fn close(&mut self, auditor: &Auditor, file: FileId, now: Timestamp) {
-        if auditor.end_epoch(file, now) && self.cfg.evict_on_epoch_end {
+        if auditor.end_epoch(file, now) && self.cfg.cool_on_epoch_end {
             self.engine.cool_file(file);
         }
     }
@@ -326,14 +342,17 @@ impl Executor {
         self.executed += 1;
     }
 
-    /// Issues queued actions while transfer slots are free: demand first,
-    /// staging only once no demand action waits and while the backing store
-    /// has a channel free. A held staging action waits for the next
-    /// completion or tick.
+    /// Issues queued actions: demand while a demand slot is free, then
+    /// staging, which takes no slot, once no demand action waits and while
+    /// the backing store has a channel free. A held action waits for the
+    /// next completion or tick.
     fn pump(&mut self, io: &mut impl Transfers) {
-        while self.inflight < self.cfg.max_inflight_fetches {
-            let next = match self.demand.pop_front() {
-                Some(queued) => Some(queued),
+        loop {
+            let next = match self.demand.front() {
+                Some(_) if self.demand_inflight < self.cfg.max_inflight_fetches => {
+                    self.demand.pop_front()
+                }
+                Some(_) => None,
                 None if io.backing_free() => self.staging.pop_front(),
                 None => None,
             };
@@ -368,9 +387,13 @@ impl Executor {
             return;
         }
         let outcome = io.fetch(action, range, &self.engine);
-        self.inflight += outcome.transfers as usize;
         if outcome.transfers > 0 {
-            *self.busy.entry(segment).or_default() += outcome.transfers;
+            let transfers = outcome.transfers as usize;
+            self.inflight += transfers;
+            if !queued.staging {
+                self.demand_inflight += transfers;
+            }
+            self.busy.insert(segment, Busy { transfers: outcome.transfers, staging: queued.staging });
         }
         if outcome.scheduled == 0 && outcome.abandoned > 0 {
             // Abandoned by a fault: a retry would meet the same fault.
@@ -463,7 +486,7 @@ mod tests {
         FetchOutcome { denied: MIB, ..Default::default() }
     }
 
-    /// RAM 2 MiB, NVMe 4 MiB, BB 8 MiB; `max_inflight` transfer slots.
+    /// RAM 2 MiB, NVMe 4 MiB, BB 8 MiB; `max_inflight` demand slots.
     fn executor(max_inflight: usize) -> Executor {
         let cfg = HFetchConfig { max_inflight_fetches: max_inflight, ..Default::default() };
         Executor::new(&cfg, &Hierarchy::with_budgets(mib(2), mib(4), mib(8)))
@@ -482,6 +505,19 @@ mod tests {
 
     fn queued(exec: &Executor) -> usize {
         exec.demand.len() + exec.staging.len()
+    }
+
+    /// The segment indices of the fetches issued so far, in issue order.
+    fn issued(io: &Fake) -> Vec<u64> {
+        io.fetches.iter().map(|a| a.target().0.index).collect()
+    }
+
+    /// Takes a demand slot with a transfer of segment 9, which
+    /// `transfer_done(seg(9))` frees.
+    fn take_slot(exec: &mut Executor) {
+        exec.inflight += 1;
+        exec.demand_inflight += 1;
+        exec.busy.insert(seg(9), Busy { transfers: 1, staging: false });
     }
 
     #[test]
@@ -541,7 +577,7 @@ mod tests {
         assert_eq!(moves(&io), 1, "no retry in the same sweep");
         for retry in 1..=RETRIES as usize {
             assert_eq!(exec.denied(), 0);
-            exec.inflight += 1;
+            take_slot(&mut exec);
             exec.transfer_done(seg(9), &mut io);
             assert_eq!(moves(&io), 1 + retry, "one retry per completion");
         }
@@ -647,15 +683,35 @@ mod tests {
     fn staging_waits_behind_demand_queued_after_it() {
         let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
         let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(mib(8), mib(8), mib(8)));
-        let mut io = Fake::default();
+        let mut io = Fake { backing_busy: true, ..Default::default() };
+        // 0, 1 and 2 wait for the busy backing store; 3 takes the one
+        // demand slot and 4 waits for it.
         stage(&mut exec, &[0, 1, 2], &mut io);
         place(&mut exec, &[3, 4], &mut io);
-        // Staged 0 took the free slot; 3 and 4 then overtake 1 and 2.
-        for done in [0, 3, 4, 1] {
-            exec.transfer_done(seg(done), &mut io);
-        }
-        let order: Vec<u64> = io.fetches.iter().map(|a| a.target().0.index).collect();
-        assert_eq!(order, vec![0, 3, 4, 1, 2]);
+        assert_eq!(issued(&io), vec![3]);
+        // The backing store frees and 3 lands: 4 takes its slot first, then
+        // the staged fills follow without a slot, so 4 still holds it.
+        io.backing_busy = false;
+        exec.transfer_done(seg(3), &mut io);
+        assert_eq!(issued(&io), vec![3, 4, 0, 1, 2]);
+        assert_eq!((exec.demand_inflight, exec.inflight), (1, 4));
+    }
+
+    #[test]
+    fn a_staged_transfer_in_flight_holds_back_no_demand() {
+        let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+        let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(mib(8), mib(8), mib(8)));
+        let mut io = Fake::default();
+        stage(&mut exec, &[0], &mut io);
+        place(&mut exec, &[1, 2], &mut io);
+        // The staged 0 took no slot: demand 1 issues at once beside it, and
+        // 2 waits for 1, not for 0.
+        assert_eq!(issued(&io), vec![0, 1]);
+        exec.transfer_done(seg(0), &mut io);
+        assert_eq!(issued(&io), vec![0, 1], "a staged landing frees no demand slot");
+        exec.transfer_done(seg(1), &mut io);
+        assert_eq!(issued(&io), vec![0, 1, 2]);
+        assert_eq!((exec.demand_inflight, exec.inflight), (1, 1));
     }
 
     #[test]
@@ -664,7 +720,6 @@ mod tests {
         let mut exec = Executor::new(&cfg, &Hierarchy::with_budgets(mib(8), mib(8), mib(8)));
         let auditor = Auditor::new(exec.cfg.clone());
         let mut io = Fake { backing_busy: true, ..Default::default() };
-        let issued = |io: &Fake| io.fetches.iter().map(|a| a.target().0.index).collect::<Vec<_>>();
         // Demand issues past staged work held by the busy backing store.
         stage(&mut exec, &[0, 1], &mut io);
         place(&mut exec, &[2], &mut io);
@@ -697,7 +752,7 @@ mod tests {
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
         // The slot is taken; 1 and 2 are queued, and 2 demotes 0 (a queued
         // move).
-        exec.inflight += 1;
+        take_slot(&mut exec);
         let hot = |i| ScoreUpdate { segment: seg(i), score: 100.0, size: MIB, anticipated: true };
         let actions = exec.engine.run(vec![hot(1), hot(2)], Timestamp::ZERO);
         assert!(actions.iter().any(|a| a.moved_from() == Some(TierId(0))));
@@ -723,7 +778,7 @@ mod tests {
         exec.transfer_done(seg(0), &mut io);
         // The slot is taken, so 2's demotion of 0 stays queued: the model
         // places 0 on NVMe while its bytes stay in RAM.
-        exec.inflight += 1;
+        take_slot(&mut exec);
         let hot = |i| ScoreUpdate { segment: seg(i), score: 100.0, size: MIB, anticipated: true };
         let actions = exec.engine.run(vec![hot(1), hot(2)], Timestamp::ZERO);
         exec.execute(actions, &mut io);
@@ -741,7 +796,9 @@ mod tests {
         /// action is queued and the backing store has a free channel:
         /// within one pump every demand issue precedes every staging
         /// issue, and a pump that issued staging leaves no demand queued.
-        /// Segments 0..12 are staged at the base score, 12..24 are demand.
+        /// Demand transfers in flight never exceed the cap, whatever
+        /// staging has in flight. Segments 0..12 are staged at the base
+        /// score, 12..24 are demand.
         #[test]
         fn prop_no_staging_issues_while_demand_waits(
             steps in proptest::collection::vec((0u64..4, 0u64..24, 0u64..3, 0u8..3), 1..80),
@@ -787,6 +844,10 @@ mod tests {
                         exec.demand
                     );
                 }
+                let demand_busy: u32 =
+                    exec.busy.values().filter(|b| !b.staging).map(|b| b.transfers).sum();
+                proptest::prop_assert_eq!(exec.demand_inflight, demand_busy as usize);
+                proptest::prop_assert!(exec.demand_inflight <= exec.cfg.max_inflight_fetches);
                 proptest::prop_assert!(exec.engine.check_invariants().is_ok());
             }
         }

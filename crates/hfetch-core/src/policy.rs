@@ -548,7 +548,7 @@ mod tests {
         let hierarchy = Hierarchy::with_budgets(mib(64), mib(64), mib(64));
         let files = vec![SimFile { id: FileId(0), size: mib(128) }];
         let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
-            .open(FileId(0)) // stages 128 segments through one transfer slot
+            .open(FileId(0)) // stages 128 segments as PFS channels free up
             .compute(Duration::from_millis(50))
             .close(FileId(0))
             .compute(Duration::from_millis(200)) // queued fetches keep landing

@@ -76,6 +76,11 @@ struct Job {
     span: obs::SpanCtx,
 }
 
+/// The number of I/O client threads: one per cache tier.
+fn io_clients(hierarchy: &Hierarchy) -> usize {
+    hierarchy.cache_tiers().max(1)
+}
+
 /// Shared server state (the paper's "HFetch server core").
 pub struct ServerInner {
     cfg: HFetchConfig,
@@ -111,10 +116,12 @@ impl Transfers for &ServerInner {
         self.backend(tier).online()
     }
 
-    /// The memory and directory backends have no channel queue: staging
-    /// never waits on the backing store here.
+    /// The I/O clients are the backing store's channels here: one is free
+    /// while fewer jobs are outstanding than there are clients. Staging
+    /// issues only then, so at most one staging job per client is ever
+    /// outstanding, next to at most `max_inflight_fetches` demand jobs.
     fn backing_free(&self) -> bool {
-        true
+        self.moving.lock().len() < io_clients(&self.hierarchy)
     }
 
     /// Reserves the destination and hands the copy to the I/O clients.
@@ -384,9 +391,11 @@ impl HFetchServer {
         let registry = Arc::new(FileRegistry::new());
         let queue = EventQueue::with_capacity(1 << 16);
         let backing = Arc::clone(&backends[hierarchy.backing().index()]);
-        // The executor keeps at most `max_inflight_fetches` jobs
-        // outstanding, so submitting never blocks.
-        let (jobs, rx) = bounded(cfg.max_inflight_fetches);
+        // At most `max_inflight_fetches` demand jobs and one staging job per
+        // I/O client are outstanding (`backing_free`), so submitting, which
+        // happens with the executor locked, never blocks.
+        let io_clients = io_clients(&hierarchy);
+        let (jobs, rx) = bounded(cfg.max_inflight_fetches + io_clients);
         let inner = Arc::new(ServerInner {
             auditor: Auditor::new(cfg.clone()),
             exec: Mutex::new(Executor::new(&cfg, &hierarchy)),
@@ -409,7 +418,7 @@ impl HFetchServer {
         // I/O clients: one worker per cache tier, all pulling from the
         // shared job channel (work-stealing keeps a busy tier from
         // starving). They exit when the channel closes.
-        let io_threads = (0..inner.hierarchy.cache_tiers().max(1))
+        let io_threads = (0..io_clients)
             .map(|i| {
                 let (rx, inner) = (rx.clone(), Arc::clone(&inner));
                 std::thread::Builder::new()
@@ -787,20 +796,30 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn inflight_fetches_stay_within_the_configured_bound() {
+    /// A server whose cache tiers count their concurrent writes, that is
+    /// their copies in flight, into `writes`.
+    fn counting_server(cfg: HFetchConfig, writes: &Arc<[AtomicU64; 2]>) -> HFetchServer {
         let hierarchy = small_hierarchy();
-        let writes: Arc<[AtomicU64; 2]> = Arc::default();
         let mut backends: Vec<Arc<dyn StorageBackend>> = (0..hierarchy.cache_tiers())
-            .map(|_| Arc::new(FailsFirstWrites::counting(0, Arc::clone(&writes))) as _)
+            .map(|_| Arc::new(FailsFirstWrites::counting(0, Arc::clone(writes))) as _)
             .collect();
         backends.push(Arc::new(MemoryBackend::new()));
+        HFetchServer::start(cfg, hierarchy, backends, 2)
+    }
+
+    /// Staging takes no demand slot, so one slot still lets a staged fill
+    /// use every I/O client, and no more: a free backing-store channel is an
+    /// idle client.
+    #[test]
+    fn staging_copies_in_flight_stay_within_the_io_clients() {
+        let writes: Arc<[AtomicU64; 2]> = Arc::default();
         let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
-        let server = HFetchServer::start(cfg, hierarchy, backends, 2);
+        let server = counting_server(cfg, &writes);
+        let io_clients = server.inner().hierarchy().cache_tiers() as u64;
         let shim = Arc::clone(server.shim());
-        shim.stage_file("/bounded", mib(8)).unwrap();
+        shim.stage_file("/staged", mib(8)).unwrap();
         let (h, _) = shim.fopen(
-            "/bounded",
+            "/staged",
             events::shim::OpenMode::Read,
             tiers::ids::ProcessId(0),
             tiers::ids::AppId(0),
@@ -809,9 +828,38 @@ mod tests {
         let landed: u64 =
             (0..3).map(|i| server.inner().backend(TierId(i)).resident_bytes(h.file())).sum();
         assert_eq!(landed, mib(8), "every staged byte lands");
-        assert_eq!(writes[1].load(Ordering::SeqCst), 1, "one copy in flight at a time");
+        let peak = writes[1].load(Ordering::SeqCst);
+        assert!(peak <= io_clients, "{peak} staging copies in flight, {io_clients} I/O clients");
         server.inner().check_drift().unwrap();
         shim.fclose(&h);
+        server.shutdown();
+    }
+
+    /// With the base-score fill off every transfer is demand, and the
+    /// demand slots bound the copies in flight.
+    #[test]
+    fn demand_copies_in_flight_stay_within_the_configured_bound() {
+        use crate::agent::HFetchAgent;
+        use tiers::ids::{AppId, ProcessId};
+        let writes: Arc<[AtomicU64; 2]> = Arc::default();
+        let cfg =
+            HFetchConfig { max_inflight_fetches: 1, epoch_base_score: 0.0, ..Default::default() };
+        let server = counting_server(cfg, &writes);
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/demand", mib(8)).unwrap();
+        let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(0), AppId(0));
+        let h = agent.open("/demand");
+        // A second touch makes a segment a demand fetch, with lookahead.
+        for _ in 0..2 {
+            for i in 0..8 {
+                agent.read(&h, ByteRange::new(mib(i), MIB)).unwrap();
+            }
+        }
+        server.quiesce();
+        assert!(server.stats().prefetched_bytes.load(Ordering::Relaxed) > 0, "demand fetched");
+        assert_eq!(writes[1].load(Ordering::SeqCst), 1, "one demand copy in flight at a time");
+        server.inner().check_drift().unwrap();
+        agent.close(&h);
         server.shutdown();
     }
 

@@ -71,7 +71,7 @@ fn main() {
         segment_size: MIB,
         lookahead: 2,
         epoch_base_score: 0.0,
-        evict_on_epoch_end: false,
+        cool_on_epoch_end: false,
         max_inflight_fetches: 32,
         ..Default::default()
     };

@@ -49,7 +49,7 @@
 #      the workspace crates' current public API, and its own tests pass.
 #  10. sim_large_file gate: a short seed-7 benchmark run must reach a hit
 #      ratio of at least 0.65 and a makespan of at most 2.20 s (the
-#      sim-clock metrics are exact for a seed; it reads 0.800 and 2.136 s).
+#      sim-clock metrics are exact for a seed; it reads 0.825 and 2.070 s).
 #      Evicting a closed file instead of cooling it reads a hit ratio of
 #      0.275, and issuing staging ahead of demand ~0.04. Issuing staging
 #      while the PFS has no free channel reads a makespan of 2.307 s, later
@@ -59,6 +59,11 @@
 #      memory tier that held a dense buffer per file up to its highest
 #      offset, and kept evicted bytes until the file's last byte left,
 #      read 175-195 MiB across seeds 1-10; the extent store reads 123-129.
+#  12. sim_pipeline gate: a short seed-7 benchmark run must reach a hit
+#      ratio of at least 0.95 (sim-clock exact; it reads 0.965). When one
+#      in-flight window counted staged fills and demand fetches together,
+#      staged fills held the slots the readers' fetches needed, and it read
+#      0.862.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,5 +178,14 @@ correct = result["correct"]
 rss = result["metrics"]["peak_rss_mib"]["value"]
 print(f"correct {correct}, peak_rss_mib {rss:.1f} (ceiling 150)")
 sys.exit(0 if correct and rss <= 150 else 1)'
+
+echo "== sim_pipeline gate: hit ratio, seed 7 =="
+CARGO_TARGET_DIR=.bench_build \
+python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+hit = json.load(sys.stdin)["metrics"]["hit_ratio"]["value"]
+print(f"hit_ratio {hit:.3f} (floor 0.95)")
+sys.exit(0 if hit >= 0.95 else 1)'
 
 echo "== verify OK =="

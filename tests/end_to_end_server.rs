@@ -250,8 +250,10 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 /// source copy: nothing else places or frees those bytes.
 #[test]
 fn superseded_move_drops_its_source_copy() {
-    // RAM holds one 1 MiB segment, and one copy is in flight at a time.
-    let hierarchy = Hierarchy::with_budgets(mib(1), mib(2), mib(4));
+    // RAM holds one 1 MiB segment and NVMe four; one demand copy is in
+    // flight at a time, and staging waits while every I/O client is busy.
+    let hierarchy = Hierarchy::with_budgets(mib(1), mib(3), mib(4));
+    let io_clients = hierarchy.cache_tiers() as u64;
     let nvme = Arc::new(GatedBackend::default());
     let mut backends: Vec<Arc<dyn StorageBackend>> =
         (0..hierarchy.len()).map(|_| Arc::new(MemoryBackend::new()) as _).collect();
@@ -260,7 +262,8 @@ fn superseded_move_drops_its_source_copy() {
     let server = HFetchServer::start(cfg, hierarchy, backends, 2);
     let shim = Arc::clone(server.shim());
     shim.stage_file("/a", mib(1)).unwrap();
-    shim.stage_file("/c", mib(1)).unwrap();
+    shim.stage_file("/c", mib(io_clients)).unwrap();
+    shim.stage_file("/d", mib(1)).unwrap();
     let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(0), AppId(0));
     let auditor = || server.inner().auditor();
 
@@ -269,12 +272,14 @@ fn superseded_move_drops_its_source_copy() {
     let file_a = agent.file_id("/a").unwrap();
     assert_eq!(server.inner().backend(TierId(0)).resident_bytes(file_a), mib(1), "A staged in RAM");
 
-    // RAM is full, so C stages into NVMe, where its copy waits at the gate.
+    // RAM is full, so C stages into NVMe, where one copy per I/O client
+    // waits at the gate: the backing store has no channel free.
     nvme.closed.store(true, Ordering::SeqCst);
     let c = agent.open("/c");
-    wait_until("C's staging copy waits", || nvme.waiting.load(Ordering::SeqCst) > 0);
-    // C turns hot: the next pass plans A's demotion and C's promotion,
-    // both queued behind the waiting copy.
+    wait_until("C's staging copies wait", || nvme.waiting.load(Ordering::SeqCst) == io_clients);
+    // C's first segment turns hot: the next pass plans A's demotion and the
+    // segment's promotion. The promotion waits for the segment's copy, and
+    // A's demotion, a staging move, waits for a free channel.
     for _ in 0..8 {
         agent.read(&c, ByteRange::new(0, mib(1))).unwrap();
     }
@@ -282,13 +287,73 @@ fn superseded_move_drops_its_source_copy() {
     wait_until("a pass drains C's reads", || {
         auditor().stat(c0).is_some_and(|st| st.frequency == 8) && auditor().pending_updates() == 0
     });
-    // The model drops A while its move is still queued.
+    // A cools, and D's staging evicts it from NVMe: the model drops A
+    // while its move there is still queued.
     agent.close(&a);
     wait_until("A's epoch ends", || !auditor().in_epoch(file_a));
+    let d = agent.open("/d");
+    let file_d = agent.file_id("/d").unwrap();
+    wait_until("a pass stages D", || {
+        auditor().in_epoch(file_d) && auditor().pending_updates() == 0
+    });
     nvme.closed.store(false, Ordering::SeqCst);
     server.quiesce();
     server.inner().check_drift().unwrap();
     assert_eq!(server.inner().backend(TierId(0)).resident_bytes(file_a), 0, "A left RAM");
     agent.close(&c);
+    agent.close(&d);
     finish(server);
+}
+
+/// Staging takes no demand slot, so it must not flood the I/O clients' job
+/// channel: a job is submitted with the executor locked, and an I/O client
+/// takes that lock to report a completion before it takes its next job. A
+/// full channel would block the engine for good. Here every client stalls
+/// on a staging copy into RAM while demand reads arrive.
+#[test]
+fn staging_behind_a_stalled_tier_never_blocks_the_engine() {
+    let (done, settled) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        // 24 segments for 16 MiB of cache: the tail is left to demand.
+        let hierarchy = Hierarchy::with_budgets(mib(4), mib(4), mib(8));
+        let io_clients = hierarchy.cache_tiers() as u64;
+        let ram = Arc::new(GatedBackend::default());
+        let mut backends: Vec<Arc<dyn StorageBackend>> =
+            (0..hierarchy.len()).map(|_| Arc::new(MemoryBackend::new()) as _).collect();
+        backends[0] = Arc::clone(&ram) as _;
+        let cfg = HFetchConfig { max_inflight_fetches: 1, ..Default::default() };
+        let server = HFetchServer::start(cfg, hierarchy, backends, 2);
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/wide", mib(24)).unwrap();
+        let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(0), AppId(0));
+
+        ram.closed.store(true, Ordering::SeqCst);
+        let h = agent.open("/wide");
+        wait_until("every I/O client stalls", || ram.waiting.load(Ordering::SeqCst) == io_clients);
+        // A second touch of each tail segment makes it a demand fetch.
+        for _ in 0..2 {
+            for i in 20..24 {
+                let data = agent.read(&h, ByteRange::new(mib(i), 4096)).unwrap();
+                assert_eq!(&data[..], &expected(mib(i), 4096)[..]);
+            }
+        }
+        let file = agent.file_id("/wide").unwrap();
+        let auditor = server.inner().auditor();
+        wait_until("a pass drains the reads", || {
+            let last = SegmentId::new(file, 23);
+            auditor.stat(last).is_some_and(|st| st.frequency == 2) && auditor.pending_updates() == 0
+        });
+        ram.closed.store(false, Ordering::SeqCst);
+        agent.close(&h);
+        finish(server);
+        done.send(()).unwrap();
+    });
+    // A blocked engine never settles, and dropping its server would join
+    // the blocked thread: leave it behind and fail.
+    if settled.recv_timeout(Duration::from_secs(60)).is_err() && !scenario.is_finished() {
+        panic!("the server did not settle within 60 s: the engine blocked on the job channel");
+    }
+    if let Err(panic) = scenario.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
