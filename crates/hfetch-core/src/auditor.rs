@@ -25,7 +25,9 @@
 //! beats the base score get explicit updates, the rest one base-score
 //! [`Fill`] for the whole file, and their score states start from a seed
 //! kept with the file's size instead of one statistics entry per segment.
-//! Every stored statistic has been read at least once.
+//! Every stored statistic has been read at least once. A re-open also
+//! reads ahead past each run of read segments, by the run's once-read
+//! advance in the last epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -263,6 +265,15 @@ impl Auditor {
     /// beats the base get explicit updates; the rest share one [`Fill`].
     /// A never-read segment's score state starts from its staged score at
     /// `now`, kept as a per-file seed.
+    ///
+    /// With a heatmap, each *run* — a maximal stretch of consecutive
+    /// segments with statistics — also stages its *advance* past its end:
+    /// as many segments as its trailing segments read exactly once, each
+    /// scored as the run end's decayed history times `lookahead_decay` per
+    /// step, stopping at end of file, at a segment with history, and where
+    /// the score no longer beats the base. Readahead keeps no seed, so an
+    /// unread readahead segment never lengthens a later run. A heatmap
+    /// saved under another segment size is ignored.
     pub fn start_epoch(&self, file: FileId, now: Timestamp) -> bool {
         let first = {
             self.aux_lock();
@@ -280,18 +291,52 @@ impl Auditor {
         let size = self.file_size(file);
         let segments = segment_count(size, self.cfg.segment_size);
         let base = self.cfg.epoch_base_score;
+        let staged_at = |index: u64, score: f64| ScoreUpdate {
+            segment: SegmentId::new(file, index),
+            score,
+            size: segment_range(index, self.cfg.segment_size, size).len,
+            anticipated: true,
+        };
         let mut explicit: Vec<ScoreUpdate> = Vec::new();
-        if let Some(h) = self.heatmaps.load(file) {
+        let mut ahead: Vec<ScoreUpdate> = Vec::new();
+        // A heatmap indexed by another segment size names other byte ranges.
+        let history = self.heatmaps.load(file).filter(|h| h.segment_size == self.cfg.segment_size);
+        if let Some(h) = history {
             // Decay the stored scores from their snapshot time to now.
             let decay = self.cfg.score.decay(now.since(h.saved_at), 1);
+            // Stages the advance of a run of observed segments past its
+            // end: its end's index and decayed score, and how many of its
+            // trailing segments were read exactly once.
+            let mut read_ahead = |(end, mut score, once): (u64, f64, u64)| {
+                for index in (end + 1..segments).take(once as usize) {
+                    score *= self.cfg.lookahead_decay;
+                    if h.score(index) > 0.0 || score <= base.max(0.0) {
+                        break;
+                    }
+                    ahead.push(staged_at(index, score));
+                }
+            };
+            let mut run: Option<(u64, f64, u64)> = None;
             for (index, stored) in (0..segments).zip(&h.scores) {
                 let score = stored * decay;
                 if score > base.max(0.0) {
-                    let seg_size = segment_range(index, self.cfg.segment_size, size).len;
-                    let segment = SegmentId::new(file, index);
-                    explicit.push(ScoreUpdate { segment, score, size: seg_size, anticipated: true });
+                    explicit.push(staged_at(index, score));
+                }
+                // A run is observed segments only: a seed staged earlier has
+                // history but no statistics. Every segment with statistics
+                // has history, as the last close snapshots it.
+                let frequency = (*stored > 0.0)
+                    .then(|| self.stats.get_with(&SegmentId::new(file, index), |st| st.frequency))
+                    .flatten();
+                match frequency {
+                    Some(frequency) => {
+                        let once = run.map_or(0, |(_, _, once)| once);
+                        run = Some((index, score, if frequency == 1 { once + 1 } else { 0 }));
+                    }
+                    None => run.take().into_iter().for_each(&mut read_ahead),
                 }
             }
+            run.into_iter().for_each(read_ahead);
         }
         let fill = (base > 0.0 && segments > 0)
             .then(|| Fill::new(file, size, self.cfg.segment_size, base));
@@ -318,6 +363,13 @@ impl Auditor {
                     entry.seeds = Some(Arc::new(seeds));
                 }
             }
+        }
+        // Readahead keeps no seed: a segment it staged and nobody read has
+        // no history at the next epoch, so readahead cannot compound.
+        if !ahead.is_empty() {
+            let o = &self.cfg.obs;
+            o.counter_add("auditor.staged.readahead", obs::Label::None, ahead.len() as u64);
+            explicit.append(&mut ahead);
         }
         // The fill first: it rewrites the file's pending slots to the base
         // score, and the explicit updates then overwrite theirs.
@@ -1035,6 +1087,154 @@ mod tests {
         // segment sizes (1).
         assert!(engine.fill_settles() <= cache_segments + 1, "{}", engine.fill_settles());
         assert!(a.stats.is_empty());
+    }
+
+    /// An auditor over `size` bytes that records to an enabled recorder.
+    fn recorded_auditor(size: u64) -> Auditor {
+        let cfg = HFetchConfig { obs: obs::Recorder::enabled(), ..HFetchConfig::default() };
+        let a = Auditor::new(cfg);
+        a.set_file_size(F, size);
+        a
+    }
+
+    /// One epoch opened at `at`: one process reads each of `segments`
+    /// once, a millisecond apart, and closes a second after opening.
+    fn read_epoch(a: &Auditor, segments: std::ops::Range<u64>, at: Timestamp) {
+        a.start_epoch(F, at);
+        for (step, index) in segments.enumerate() {
+            let t = at.after(std::time::Duration::from_millis(step as u64 + 1));
+            a.observe_read(F, ByteRange::new(index * MIB, MIB), ProcessId(0), t);
+        }
+        a.drain_updates();
+        assert!(a.end_epoch(F, at.after(std::time::Duration::from_secs(1))));
+    }
+
+    /// Opens an epoch at `at` and returns the segments it stages past the
+    /// file's history (its readahead), in index order.
+    fn staged_ahead(a: &Auditor, at: Timestamp) -> Vec<u64> {
+        let history = a.heatmaps().load(F).expect("a heatmap");
+        assert!(a.start_epoch(F, at));
+        let batch = a.drain_updates();
+        let mut ahead: Vec<u64> = batch
+            .updates()
+            .iter()
+            .map(|u| u.segment.index)
+            .filter(|&index| history.score(index) == 0.0)
+            .collect();
+        ahead.sort_unstable();
+        ahead
+    }
+
+    fn readahead_counter(a: &Auditor) -> Option<u64> {
+        a.config().obs.report().counter("auditor.staged.readahead")
+    }
+
+    #[test]
+    fn readahead_stages_the_once_read_advance_of_a_run() {
+        let a = recorded_auditor(64 * MIB);
+        read_epoch(&a, 0..16, Timestamp::from_secs(1));
+        let t = Timestamp::from_secs(3);
+        let heat = a.heatmaps().load(F).unwrap();
+        assert!(a.start_epoch(F, t));
+        let batch = a.drain_updates();
+        // The run end's decayed score, halved per step like lookahead.
+        let mut score = heat.scores[15] * a.config().score.decay(t.since(heat.saved_at), 1);
+        for index in 16..32 {
+            score *= a.config().lookahead_decay;
+            let staged = drained_score(&batch, SegmentId::new(F, index));
+            assert_eq!(staged.to_bits(), score.to_bits(), "segment {index}");
+        }
+        assert!(batch.updates().iter().all(|u| u.segment.index < 32));
+        assert_eq!(readahead_counter(&a), Some(16));
+        assert!(a.end_epoch(F, t));
+
+        // The next run re-reads 8 segments and adds 8: only the 8 read
+        // once are its advance.
+        read_epoch(&a, 8..24, Timestamp::from_secs(5));
+        assert_eq!(staged_ahead(&a, Timestamp::from_secs(7)), (24..32).collect::<Vec<_>>());
+        // Three openings after the first: 16, 16 and 8 segments.
+        assert_eq!(readahead_counter(&a), Some(16 + 16 + 8));
+    }
+
+    #[test]
+    fn readahead_stops_at_file_end_and_at_history() {
+        let a = recorded_auditor(20 * MIB);
+        read_epoch(&a, 0..16, Timestamp::from_secs(1));
+        assert_eq!(staged_ahead(&a, Timestamp::from_secs(3)), (16..20).collect::<Vec<_>>());
+
+        // Segment 20 has history but was never read here, as after a
+        // restart: the readahead of the 16-segment run stops at it.
+        let b = recorded_auditor(64 * MIB);
+        let mut history = FileHeatmap::cold(F, MIB, 64);
+        history.scores[20] = 1.0;
+        b.heatmaps().save(history);
+        read_epoch(&b, 0..16, Timestamp::from_secs(1));
+        assert_eq!(staged_ahead(&b, Timestamp::from_secs(3)), (16..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn without_a_heatmap_staging_is_the_fill_only() {
+        let a = recorded_auditor(64 * MIB);
+        // Statistics without a heatmap: read before any epoch.
+        for index in 0..16 {
+            a.observe_read(F, ByteRange::new(index * MIB, MIB), ProcessId(0), Timestamp::ZERO);
+        }
+        a.drain_updates();
+        assert!(a.heatmaps().load(F).is_none());
+        a.start_epoch(F, Timestamp::from_secs(1));
+        assert_eq!(a.pending_updates(), 64);
+        let fill = Fill::new(F, 64 * MIB, MIB, a.config().epoch_base_score);
+        assert_eq!(a.drain_updates(), UpdateBatch::new(Vec::new(), vec![fill]));
+        assert_eq!(readahead_counter(&a), None, "no readahead, no counter");
+    }
+
+    #[test]
+    fn unread_readahead_does_not_compound() {
+        let a = recorded_auditor(64 * MIB);
+        read_epoch(&a, 0..16, Timestamp::from_secs(1));
+        // Nobody reads the readahead.
+        let t = Timestamp::from_secs(3);
+        assert_eq!(staged_ahead(&a, t), (16..32).collect::<Vec<_>>());
+        assert!(a.end_epoch(F, t));
+        let heat = a.heatmaps().load(F).unwrap();
+        assert!(heat.scores[16..32].iter().all(|&s| s == 0.0), "readahead keeps no history");
+        assert_eq!(staged_ahead(&a, Timestamp::from_secs(5)), (16..32).collect::<Vec<_>>());
+        assert!(a.end_epoch(F, Timestamp::from_secs(5)));
+        // A run read twice throughout has no advance.
+        read_epoch(&a, 0..16, Timestamp::from_secs(7));
+        assert!(staged_ahead(&a, Timestamp::from_secs(9)).is_empty());
+        assert_eq!(readahead_counter(&a), Some(3 * 16));
+    }
+
+    #[test]
+    fn a_heatmap_saved_at_another_segment_size_is_ignored() {
+        let dir = std::env::temp_dir().join(format!("hfetch-segsize-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = |dir: &std::path::Path| Arc::new(HeatmapStore::on_disk(dir).unwrap());
+        let at_size = |segment_size: u64| HFetchConfig { segment_size, ..HFetchConfig::default() };
+        let a = Auditor::with_heatmaps(at_size(4 * MIB), store(&dir));
+        a.set_file_size(F, 64 * MIB);
+        let t = Timestamp::from_secs(1);
+        a.start_epoch(F, t);
+        for p in 0..4 {
+            a.observe_read(F, ByteRange::new(8 * MIB, 4 * MIB), ProcessId(p), t);
+        }
+        assert!(a.end_epoch(F, Timestamp::from_secs(2)));
+
+        // After a restart at 1 MiB segments, index 2 would name bytes
+        // 2..3 MiB, not the 8..12 MiB read: stage the fill only.
+        let b = Auditor::with_heatmaps(at_size(MIB), store(&dir));
+        b.set_file_size(F, 64 * MIB);
+        assert_eq!(b.heatmaps().load(F).unwrap().segment_size, 4 * MIB);
+        b.start_epoch(F, Timestamp::from_secs(3));
+        let fill = Fill::new(F, 64 * MIB, MIB, b.config().epoch_base_score);
+        assert_eq!(b.drain_updates(), UpdateBatch::new(Vec::new(), vec![fill]));
+        b.observe_read(F, ByteRange::new(5 * MIB, MIB), ProcessId(0), Timestamp::from_secs(3));
+        assert!(b.end_epoch(F, Timestamp::from_secs(4)));
+        let saved = b.heatmaps().load(F).unwrap();
+        assert_eq!((saved.segment_size, saved.scores.len()), (MIB, 64), "replaced, not evolved");
+        assert!(saved.scores[5] > 0.0 && saved.scores[2] == 0.0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
