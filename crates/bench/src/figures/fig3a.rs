@@ -52,10 +52,8 @@ pub fn measure(daemons: usize, engine_threads: usize, clients: u32, events_per_c
     // Sink: the auditor consumes each read event.
     let sink = {
         let auditor = Arc::clone(&auditor);
-        Arc::new(move |event: &events::event::Event| {
-            if let events::event::Event::Access(a) = event {
-                auditor.observe_read(a.file, a.range, a.process, a.time);
-            }
+        Arc::new(move |a: &AccessEvent| {
+            auditor.observe_read(a.file, a.range, a.process, a.time);
         })
     };
     let monitor = HardwareMonitor::start(

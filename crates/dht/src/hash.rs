@@ -74,8 +74,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// Hashes a value with [`FxHasher`] in one call (used for shard routing).
 #[inline]
@@ -132,8 +130,5 @@ mod tests {
         let mut m: FxHashMap<u64, &str> = FxHashMap::default();
         m.insert(7, "seven");
         assert_eq!(m.get(&7), Some(&"seven"));
-        let mut s: FxHashSet<u32> = FxHashSet::default();
-        s.insert(1);
-        assert!(s.contains(&1));
     }
 }

@@ -28,6 +28,6 @@ pub mod hash;
 pub mod map;
 pub mod stats;
 
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxHashMap, FxHasher};
 pub use map::{DistributedMap, SHARDS};
 pub use stats::MapStats;

@@ -5,10 +5,10 @@
 //! the location of a read operation (i.e., offset), the length of the read
 //! operation (i.e., request size), and lastly a timestamp." (§III-B)
 //!
-//! "In HFetch context, events are either file accesses or tier remaining
-//! capacity." (§III-A.1)
+//! The paper also names tier-capacity events (§III-A.1); nothing here
+//! produces them, so a file access is the only event.
 
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
@@ -78,48 +78,6 @@ impl AccessEvent {
     }
 }
 
-/// A tier-capacity event: a tier reporting its remaining bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CapacityEvent {
-    /// Which tier.
-    pub tier: TierId,
-    /// Remaining capacity in bytes.
-    pub remaining: u64,
-    /// When it was sampled.
-    pub time: Timestamp,
-}
-
-/// Anything the hardware monitor consumes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Event {
-    /// A file access.
-    Access(AccessEvent),
-    /// A tier capacity report.
-    Capacity(CapacityEvent),
-}
-
-impl Event {
-    /// The event's timestamp.
-    pub fn time(&self) -> Timestamp {
-        match self {
-            Event::Access(a) => a.time,
-            Event::Capacity(c) => c.time,
-        }
-    }
-}
-
-impl From<AccessEvent> for Event {
-    fn from(e: AccessEvent) -> Self {
-        Event::Access(e)
-    }
-}
-
-impl From<CapacityEvent> for Event {
-    fn from(e: CapacityEvent) -> Self {
-        Event::Capacity(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +95,5 @@ mod tests {
         assert_eq!(c.kind, AccessKind::Close);
         let w = AccessEvent::write(FileId(1), ByteRange::new(0, 5), t, ProcessId(2), AppId(3));
         assert_eq!(w.kind, AccessKind::Write);
-    }
-
-    #[test]
-    fn event_time_dispatch() {
-        let t = Timestamp::from_millis(5);
-        let a: Event = AccessEvent::open(FileId(0), t, ProcessId(0), AppId(0)).into();
-        assert_eq!(a.time(), t);
-        let c: Event = CapacityEvent { tier: TierId(1), remaining: 100, time: t }.into();
-        assert_eq!(c.time(), t);
     }
 }

@@ -6,13 +6,12 @@
 //! those. This crate reproduces the resulting event feed in-process:
 //!
 //! * [`event`] — the enriched event records (open/read/write/close with
-//!   offset, length, timestamp, process/app identity, plus tier-capacity
-//!   events),
+//!   offset, length, timestamp, process/app identity),
 //! * [`registry`] — path ⇄ [`tiers::FileId`] mapping and file sizes,
 //! * [`watch`] — reference-counted watches: the first reader's `fopen`
 //!   installs a watch, the last `fclose` removes it; unwatched files emit
 //!   nothing,
-//! * [`queue`] — the bounded in-memory event queue that tiers push into
+//! * [`queue`] — the bounded in-memory event queue the shim pushes into
 //!   and the hardware monitor's daemon pool consumes,
 //! * [`monitor`] — the hardware monitor: a pool of daemon threads that
 //!   drain the queue and hand events to a sink (the file segment auditor in
@@ -31,7 +30,7 @@ pub mod registry;
 pub mod shim;
 pub mod watch;
 
-pub use event::{AccessEvent, AccessKind, CapacityEvent, Event};
+pub use event::{AccessEvent, AccessKind};
 pub use monitor::{EventSink, HardwareMonitor, MonitorConfig};
 pub use queue::EventQueue;
 pub use registry::FileRegistry;

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::event::Event;
+use crate::event::AccessEvent;
 use crate::queue::EventQueue;
 
 /// Receives events drained from the queue. In the full stack this is the
@@ -22,14 +22,14 @@ use crate::queue::EventQueue;
 /// concurrently.
 pub trait EventSink: Send + Sync + 'static {
     /// Handle one event.
-    fn on_event(&self, event: &Event);
+    fn on_event(&self, event: &AccessEvent);
 }
 
 impl<F> EventSink for F
 where
-    F: Fn(&Event) + Send + Sync + 'static,
+    F: Fn(&AccessEvent) + Send + Sync + 'static,
 {
-    fn on_event(&self, event: &Event) {
+    fn on_event(&self, event: &AccessEvent) {
         self(event)
     }
 }
@@ -82,7 +82,7 @@ impl HardwareMonitor {
                 std::thread::Builder::new()
                     .name(format!("hfetch-daemon-{i}"))
                     .spawn(move || {
-                        let mut buf: Vec<Event> = Vec::with_capacity(batch);
+                        let mut buf: Vec<AccessEvent> = Vec::with_capacity(batch);
                         loop {
                             buf.clear();
                             let n = queue.pop_batch(&mut buf, batch, poll);
@@ -156,20 +156,13 @@ impl Drop for HardwareMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AccessEvent;
     use tiers::ids::{AppId, FileId, ProcessId};
     use tiers::range::ByteRange;
     use tiers::time::Timestamp;
 
-    fn ev(i: u64) -> Event {
-        AccessEvent::read(
-            FileId(i),
-            ByteRange::new(i * 10, 10),
-            Timestamp::from_nanos(i),
-            ProcessId(0),
-            AppId(0),
-        )
-        .into()
+    fn ev(i: u64) -> AccessEvent {
+        let at = Timestamp::from_nanos(i);
+        AccessEvent::read(FileId(i), ByteRange::new(i * 10, 10), at, ProcessId(0), AppId(0))
     }
 
     #[test]
@@ -178,7 +171,7 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let sink = {
             let seen = seen.clone();
-            Arc::new(move |_: &Event| {
+            Arc::new(move |_: &AccessEvent| {
                 seen.fetch_add(1, Ordering::Relaxed);
             })
         };
@@ -203,7 +196,7 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let sink = {
             let seen = seen.clone();
-            Arc::new(move |_: &Event| {
+            Arc::new(move |_: &AccessEvent| {
                 seen.fetch_add(1, Ordering::Relaxed);
             })
         };
@@ -231,7 +224,7 @@ mod tests {
         let q = EventQueue::with_capacity(1 << 12);
         let monitor = HardwareMonitor::start(
             q.clone(),
-            Arc::new(|_: &Event| {}),
+            Arc::new(|_: &AccessEvent| {}),
             MonitorConfig {
                 daemons: 2,
                 poll_interval: Duration::from_millis(1),
@@ -247,7 +240,7 @@ mod tests {
     #[test]
     fn drop_joins_threads() {
         let q = EventQueue::with_capacity(16);
-        let monitor = HardwareMonitor::start(q.clone(), Arc::new(|_: &Event| {}), MonitorConfig::default());
+        let monitor = HardwareMonitor::start(q.clone(), Arc::new(|_: &AccessEvent| {}), MonitorConfig::default());
         q.push(ev(0));
         drop(monitor); // must not hang or panic
     }
@@ -257,7 +250,7 @@ mod tests {
         let q = EventQueue::with_capacity(1 << 12);
         let monitor = HardwareMonitor::start(
             q.clone(),
-            Arc::new(|_: &Event| {}),
+            Arc::new(|_: &AccessEvent| {}),
             MonitorConfig { daemons: 2, poll_interval: Duration::from_millis(1), ..Default::default() },
         );
         for i in 0..1000 {
@@ -276,7 +269,7 @@ mod tests {
         let handled = Arc::new(AtomicBool::new(false));
         let sink = {
             let handled = handled.clone();
-            Arc::new(move |_: &Event| {
+            Arc::new(move |_: &AccessEvent| {
                 entered_tx.send(()).unwrap();
                 // A dropped sender also releases the sink.
                 let _ = release_rx.recv();

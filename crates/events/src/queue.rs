@@ -2,8 +2,7 @@
 //!
 //! "Each tier independently pushes its I/O events into a queue that resides
 //! in HFetch Server memory." (§III-A) Producers are the instrumented I/O
-//! shims (one per application thread) and the tier capacity reporters;
-//! consumers are the hardware monitor's daemon threads. The queue is
+//! shims (one per application thread); consumers are the hardware monitor's daemon threads. The queue is
 //! bounded: under sustained overload HFetch prefers dropping *telemetry*
 //! (counted, visible in stats) over blocking the application's I/O path.
 
@@ -12,10 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
-use tiers::faults::{EventFault, FaultPlan};
 
-use crate::event::Event;
+use crate::event::AccessEvent;
 
 /// Counters describing queue behaviour since creation.
 #[derive(Debug, Default)]
@@ -23,8 +20,6 @@ pub struct QueueStats {
     pushed: AtomicU64,
     dropped: AtomicU64,
     popped: AtomicU64,
-    injected_drops: AtomicU64,
-    injected_delays: AtomicU64,
 }
 
 impl QueueStats {
@@ -43,19 +38,6 @@ impl QueueStats {
         self.popped.load(Ordering::Relaxed)
     }
 
-    /// Events discarded by the fault plan (chaos testing).
-    pub fn injected_drops(&self) -> u64 {
-        self.injected_drops.load(Ordering::Relaxed)
-    }
-
-    /// Events the fault plan marked late. The real-thread queue cannot
-    /// cheaply time-shift a FIFO, so delayed events are still enqueued in
-    /// order — the counter records how much telemetry *would* have been
-    /// stale (the simulator models the reordering for real).
-    pub fn injected_delays(&self) -> u64 {
-        self.injected_delays.load(Ordering::Relaxed)
-    }
-
     /// Exports the counters into an [`obs::Recorder`] under `events.queue.*`
     /// names. Called once per run at report time (e.g. server shutdown), not
     /// on the push/pop hot path.
@@ -67,8 +49,6 @@ impl QueueStats {
         rec.counter_add("events.queue.pushed", label, self.pushed());
         rec.counter_add("events.queue.dropped", label, self.dropped());
         rec.counter_add("events.queue.popped", label, self.popped());
-        rec.counter_add("events.queue.injected_drops", label, self.injected_drops());
-        rec.counter_add("events.queue.injected_delays", label, self.injected_delays());
     }
 }
 
@@ -77,11 +57,10 @@ impl QueueStats {
 /// Cloning shares the same underlying channel and counters.
 #[derive(Clone)]
 pub struct EventQueue {
-    tx: Sender<Event>,
-    rx: Receiver<Event>,
+    tx: Sender<AccessEvent>,
+    rx: Receiver<AccessEvent>,
     stats: Arc<QueueStats>,
     capacity: usize,
-    faults: Option<Arc<Mutex<FaultPlan>>>,
 }
 
 impl EventQueue {
@@ -89,7 +68,7 @@ impl EventQueue {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         let (tx, rx) = bounded(capacity);
-        Self { tx, rx, stats: Arc::new(QueueStats::default()), capacity, faults: None }
+        Self { tx, rx, stats: Arc::new(QueueStats::default()), capacity }
     }
 
     /// A queue with the default capacity (64K events ≈ a few MB).
@@ -97,33 +76,11 @@ impl EventQueue {
         Self::with_capacity(64 * 1024)
     }
 
-    /// Attaches a fault plan: each non-blocking push rolls the plan's event
-    /// dice and may be discarded (counted in
-    /// [`QueueStats::injected_drops`]) before it ever reaches the channel.
-    /// Blocking pushes are exempt — they exist precisely for producers that
-    /// must not lose events.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(Mutex::new(plan)));
-        self
-    }
-
     /// Non-blocking push. Full queues *drop* the event (counted in stats):
     /// the producer is the application's I/O path and must never stall on
     /// telemetry. Returns true if enqueued.
-    pub fn push(&self, event: impl Into<Event>) -> bool {
-        if let Some(plan) = &self.faults {
-            match plan.lock().roll_event() {
-                EventFault::Deliver => {}
-                EventFault::Drop => {
-                    self.stats.injected_drops.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                EventFault::Delay(_) => {
-                    self.stats.injected_delays.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        match self.tx.try_send(event.into()) {
+    pub fn push(&self, event: AccessEvent) -> bool {
+        match self.tx.try_send(event) {
             Ok(()) => {
                 self.stats.pushed.fetch_add(1, Ordering::Relaxed);
                 true
@@ -138,8 +95,8 @@ impl EventQueue {
     /// Blocking push for producers that must not lose events (used by tests
     /// and the benchmark's saturation mode). Returns false if all consumers
     /// are gone.
-    pub fn push_blocking(&self, event: impl Into<Event>) -> bool {
-        match self.tx.send(event.into()) {
+    pub fn push_blocking(&self, event: AccessEvent) -> bool {
+        match self.tx.send(event) {
             Ok(()) => {
                 self.stats.pushed.fetch_add(1, Ordering::Relaxed);
                 true
@@ -153,7 +110,7 @@ impl EventQueue {
 
     /// Pops one event, waiting up to `timeout`. `None` on timeout or if all
     /// producers are gone and the queue is empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Event> {
+    pub fn pop_timeout(&self, timeout: Duration) -> Option<AccessEvent> {
         match self.rx.recv_timeout(timeout) {
             Ok(e) => {
                 self.stats.popped.fetch_add(1, Ordering::Relaxed);
@@ -169,7 +126,7 @@ impl EventQueue {
     /// rendezvous buys a whole batch, so consumers amortise per-pop channel
     /// overhead under load while staying just as responsive when traffic is
     /// sparse (a lone event is delivered as a batch of one).
-    pub fn pop_batch(&self, buf: &mut Vec<Event>, max: usize, timeout: Duration) -> usize {
+    pub fn pop_batch(&self, buf: &mut Vec<AccessEvent>, max: usize, timeout: Duration) -> usize {
         if max == 0 {
             return 0;
         }
@@ -193,7 +150,7 @@ impl EventQueue {
     }
 
     /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<Event> {
+    pub fn try_pop(&self) -> Option<AccessEvent> {
         match self.rx.try_recv() {
             Ok(e) => {
                 self.stats.popped.fetch_add(1, Ordering::Relaxed);
@@ -233,63 +190,13 @@ impl Default for EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AccessEvent;
     use tiers::ids::{AppId, FileId, ProcessId};
     use tiers::range::ByteRange;
     use tiers::time::Timestamp;
 
-    fn ev(i: u64) -> Event {
-        AccessEvent::read(
-            FileId(i),
-            ByteRange::new(0, 1),
-            Timestamp::from_nanos(i),
-            ProcessId(0),
-            AppId(0),
-        )
-        .into()
-    }
-
-    #[test]
-    fn fault_plan_drops_events_before_the_channel() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(8).with_faults(FaultPlan::new(
-            FaultConfig::with_seed(7).event_faults(1.0, 0.0, Duration::ZERO),
-        ));
-        assert!(!q.push(ev(1)), "certain drop probability discards every push");
-        assert!(!q.push(ev(2)));
-        assert!(q.is_empty());
-        assert_eq!(q.stats().injected_drops(), 2);
-        assert_eq!(q.stats().pushed(), 0);
-        // Blocking pushes bypass injection: they are the must-not-lose path.
-        assert!(q.push_blocking(ev(3)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn fault_plan_counts_delays_but_keeps_order() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(8).with_faults(FaultPlan::new(
-            FaultConfig::with_seed(7).event_faults(0.0, 1.0, Duration::from_millis(5)),
-        ));
-        assert!(q.push(ev(1)));
-        assert!(q.push(ev(2)));
-        assert_eq!(q.stats().injected_delays(), 2);
-        assert_eq!(q.try_pop().unwrap().time(), Timestamp::from_nanos(1));
-        assert_eq!(q.try_pop().unwrap().time(), Timestamp::from_nanos(2));
-    }
-
-    #[test]
-    fn inert_fault_plan_changes_nothing() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(2).with_faults(FaultPlan::new(FaultConfig::with_seed(1)));
-        assert!(q.push(ev(1)));
-        assert!(q.push(ev(2)));
-        assert!(!q.push(ev(3)), "still drops on a full queue");
-        assert_eq!(q.stats().injected_drops(), 0);
-        assert_eq!(q.stats().dropped(), 1);
+    fn ev(i: u64) -> AccessEvent {
+        let at = Timestamp::from_nanos(i);
+        AccessEvent::read(FileId(i), ByteRange::new(0, 1), at, ProcessId(0), AppId(0))
     }
 
     #[test]
@@ -305,7 +212,6 @@ mod tests {
         assert_eq!(report.counter("events.queue.pushed"), Some(2));
         assert_eq!(report.counter("events.queue.dropped"), Some(1));
         assert_eq!(report.counter("events.queue.popped"), Some(1));
-        assert_eq!(report.counter("events.queue.injected_drops"), Some(0));
         q.stats().export_obs(&obs::Recorder::disabled());
     }
 
@@ -317,8 +223,8 @@ mod tests {
         assert_eq!(q.len(), 2);
         let a = q.try_pop().unwrap();
         let b = q.try_pop().unwrap();
-        assert_eq!(a.time(), Timestamp::from_nanos(1));
-        assert_eq!(b.time(), Timestamp::from_nanos(2));
+        assert_eq!(a.time, Timestamp::from_nanos(1));
+        assert_eq!(b.time, Timestamp::from_nanos(2));
         assert!(q.try_pop().is_none());
         assert!(q.is_empty());
     }
@@ -344,8 +250,8 @@ mod tests {
         // Capped below what's queued: take exactly `max`, FIFO order.
         assert_eq!(q.pop_batch(&mut buf, 3, Duration::from_millis(1)), 3);
         assert_eq!(buf.len(), 3);
-        assert_eq!(buf[0].time(), Timestamp::from_nanos(0));
-        assert_eq!(buf[2].time(), Timestamp::from_nanos(2));
+        assert_eq!(buf[0].time, Timestamp::from_nanos(0));
+        assert_eq!(buf[2].time, Timestamp::from_nanos(2));
         // More than what's queued: take the remainder without waiting for
         // the batch to fill.
         buf.clear();

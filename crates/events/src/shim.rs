@@ -261,7 +261,7 @@ impl PosixShim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AccessKind, Event};
+    use crate::event::AccessKind;
     use tiers::backend::MemoryBackend;
     use tiers::time::ManualClock;
 
@@ -279,7 +279,7 @@ mod tests {
 
     fn drain_kinds(q: &EventQueue) -> Vec<AccessKind> {
         let mut kinds = Vec::new();
-        while let Some(Event::Access(a)) = q.try_pop() {
+        while let Some(a) = q.try_pop() {
             kinds.push(a.kind);
         }
         kinds

@@ -78,16 +78,6 @@ impl WatchManager {
     pub fn is_watched(&self, file: FileId) -> bool {
         self.watches.read().contains_key(&file)
     }
-
-    /// Current reference count for `file` (0 if unwatched).
-    pub fn refcount(&self, file: FileId) -> u32 {
-        self.watches.read().get(&file).copied().unwrap_or(0)
-    }
-
-    /// Number of files currently watched.
-    pub fn watched_files(&self) -> usize {
-        self.watches.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -101,13 +91,12 @@ mod tests {
         assert_eq!(w.acquire(f), WatchTransition::Installed);
         assert_eq!(w.acquire(f), WatchTransition::Retained);
         assert_eq!(w.acquire(f), WatchTransition::Retained);
-        assert_eq!(w.refcount(f), 3);
         assert!(w.is_watched(f));
         assert_eq!(w.release(f), WatchTransition::Retained);
         assert_eq!(w.release(f), WatchTransition::Retained);
         assert_eq!(w.release(f), WatchTransition::Removed);
         assert!(!w.is_watched(f));
-        assert_eq!(w.refcount(f), 0);
+        assert_eq!(w.release(f), WatchTransition::NotWatched, "a double close is a no-op");
     }
 
     #[test]
@@ -121,7 +110,7 @@ mod tests {
         let w = WatchManager::new();
         w.acquire(FileId(1));
         w.acquire(FileId(2));
-        assert_eq!(w.watched_files(), 2);
+        assert!(w.is_watched(FileId(1)) && w.is_watched(FileId(2)));
         w.release(FileId(1));
         assert!(!w.is_watched(FileId(1)));
         assert!(w.is_watched(FileId(2)));
@@ -143,7 +132,7 @@ mod tests {
             }
         });
         assert!(!w.is_watched(f));
-        assert_eq!(w.watched_files(), 0);
+        assert_eq!(w.release(f), WatchTransition::NotWatched, "every reference was released");
     }
 
     #[test]
@@ -163,6 +152,10 @@ mod tests {
             }
         });
         assert_eq!(installs.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(w.refcount(f), 16);
+        // Sixteen references: only the sixteenth release removes the watch.
+        for _ in 0..15 {
+            assert_eq!(w.release(f), WatchTransition::Retained);
+        }
+        assert_eq!(w.release(f), WatchTransition::Removed);
     }
 }

@@ -38,7 +38,7 @@ use tiers::ids::{FileId, ProcessId, SegmentId};
 use tiers::range::{segment_count, segment_range, segments_of_request, ByteRange};
 use tiers::time::Timestamp;
 
-use crate::config::HFetchConfig;
+use crate::config::{HFetchConfig, LOOKAHEAD_DECAY};
 use crate::heatmap::{FileHeatmap, HeatmapStore};
 use crate::scoring::ScoreState;
 use crate::update_queue::{Fill, StripedUpdateQueue, UpdateBatch};
@@ -269,8 +269,8 @@ impl Auditor {
     /// With a heatmap, each *run* — a maximal stretch of consecutive
     /// segments with statistics — also stages its *advance* past its end:
     /// as many segments as its trailing segments read exactly once, each
-    /// scored as the run end's decayed history times `lookahead_decay` per
-    /// step, stopping at end of file, at a segment with history, and where
+    /// scored as the run end's decayed history times [`LOOKAHEAD_DECAY`]
+    /// per step, stopping at end of file, at a segment with history, and where
     /// the score no longer beats the base. Readahead keeps no seed, so an
     /// unread readahead segment never lengthens a later run. A heatmap
     /// saved under another segment size is ignored.
@@ -309,7 +309,7 @@ impl Auditor {
             // trailing segments were read exactly once.
             let mut read_ahead = |(end, mut score, once): (u64, f64, u64)| {
                 for index in (end + 1..segments).take(once as usize) {
-                    score *= self.cfg.lookahead_decay;
+                    score *= LOOKAHEAD_DECAY;
                     if h.score(index) > 0.0 || score <= base.max(0.0) {
                         break;
                     }
@@ -419,24 +419,6 @@ impl Auditor {
         self.epoch_refs.lock().contains_key(&file)
     }
 
-    /// Forcibly ends `file`'s epoch regardless of how many openers are
-    /// outstanding, persisting the heatmap as a normal last close would.
-    /// Recovery hook for lossy event feeds (dropped close events under
-    /// fault injection, crashed clients): without it a single lost close
-    /// would pin the epoch open — and its staged data cached — forever.
-    /// Returns false if no epoch was open.
-    pub fn force_end_epoch(&self, file: FileId, now: Timestamp) -> bool {
-        self.aux_lock();
-        if self.epoch_refs.lock().remove(&file).is_none() {
-            return false;
-        }
-        self.cfg
-            .obs
-            .trace_event(obs::TraceEvent::EpochEnd { at: now.as_nanos(), file: file.0 });
-        self.heatmaps.save(self.snapshot_heatmap(file, now));
-        true
-    }
-
     /// Observes a read: updates frequency/recency/sequencing for every
     /// touched segment, recomputes scores, and emits score updates —
     /// including anticipated updates for the next `lookahead` successors
@@ -534,7 +516,7 @@ impl Auditor {
         let total_segments = segment_count(size, self.cfg.segment_size);
         let mut anticipated = last_score;
         for step in 1..=self.cfg.lookahead {
-            anticipated *= self.cfg.lookahead_decay;
+            anticipated *= LOOKAHEAD_DECAY;
             let index = last_seg.index + step;
             if index >= total_segments {
                 break;
@@ -635,23 +617,9 @@ impl Auditor {
         heatmap
     }
 
-    /// The heatmap store (shared with the server for workflow-end cleanup).
+    /// The heatmap store.
     pub fn heatmaps(&self) -> &Arc<HeatmapStore> {
         &self.heatmaps
-    }
-
-    /// Forgets everything about `file` (workflow end / file deletion),
-    /// including its staging seeds and the score updates and fill still
-    /// queued for the engine — a stale pending update would otherwise
-    /// resurrect placement for a file whose statistics no longer exist.
-    pub fn forget_file(&self, file: FileId) {
-        self.stats.retain(|seg, _| seg.file != file);
-        self.updates.purge_file(file);
-        self.aux_lock();
-        self.files.lock().remove(&file);
-        self.aux_lock();
-        let mut last = self.last_by_process.lock();
-        last.retain(|_, seg| seg.file != file);
     }
 }
 
@@ -737,28 +705,6 @@ mod tests {
         assert!(a.end_epoch(F, Timestamp::ZERO));
         assert!(!a.in_epoch(F));
         assert!(!a.end_epoch(F, Timestamp::ZERO), "unbalanced close is a no-op");
-    }
-
-    #[test]
-    fn force_end_epoch_recovers_from_dropped_closes() {
-        let a = auditor();
-        a.set_file_size(F, 2 * MIB);
-        // Two openers, but one close event is lost in transit: the epoch
-        // would stay open forever.
-        assert!(a.start_epoch(F, Timestamp::ZERO));
-        assert!(!a.start_epoch(F, Timestamp::ZERO));
-        assert!(!a.end_epoch(F, Timestamp::ZERO));
-        assert!(a.in_epoch(F));
-        a.drain_updates();
-        a.observe_read(F, ByteRange::new(0, MIB), ProcessId(0), Timestamp::ZERO);
-        // Forced end closes it anyway and persists the heatmap.
-        assert!(a.force_end_epoch(F, Timestamp::from_secs(1)));
-        assert!(!a.in_epoch(F));
-        assert!(a.heatmaps().load(F).is_some(), "heatmap persisted on forced end");
-        // Idempotent on an already-closed epoch.
-        assert!(!a.force_end_epoch(F, Timestamp::from_secs(1)));
-        // And a fresh epoch starts cleanly afterwards.
-        assert!(a.start_epoch(F, Timestamp::from_secs(2)));
     }
 
     #[test]
@@ -865,49 +811,6 @@ mod tests {
         assert!(h.scores[0] > h.scores[3]);
         assert_eq!(h.scores[1], 0.0);
         assert_eq!(h.hottest_first()[0], 0);
-    }
-
-    #[test]
-    fn forget_file_clears_state() {
-        let a = auditor();
-        a.set_file_size(F, 2 * MIB);
-        a.observe_read(F, ByteRange::new(0, MIB), ProcessId(0), Timestamp::from_secs(1));
-        a.forget_file(F);
-        assert!(a.stat(SegmentId::new(F, 0)).is_none());
-        assert_eq!(a.file_size(F), 0);
-    }
-
-    /// Regression: `forget_file` used to leave the file's queued
-    /// `ScoreUpdate`s behind, so the next engine drain would place data
-    /// for a file whose statistics were just erased. A staged file's fill
-    /// and seeds must go too.
-    #[test]
-    fn forget_file_purges_pending_updates() {
-        let a = auditor();
-        a.set_file_size(F, 2 * MIB);
-        let g = FileId(2);
-        a.set_file_size(g, MIB);
-        let staged = FileId(3);
-        a.set_file_size(staged, 4 * MIB);
-        a.start_epoch(staged, Timestamp::from_secs(1));
-        a.observe_read(F, ByteRange::new(0, 2 * MIB), ProcessId(0), Timestamp::from_secs(1));
-        a.observe_read(g, ByteRange::new(0, MIB), ProcessId(1), Timestamp::from_secs(1));
-        assert!(a.pending_updates() >= 3 + 4);
-        a.forget_file(F);
-        a.forget_file(staged);
-        let drained = a.drain_updates();
-        assert!(!drained.is_empty(), "other files' updates survive");
-        assert!(
-            drained.updates().iter().all(|u| u.segment.file == g),
-            "no stale updates for the forgotten file: {drained:?}"
-        );
-        assert!(drained.fills().is_empty(), "no fill for the forgotten staged file");
-        assert_eq!(a.pending_updates(), 0, "purge kept the counter consistent");
-        // The staging seed is gone: a read after re-registering starts cold.
-        a.set_file_size(staged, 4 * MIB);
-        a.observe_read(staged, ByteRange::new(MIB, MIB), ProcessId(2), Timestamp::from_secs(2));
-        let st = a.stat(SegmentId::new(staged, 1)).unwrap();
-        assert_eq!(st.score.peek(Timestamp::from_secs(2), &a.config().score, 1), 1.0);
     }
 
     /// A multi-segment read takes one map-shard lock per shard it visits
@@ -1030,7 +933,7 @@ mod tests {
         let staged = seeded(&a, 0.75, t0, t1) + 1.0;
         assert_eq!(drained_score(&batch, SegmentId::new(F, 1)).to_bits(), staged.to_bits());
         // Lookahead from segment 1 finds no seed for segment 2 either.
-        let anticipated = staged * a.config().lookahead_decay;
+        let anticipated = staged * LOOKAHEAD_DECAY;
         assert_eq!(drained_score(&batch, SegmentId::new(F, 2)).to_bits(), anticipated.to_bits());
     }
 
@@ -1140,7 +1043,7 @@ mod tests {
         // The run end's decayed score, halved per step like lookahead.
         let mut score = heat.scores[15] * a.config().score.decay(t.since(heat.saved_at), 1);
         for index in 16..32 {
-            score *= a.config().lookahead_decay;
+            score *= LOOKAHEAD_DECAY;
             let staged = drained_score(&batch, SegmentId::new(F, index));
             assert_eq!(staged.to_bits(), score.to_bits(), "segment {index}");
         }

@@ -4,6 +4,12 @@ use std::time::Duration;
 
 use crate::scoring::ScoreParams;
 
+/// Score multiplier applied per step of anticipation distance: a lookahead
+/// successor `d` segments past a read, or a heatmap-readahead segment `d`
+/// past its run's end, is scored `score × LOOKAHEAD_DECAY^d`, so it ranks
+/// as demand below the segment it follows.
+pub const LOOKAHEAD_DECAY: f64 = 0.5;
+
 /// How eagerly the placement engine reacts to score changes (§IV-A.1,
 /// Fig. 3b). The engine runs when *either* condition is met: a time
 /// interval elapses, or enough score updates accumulate.
@@ -50,10 +56,9 @@ pub struct HFetchConfig {
     /// Engine trigger sensitivity.
     pub reactiveness: Reactiveness,
     /// How many successor segments to anticipate per access (segment
-    /// sequencing drives lookahead; 0 disables anticipation).
+    /// sequencing drives lookahead; 0 disables anticipation). Each step
+    /// decays the score by [`LOOKAHEAD_DECAY`].
     pub lookahead: u64,
-    /// Score multiplier applied per step of lookahead distance (< 1).
-    pub lookahead_decay: f64,
     /// Base score given to every segment of a file when its prefetching
     /// epoch starts (lets the engine stage cold files into spare capacity,
     /// hotter-ranked first). A fetch or move placing a segment at no more
@@ -96,7 +101,6 @@ impl Default for HFetchConfig {
             score: ScoreParams::default(),
             reactiveness: Reactiveness::default(),
             lookahead: 4,
-            lookahead_decay: 0.5,
             epoch_base_score: 1e-6,
             cool_on_epoch_end: true,
             displacement_margin: 2.0,
@@ -112,10 +116,6 @@ impl HFetchConfig {
     pub fn validate(&self) {
         assert!(self.segment_size > 0, "segment_size must be positive");
         assert!(self.score.p >= 2.0, "score p must be >= 2 (paper: p >= 2)");
-        assert!(
-            self.lookahead_decay > 0.0 && self.lookahead_decay < 1.0,
-            "lookahead_decay must be in (0, 1)"
-        );
         assert!(self.epoch_base_score >= 0.0, "epoch_base_score must be non-negative");
         assert!(self.reactiveness.score_updates > 0, "score_updates trigger must be positive");
         assert!(self.max_inflight_fetches > 0, "need at least one demand transfer slot");
@@ -154,11 +154,5 @@ mod tests {
         let mut c = HFetchConfig::default();
         c.score.p = 1.5;
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead_decay")]
-    fn invalid_decay_rejected() {
-        HFetchConfig { lookahead_decay: 1.0, ..Default::default() }.validate();
     }
 }

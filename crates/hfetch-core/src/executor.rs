@@ -92,14 +92,13 @@ pub struct Executor {
     /// Actions denied capacity, or whose segment was busy, waiting for a
     /// completion to requeue them.
     parked: Vec<Queued>,
-    /// Transfers started and not yet reported, demand and staging.
-    inflight: usize,
+    /// The segments with transfers started and not yet reported, demand and
+    /// staging. A segment moves one action at a time, so its movements
+    /// happen in plan order and an eviction never discards bytes that land
+    /// afterwards.
+    busy: dht::FxHashMap<SegmentId, Busy>,
     /// The demand transfers among them: at most `max_inflight_fetches`.
     demand_inflight: usize,
-    /// The segments those transfers move. A segment moves one action at a
-    /// time, so its movements happen in plan order and an eviction never
-    /// discards bytes that land afterwards.
-    busy: dht::FxHashMap<SegmentId, Busy>,
     executed: u64,
     denied: u64,
 }
@@ -118,9 +117,8 @@ impl Executor {
             demand: VecDeque::new(),
             staging: VecDeque::new(),
             parked: Vec::new(),
-            inflight: 0,
-            demand_inflight: 0,
             busy: Default::default(),
+            demand_inflight: 0,
             executed: 0,
             denied: 0,
         }
@@ -157,7 +155,7 @@ impl Executor {
     /// is then idle (nothing queued or parked, no transfer in flight).
     pub fn tick(&mut self, auditor: &Auditor, now: Timestamp, io: &mut impl Transfers) -> bool {
         self.sync_offline(io);
-        if self.inflight == 0 {
+        if self.busy.is_empty() {
             self.unpark(io);
         }
         if auditor.pending_updates() > 0 {
@@ -165,13 +163,12 @@ impl Executor {
         } else {
             self.pump(io);
         }
-        self.demand.is_empty() && self.staging.is_empty() && self.parked.is_empty() && self.inflight == 0
+        self.demand.is_empty() && self.staging.is_empty() && self.parked.is_empty() && self.busy.is_empty()
     }
 
     /// A transfer of `segment` landed: frees its slot if it was demand,
     /// requeues parked actions and issues queued ones.
     pub fn transfer_done(&mut self, segment: SegmentId, io: &mut impl Transfers) {
-        self.inflight = self.inflight.saturating_sub(1);
         if let Some(busy) = self.busy.get_mut(&segment) {
             if !busy.staging {
                 self.demand_inflight -= 1;
@@ -388,10 +385,8 @@ impl Executor {
         }
         let outcome = io.fetch(action, range, &self.engine);
         if outcome.transfers > 0 {
-            let transfers = outcome.transfers as usize;
-            self.inflight += transfers;
             if !queued.staging {
-                self.demand_inflight += transfers;
+                self.demand_inflight += outcome.transfers as usize;
             }
             self.busy.insert(segment, Busy { transfers: outcome.transfers, staging: queued.staging });
         }
@@ -446,6 +441,8 @@ mod tests {
         backing_busy: bool,
         script: HashMap<u64, FetchOutcome>,
         fetches: Vec<PlacementAction>,
+        /// Transfers the fetches started.
+        transfers: u64,
         discards: Vec<(SegmentId, TierId)>,
     }
 
@@ -470,7 +467,9 @@ mod tests {
         ) -> FetchOutcome {
             self.fetches.push(action);
             let scheduled = FetchOutcome { scheduled: range.len, transfers: 1, ..Default::default() };
-            self.script.get(&action.target().0.index).copied().unwrap_or(scheduled)
+            let outcome = self.script.get(&action.target().0.index).copied().unwrap_or(scheduled);
+            self.transfers += u64::from(outcome.transfers);
+            outcome
         }
 
         fn discard(&mut self, segment: SegmentId, _range: ByteRange, tier: TierId) {
@@ -507,6 +506,11 @@ mod tests {
         exec.demand.len() + exec.staging.len()
     }
 
+    /// Transfers in flight, demand and staging.
+    fn inflight(exec: &Executor) -> usize {
+        exec.busy.values().map(|b| b.transfers as usize).sum()
+    }
+
     /// The segment indices of the fetches issued so far, in issue order.
     fn issued(io: &Fake) -> Vec<u64> {
         io.fetches.iter().map(|a| a.target().0.index).collect()
@@ -515,7 +519,6 @@ mod tests {
     /// Takes a demand slot with a transfer of segment 9, which
     /// `transfer_done(seg(9))` frees.
     fn take_slot(exec: &mut Executor) {
-        exec.inflight += 1;
         exec.demand_inflight += 1;
         exec.busy.insert(seg(9), Busy { transfers: 1, staging: false });
     }
@@ -535,7 +538,7 @@ mod tests {
         exec.transfer_done(seg(1), &mut io);
         assert_eq!(io.fetches.len(), 3);
         assert!(queued(&exec) == 0 && exec.parked.is_empty());
-        assert_eq!((exec.executed(), exec.denied(), exec.inflight), (2, 0, 1));
+        assert_eq!((exec.executed(), exec.denied(), inflight(&exec)), (2, 0, 1));
         assert_eq!(exec.engine.location(seg(0)), Some(TierId(0)));
         exec.engine.check_invariants().unwrap();
     }
@@ -584,7 +587,7 @@ mod tests {
         assert_eq!(exec.denied(), 1);
         assert_eq!(exec.engine.location(seg(0)), None, "the segment left the model");
         assert_eq!(io.discards, vec![(seg(0), TierId(0))], "the source copy is dropped");
-        assert!(queued(&exec) == 0 && exec.parked.is_empty() && exec.inflight == 0);
+        assert!(queued(&exec) == 0 && exec.parked.is_empty() && inflight(&exec) == 0);
         exec.engine.check_invariants().unwrap();
     }
 
@@ -597,7 +600,7 @@ mod tests {
         assert_eq!(io.fetches.len(), 1, "no retry against the same fault");
         assert_eq!(exec.engine.location(seg(0)), None);
         assert!(io.discards.is_empty(), "a fetch has no source copy to drop");
-        assert!(queued(&exec) == 0 && exec.inflight == 0);
+        assert!(queued(&exec) == 0 && inflight(&exec) == 0);
         assert_eq!(exec.executed(), 0);
     }
 
@@ -616,7 +619,7 @@ mod tests {
         );
         place(&mut exec, &[0], &mut io);
         assert_eq!(exec.engine.location(seg(0)), None);
-        assert_eq!((exec.executed(), exec.inflight), (1, 1), "the transfer still runs");
+        assert_eq!((exec.executed(), inflight(&exec)), (1, 1), "the transfer still runs");
     }
 
     /// Fig. 3(b)'s trap: a staged segment read once before the pass has
@@ -694,7 +697,7 @@ mod tests {
         io.backing_busy = false;
         exec.transfer_done(seg(3), &mut io);
         assert_eq!(issued(&io), vec![3, 4, 0, 1, 2]);
-        assert_eq!((exec.demand_inflight, exec.inflight), (1, 4));
+        assert_eq!((exec.demand_inflight, inflight(&exec)), (1, 4));
     }
 
     #[test]
@@ -711,7 +714,7 @@ mod tests {
         assert_eq!(issued(&io), vec![0, 1], "a staged landing frees no demand slot");
         exec.transfer_done(seg(1), &mut io);
         assert_eq!(issued(&io), vec![0, 1, 2]);
-        assert_eq!((exec.demand_inflight, exec.inflight), (1, 1));
+        assert_eq!((exec.demand_inflight, inflight(&exec)), (1, 1));
     }
 
     #[test]
@@ -766,7 +769,7 @@ mod tests {
         let fetched = io.fetches.len();
         exec.transfer_done(seg(9), &mut io);
         assert_eq!(io.fetches.len(), fetched, "superseded actions move nothing");
-        assert!(queued(&exec) == 0 && exec.inflight == 0);
+        assert!(queued(&exec) == 0 && inflight(&exec) == 0);
         assert_eq!(orphan(&io), 1, "the dropped move freed its source copy in RAM");
     }
 
@@ -797,8 +800,10 @@ mod tests {
         /// within one pump every demand issue precedes every staging
         /// issue, and a pump that issued staging leaves no demand queued.
         /// Demand transfers in flight never exceed the cap, whatever
-        /// staging has in flight. Segments 0..12 are staged at the base
-        /// score, 12..24 are demand.
+        /// staging has in flight. The busy map holds exactly the transfers
+        /// started and not yet completed, and a tick reports idle exactly
+        /// when nothing is in flight, queued or parked. Segments 0..12 are
+        /// staged at the base score, 12..24 are demand.
         #[test]
         fn prop_no_staging_issues_while_demand_waits(
             steps in proptest::collection::vec((0u64..4, 0u64..24, 0u64..3, 0u8..3), 1..80),
@@ -808,6 +813,7 @@ mod tests {
             let auditor = Auditor::new(exec.cfg.clone());
             let base = exec.cfg.epoch_base_score;
             let staged = |a: &PlacementAction| a.target().0.index < 12;
+            let mut completed = 0u64;
             for (kind, index, deny, load) in steps {
                 io.backing_busy = load == 0;
                 if deny == 0 {
@@ -825,10 +831,16 @@ mod tests {
                     }
                     2 => {
                         let done = exec.busy.keys().min_by_key(|s| s.index).copied();
+                        completed += u64::from(done.is_some());
                         exec.transfer_done(done.unwrap_or(seg(index)), &mut io);
                     }
                     _ => {
-                        exec.tick(&auditor, Timestamp::ZERO, &mut io);
+                        let idle = exec.tick(&auditor, Timestamp::ZERO, &mut io);
+                        let empty = exec.busy.is_empty()
+                            && exec.demand.is_empty()
+                            && exec.staging.is_empty()
+                            && exec.parked.is_empty();
+                        proptest::prop_assert_eq!(idle, empty);
                     }
                 }
                 let issued = &io.fetches[before..];
@@ -847,6 +859,7 @@ mod tests {
                 let demand_busy: u32 =
                     exec.busy.values().filter(|b| !b.staging).map(|b| b.transfers).sum();
                 proptest::prop_assert_eq!(exec.demand_inflight, demand_busy as usize);
+                proptest::prop_assert_eq!((io.transfers - completed) as usize, inflight(&exec));
                 proptest::prop_assert!(exec.demand_inflight <= exec.cfg.max_inflight_fetches);
                 proptest::prop_assert!(exec.engine.check_invariants().is_ok());
             }

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender};
 use dht::FxHashMap;
-use events::event::{AccessKind, Event};
+use events::event::{AccessEvent, AccessKind};
 use events::monitor::{EventSink, HardwareMonitor, MonitorConfig};
 use events::queue::EventQueue;
 use events::registry::FileRegistry;
@@ -46,8 +46,6 @@ pub struct ServerStats {
     pub miss_bytes: AtomicU64,
     /// Bytes moved into cache tiers by the I/O clients.
     pub prefetched_bytes: AtomicU64,
-    /// Bytes evicted from cache tiers.
-    pub evicted_bytes: AtomicU64,
     /// Fetches dropped after capacity stayed denied past the retry budget.
     pub denied_fetches: AtomicU64,
     /// Placement engine runs.
@@ -57,15 +55,6 @@ pub struct ServerStats {
     /// Fetches abandoned after a permanent failure, an offline tier, or an
     /// exhausted retry budget (the reservation is rolled back).
     pub failed_fetches: AtomicU64,
-}
-
-impl ServerStats {
-    /// Byte hit ratio over agent reads so far.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let h = self.hit_bytes.load(Ordering::Relaxed);
-        let m = self.miss_bytes.load(Ordering::Relaxed);
-        (h + m > 0).then(|| h as f64 / (h + m) as f64)
-    }
 }
 
 /// One copy for the I/O clients: a `Fetch` or `Move` whose destination
@@ -161,7 +150,6 @@ impl Transfers for &ServerInner {
         if self.moving.lock().get(&segment).map(|m| m.0) != Some(Some(tier)) {
             self.ledger.release_clamped(tier, evicted);
         }
-        self.stats.evicted_bytes.fetch_add(evicted, Ordering::Relaxed);
     }
 
     fn invalidate(&mut self, segment: SegmentId, range: ByteRange) {
@@ -339,8 +327,7 @@ impl ServerInner {
         });
     }
 
-    fn handle_event(&self, event: &Event) {
-        let Event::Access(access) = event else { return };
+    fn handle_event(&self, access: &AccessEvent) {
         let (file, range, now) = (access.file, access.range, access.time);
         match access.kind {
             AccessKind::Open => {
@@ -360,7 +347,7 @@ impl ServerInner {
 struct ServerSink(Arc<ServerInner>);
 
 impl EventSink for ServerSink {
-    fn on_event(&self, event: &Event) {
+    fn on_event(&self, event: &AccessEvent) {
         self.0.handle_event(event);
     }
 }

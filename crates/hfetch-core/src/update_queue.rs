@@ -18,8 +18,8 @@
 //!
 //! Accounting: `pending()` counts **raw pushes** — the engine's
 //! count-based trigger (Reactiveness, §III-D) fires on access volume, not
-//! on coalesced slot count. Drains and purges subtract exactly the raw
-//! pushes their removed slots absorbed, so the counter can never drift
+//! on coalesced slot count. A drain subtracts exactly the raw pushes its
+//! removed slots absorbed, so the counter can never drift
 //! from queue contents the way the old `store(0)` reset could when a push
 //! landed between the drain and the reset.
 //!
@@ -351,43 +351,6 @@ impl StripedUpdateQueue {
         self.pending.load(Ordering::Relaxed)
     }
 
-    /// Removes every pending update and fill for `file`, returning how
-    /// many slots were dropped. Called when the auditor forgets a file so
-    /// the engine never sees scores for state that no longer exists.
-    pub fn purge_file(&self, file: FileId) -> usize {
-        let mut dropped_slots = 0;
-        let mut dropped_raw = 0u64;
-        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
-        self.fills.lock().retain(|slot| {
-            let keep = slot.fill.file != file;
-            if !keep {
-                dropped_raw += slot.raw;
-            }
-            keep
-        });
-        for stripe in &self.stripes {
-            let mut s = stripe.lock();
-            if !s.slots.iter().any(|slot| slot.update.segment.file == file) {
-                continue;
-            }
-            s.slots.retain(|slot| {
-                if slot.update.segment.file == file {
-                    dropped_slots += 1;
-                    dropped_raw += slot.raw;
-                    false
-                } else {
-                    true
-                }
-            });
-            s.index.clear();
-            let rebuilt: FxHashMap<SegmentId, usize> =
-                s.slots.iter().enumerate().map(|(i, slot)| (slot.update.segment, i)).collect();
-            s.index = rebuilt;
-        }
-        self.pending.fetch_sub(dropped_raw, Ordering::Relaxed);
-        dropped_slots
-    }
-
     /// Stripe lock acquisitions so far (ingestion telemetry; relaxed).
     pub fn lock_acquisitions(&self) -> u64 {
         self.locks.load(Ordering::Relaxed)
@@ -501,38 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_file_drops_only_that_file() {
-        let q = StripedUpdateQueue::default();
-        q.push(0, upd(1, 0, 1.0));
-        q.push(1, upd(2, 0, 1.0));
-        q.push(2, upd(1, 1, 1.0));
-        q.push(2, upd(1, 1, 2.0));
-        assert_eq!(q.pending(), 4);
-        assert_eq!(q.purge_file(FileId(1)), 2);
-        assert_eq!(q.pending(), 1, "purge subtracts the raw pushes it removed");
-        let rest = q.drain().updates().to_vec();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].segment.file, FileId(2));
-        assert_eq!(q.purge_file(FileId(9)), 0, "purging an absent file is a no-op");
-    }
-
-    #[test]
-    fn purge_then_push_same_segment_lands_in_a_fresh_slot() {
-        let q = StripedUpdateQueue::default();
-        q.push(0, upd(1, 5, 1.0));
-        q.push(0, upd(2, 9, 1.0));
-        q.purge_file(FileId(1));
-        // Index was rebuilt: a new push for the purged segment must not
-        // alias the surviving file-2 slot.
-        q.push(0, upd(1, 5, 7.0));
-        let mut drained = q.drain().updates().to_vec();
-        drained.sort_by_key(|u| u.segment.file.0);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].score, 7.0);
-        assert_eq!(drained[1].segment.file, FileId(2));
-    }
-
-    #[test]
     fn fill_rewrites_pending_slots_and_later_pushes_supersede_it() {
         let q = StripedUpdateQueue::default();
         q.push(0, upd(1, 2, 9.0)); // pending before staging: rewritten
@@ -561,14 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn a_second_fill_replaces_the_first_and_purge_drops_it() {
+    fn a_second_fill_replaces_the_first() {
         let q = StripedUpdateQueue::default();
         q.push_fill(Fill::new(FileId(1), 2048, 1024, 0.5), 2);
         q.push_fill(Fill::new(FileId(1), 4096, 1024, 0.5), 4);
-        q.push_fill(Fill::new(FileId(2), 1024, 1024, 0.5), 1);
-        assert_eq!(q.pending(), 7);
-        q.purge_file(FileId(2));
-        assert_eq!(q.pending(), 6, "purge subtracts the fill's raw pushes");
+        assert_eq!(q.pending(), 6);
         let batch = q.drain();
         assert_eq!(batch.fills().len(), 1);
         assert_eq!(batch.fills()[0].segments(), 4, "the later staging wins");

@@ -86,27 +86,6 @@ impl Device {
         self.schedule(now.max(earliest), bytes)
     }
 
-    /// Low-level reservation: occupies the earliest-free channel for
-    /// `duration`, starting no earlier than `now` or `earliest`. Used for
-    /// pipelined src→dst transfers where both devices are held for the
-    /// *same* window (`duration = max` of the two service times).
-    pub fn occupy(
-        &mut self,
-        now: Timestamp,
-        earliest: Timestamp,
-        duration: Duration,
-        bytes: u64,
-    ) -> (Timestamp, Timestamp) {
-        let Reverse(free) = self.channels.pop().expect("device has channels");
-        let start = now.max(earliest).max(free);
-        let finish = start.after(duration);
-        self.channels.push(Reverse(finish));
-        self.busy += duration;
-        self.transfers += 1;
-        self.bytes += bytes;
-        (start, finish)
-    }
-
     /// The earliest time a new transfer could start if it arrived at `now`.
     pub fn earliest_start(&self, now: Timestamp) -> Timestamp {
         let Reverse(free) = self.channels.peek().expect("device has channels");

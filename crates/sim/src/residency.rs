@@ -181,11 +181,6 @@ impl ResidencyMap {
         self.sets.get(&(file, tier)).map_or(0, |s| s.total())
     }
 
-    /// Bytes resident on `tier` across all files.
-    pub fn tier_bytes(&self, tier: TierId) -> u64 {
-        self.sets.iter().filter(|((_, t), _)| *t == tier).map(|(_, s)| s.total()).sum()
-    }
-
     /// Every `(file, tier)` with resident bytes.
     pub fn entries(&self) -> impl Iterator<Item = (FileId, TierId, u64)> + '_ {
         self.sets.iter().map(|((f, t), s)| (*f, *t, s.total()))
@@ -312,12 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn tier_bytes_sums_files() {
+    fn entries_list_each_file_tier() {
         let mut m = ResidencyMap::new();
         m.add(FileId(1), ByteRange::new(0, 10), RAM);
         m.add(FileId(2), ByteRange::new(0, 30), RAM);
-        assert_eq!(m.tier_bytes(RAM), 40);
-        assert_eq!(m.entries().count(), 2);
+        let mut entries: Vec<_> = m.entries().collect();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(FileId(1), RAM, 10), (FileId(2), RAM, 30)]);
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! Storage backends: where a tier's bytes actually live.
 //!
-//! Three implementations cover the repo's use cases:
+//! Two implementations cover the repo's use cases:
 //!
 //! * [`MemoryBackend`] — bytes in RAM; the default for unit/integration
 //!   tests and the RAM tier of the real data path. A file is a map of
@@ -9,12 +9,13 @@
 //! * [`DirectoryBackend`] — bytes in real files under a directory; point it
 //!   at a tmpfs mount for a RAM tier or an NVMe mount for an NVMe tier and
 //!   you have the paper's hierarchy on commodity hardware.
-//! * [`NullBackend`] — bookkeeping only; backs the discrete-event simulator
-//!   where only timing and residency matter, not payloads.
+//!
+//! The discrete-event simulator moves no payloads: it keeps residency in
+//! `sim::residency::ResidencyMap` instead of a backend.
 //!
 //! A cache tier holds arbitrary subsets of a file's segments, so every
 //! backend tracks residency per file in ranges. [`MemoryBackend`] derives it
-//! from its extents; the other two keep an [`IntervalSet`].
+//! from its extents; [`DirectoryBackend`] keeps an [`IntervalSet`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -392,84 +393,6 @@ impl StorageBackend for DirectoryBackend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// NullBackend
-// ---------------------------------------------------------------------------
-
-/// Bookkeeping-only backend for the simulator: residency is tracked exactly,
-/// reads return zeroed bytes of the right length.
-#[derive(Default)]
-pub struct NullBackend {
-    resident: RwLock<HashMap<FileId, IntervalSet>>,
-}
-
-impl NullBackend {
-    /// Creates an empty backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StorageBackend for NullBackend {
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> Result<()> {
-        if !data.is_empty() {
-            self.resident
-                .write()
-                .entry(file)
-                .or_default()
-                .insert(ByteRange::new(offset, data.len() as u64));
-        }
-        Ok(())
-    }
-
-    fn read(&self, file: FileId, range: ByteRange) -> Result<Bytes> {
-        let resident = self.resident.read();
-        let set = resident.get(&file).ok_or(TierError::FileNotFound(file))?;
-        if !set.covers(range) {
-            return Err(TierError::RangeNotResident { file, offset: range.offset, len: range.len });
-        }
-        Ok(Bytes::from(vec![0u8; range.len as usize]))
-    }
-
-    fn evict(&self, file: FileId, range: ByteRange) -> Result<u64> {
-        let mut resident = self.resident.write();
-        let Some(set) = resident.get_mut(&file) else { return Ok(0) };
-        let evicted = set.remove(range);
-        if set.is_empty() {
-            resident.remove(&file);
-        }
-        Ok(evicted)
-    }
-
-    fn delete(&self, file: FileId) -> Result<u64> {
-        Ok(self.resident.write().remove(&file).map_or(0, |s| s.total()))
-    }
-
-    fn resident(&self, file: FileId, range: ByteRange) -> bool {
-        self.resident.read().get(&file).is_some_and(|s| s.covers(range))
-    }
-
-    fn covered_bytes(&self, file: FileId, range: ByteRange) -> u64 {
-        self.resident.read().get(&file).map_or(0, |s| s.covered_bytes(range))
-    }
-
-    fn covered_ranges(&self, file: FileId, range: ByteRange) -> Vec<ByteRange> {
-        self.resident.read().get(&file).map_or_else(Vec::new, |s| s.covered_ranges(range))
-    }
-
-    fn resident_bytes(&self, file: FileId) -> u64 {
-        self.resident.read().get(&file).map_or(0, |s| s.total())
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.resident.read().values().map(|s| s.total()).sum()
-    }
-
-    fn files(&self) -> Vec<FileId> {
-        self.resident.read().keys().copied().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,7 +407,7 @@ mod tests {
         dir
     }
 
-    fn exercise_backend(b: &dyn StorageBackend, verify_payload: bool) {
+    fn exercise_backend(b: &dyn StorageBackend) {
         let f = FileId(1);
         // Write two disjoint extents.
         b.write(f, 0, b"hello").unwrap();
@@ -501,12 +424,8 @@ mod tests {
         );
         assert_eq!(b.covered_bytes(FileId(9), ByteRange::new(0, 10)), 0);
 
-        if verify_payload {
-            assert_eq!(&b.read(f, ByteRange::new(0, 5)).unwrap()[..], b"hello");
-            assert_eq!(&b.read(f, ByteRange::new(101, 3)).unwrap()[..], b"orl");
-        } else {
-            assert_eq!(b.read(f, ByteRange::new(0, 5)).unwrap().len(), 5);
-        }
+        assert_eq!(&b.read(f, ByteRange::new(0, 5)).unwrap()[..], b"hello");
+        assert_eq!(&b.read(f, ByteRange::new(101, 3)).unwrap()[..], b"orl");
 
         // Reads across holes fail.
         let err = b.read(f, ByteRange::new(0, 10)).unwrap_err();
@@ -520,9 +439,7 @@ mod tests {
         // Overwrite extends residency.
         b.write(f, 3, b"p me u").unwrap();
         assert!(b.resident(f, ByteRange::new(0, 9)));
-        if verify_payload {
-            assert_eq!(&b.read(f, ByteRange::new(0, 9)).unwrap()[..], b"help me u");
-        }
+        assert_eq!(&b.read(f, ByteRange::new(0, 9)).unwrap()[..], b"help me u");
 
         // Partial eviction splits residency.
         assert_eq!(b.evict(f, ByteRange::new(2, 4)).unwrap(), 4);
@@ -544,19 +461,14 @@ mod tests {
 
     #[test]
     fn memory_backend_contract() {
-        exercise_backend(&MemoryBackend::new(), true);
-    }
-
-    #[test]
-    fn null_backend_contract() {
-        exercise_backend(&NullBackend::new(), false);
+        exercise_backend(&MemoryBackend::new());
     }
 
     #[test]
     fn directory_backend_contract() {
         let dir = temp_dir("contract");
         let b = DirectoryBackend::new(&dir).unwrap();
-        exercise_backend(&b, true);
+        exercise_backend(&b);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -573,30 +485,12 @@ mod tests {
     }
 
     #[test]
-    fn null_backend_reads_zeroes() {
-        let b = NullBackend::new();
-        b.write(FileId(0), 10, &[1, 2, 3]).unwrap();
-        let bytes = b.read(FileId(0), ByteRange::new(10, 3)).unwrap();
-        assert_eq!(&bytes[..], &[0, 0, 0], "payload is not stored");
-    }
-
-    #[test]
     fn empty_writes_and_reads() {
         let b = MemoryBackend::new();
         b.write(FileId(1), 0, b"").unwrap();
         assert_eq!(b.used_bytes(), 0);
         b.write(FileId(1), 0, b"x").unwrap();
         assert_eq!(b.read(FileId(1), ByteRange::new(0, 0)).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn backends_are_object_safe_and_shareable() {
-        let backends: Vec<Box<dyn StorageBackend>> =
-            vec![Box::new(MemoryBackend::new()), Box::new(NullBackend::new())];
-        for b in &backends {
-            b.write(FileId(0), 0, b"ab").unwrap();
-            assert_eq!(b.used_bytes(), 2);
-        }
     }
 
     #[test]

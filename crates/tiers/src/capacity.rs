@@ -73,42 +73,6 @@ impl CapacityLedger {
         Ok(())
     }
 
-    /// Atomically moves a reservation of `bytes` from `from` to `to`.
-    ///
-    /// Used for promotions/demotions: either both sides update or neither
-    /// does. A move to the backing tier simply releases (the PFS budget is
-    /// unbounded and not tracked as cache usage).
-    pub fn transfer(&self, from: TierId, to: TierId, bytes: u64) -> Result<()> {
-        if from == to {
-            return Ok(());
-        }
-        let mut tiers = self.tiers.lock();
-        let len = tiers.len();
-        if from.index() >= len {
-            return Err(TierError::UnknownTier(from));
-        }
-        if to.index() >= len {
-            return Err(TierError::UnknownTier(to));
-        }
-        if bytes > tiers[from.index()].used {
-            return Err(TierError::ReleaseUnderflow {
-                tier: from,
-                requested: bytes,
-                in_use: tiers[from.index()].used,
-            });
-        }
-        let dst = &tiers[to.index()];
-        let available = dst.capacity.saturating_sub(dst.used);
-        if bytes > available {
-            return Err(TierError::CapacityExceeded { tier: to, requested: bytes, available });
-        }
-        tiers[from.index()].used -= bytes;
-        let dst = &mut tiers[to.index()];
-        dst.used += bytes;
-        dst.peak = dst.peak.max(dst.used);
-        Ok(())
-    }
-
     /// Bytes currently in use on `tier`.
     pub fn used(&self, tier: TierId) -> u64 {
         self.tiers.lock().get(tier.index()).map_or(0, |u| u.used)
@@ -122,16 +86,6 @@ impl CapacityLedger {
     /// High-water mark of usage on `tier` since creation.
     pub fn peak(&self, tier: TierId) -> u64 {
         self.tiers.lock().get(tier.index()).map_or(0, |u| u.peak)
-    }
-
-    /// True if `bytes` would currently fit on `tier`.
-    pub fn would_fit(&self, tier: TierId, bytes: u64) -> bool {
-        self.available(tier) >= bytes
-    }
-
-    /// Snapshot of `(used, capacity)` per tier, fastest-first.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.tiers.lock().iter().map(|u| (u.used, u.capacity)).collect()
     }
 }
 
@@ -178,39 +132,6 @@ mod tests {
         let l = ledger();
         assert!(matches!(l.reserve(TierId(9), 1), Err(TierError::UnknownTier(_))));
         assert!(matches!(l.release(TierId(9), 1), Err(TierError::UnknownTier(_))));
-        assert!(matches!(l.transfer(TierId(0), TierId(9), 0), Err(TierError::UnknownTier(_))));
-    }
-
-    #[test]
-    fn transfer_moves_atomically() {
-        let l = ledger();
-        l.reserve(TierId(0), 500).unwrap();
-        l.transfer(TierId(0), TierId(1), 500).unwrap();
-        assert_eq!(l.used(TierId(0)), 0);
-        assert_eq!(l.used(TierId(1)), 500);
-    }
-
-    #[test]
-    fn transfer_failure_changes_nothing() {
-        let l = CapacityLedger::new(&Hierarchy::with_budgets(1000, 100, 100));
-        l.reserve(TierId(0), 500).unwrap();
-        l.reserve(TierId(1), 50).unwrap();
-        // 500 B won't fit in the remaining 50 B of tier 1.
-        let err = l.transfer(TierId(0), TierId(1), 500).unwrap_err();
-        assert!(matches!(err, TierError::CapacityExceeded { .. }));
-        assert_eq!(l.used(TierId(0)), 500);
-        assert_eq!(l.used(TierId(1)), 50);
-        // Underflow direction also rejected.
-        let err = l.transfer(TierId(1), TierId(0), 60).unwrap_err();
-        assert!(matches!(err, TierError::ReleaseUnderflow { .. }));
-    }
-
-    #[test]
-    fn self_transfer_is_noop() {
-        let l = ledger();
-        l.reserve(TierId(0), 5).unwrap();
-        l.transfer(TierId(0), TierId(0), u64::MAX).unwrap();
-        assert_eq!(l.used(TierId(0)), 5);
     }
 
     #[test]
@@ -234,15 +155,5 @@ mod tests {
         assert!(l.used(TierId(0)) <= 10_000);
         // 8 threads * 1000 * 7 = 56000 requested; exactly floor(10000/7)*7 granted.
         assert_eq!(l.used(TierId(0)), (10_000 / 7) * 7);
-    }
-
-    #[test]
-    fn snapshot_reflects_usage() {
-        let l = ledger();
-        l.reserve(TierId(2), 42).unwrap();
-        let snap = l.snapshot();
-        assert_eq!(snap[2].0, 42);
-        assert_eq!(snap[2].1, gib(4));
-        assert_eq!(snap.len(), 4);
     }
 }

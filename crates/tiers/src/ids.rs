@@ -75,13 +75,6 @@ id_newtype!(
 );
 
 id_newtype!(
-    /// Identifies a compute or storage node in the cluster model.
-    NodeId,
-    "n",
-    u32
-);
-
-id_newtype!(
     /// Identifies a tier of the storage hierarchy. Tier 0 is the fastest
     /// (e.g. DRAM); higher ids are progressively slower and larger. The
     /// *backing* tier (PFS) is always the last one.
@@ -175,7 +168,6 @@ mod tests {
         assert_eq!(FileId(3).to_string(), "f3");
         assert_eq!(ProcessId(12).to_string(), "p12");
         assert_eq!(AppId(1).to_string(), "a1");
-        assert_eq!(NodeId(7).to_string(), "n7");
         assert_eq!(TierId(0).to_string(), "T0");
         assert_eq!(SegmentId::new(FileId(3), 9).to_string(), "f3#9");
     }

@@ -4,8 +4,8 @@
 //! HFetch paper targets: DRAM → node-local NVMe → shared burst buffers →
 //! remote parallel file system. It provides:
 //!
-//! * strongly-typed identifiers for files, segments, processes, applications,
-//!   nodes and tiers ([`ids`]),
+//! * strongly-typed identifiers for files, segments, processes, applications
+//!   and tiers ([`ids`]),
 //! * byte-range arithmetic used to map variable-sized read requests onto
 //!   fixed-size file segments ([`range`]),
 //! * tier descriptors carrying the hardware characteristics (capacity,
@@ -14,8 +14,8 @@
 //! * hierarchy topologies with validation and the paper's reference testbed
 //!   configurations ([`topology`]),
 //! * thread-safe capacity accounting ([`capacity`]),
-//! * pluggable storage backends — in-memory, real-directory (tmpfs/NVMe), and
-//!   bookkeeping-only ([`backend`]),
+//! * pluggable storage backends — in-memory and real-directory (tmpfs/NVMe)
+//!   ([`backend`]),
 //! * a data mover that copies ranges between backends, with bounded
 //!   retry-with-backoff for transient failures ([`mover`]),
 //! * a deterministic, seeded fault-injection layer: per-operation
@@ -40,11 +40,11 @@ pub mod time;
 pub mod topology;
 pub mod units;
 
-pub use backend::{DirectoryBackend, MemoryBackend, NullBackend, StorageBackend};
+pub use backend::{DirectoryBackend, MemoryBackend, StorageBackend};
 pub use capacity::CapacityLedger;
 pub use error::TierError;
 pub use faults::{FaultConfig, FaultPlan, FaultStats, FlakyBackend, OfflineWindow};
-pub use ids::{AppId, FileId, NodeId, ProcessId, SegmentId, TierId};
+pub use ids::{AppId, FileId, ProcessId, SegmentId, TierId};
 pub use mover::{CopyReceipt, DataMover, RetryPolicy};
 pub use range::ByteRange;
 pub use tier::{TierKind, TierSpec};

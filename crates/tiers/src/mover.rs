@@ -3,11 +3,11 @@
 //! The paper's "Data Prefetching I/O Clients" perform the actual fetches
 //! between source and destination tiers (§III-A.5). [`DataMover`] is the
 //! byte-level primitive those clients use: copy a range of a file from one
-//! backend to another in bounded chunks, optionally removing it from the
-//! source afterwards (HFetch's cache is *exclusive* — a segment lives in
-//! exactly one tier, §III-D).
+//! backend to another in bounded chunks, and evict a range, each retrying
+//! transient failures. The clients evict a cache source after its copy
+//! lands (HFetch's cache is *exclusive* — a segment lives in exactly one
+//! tier, §III-D).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::backend::StorageBackend;
@@ -15,13 +15,13 @@ use crate::error::{Result, TierError};
 use crate::ids::FileId;
 use crate::range::ByteRange;
 
-/// Bounded retry schedule for transient mover failures.
+/// Bounded retry schedule for transient failures.
 ///
-/// Backoff is *accounted, not slept*: [`DataMover::copy_with_retry`]
-/// accumulates the would-be backoff into the returned receipt so callers
-/// on a simulated clock charge it to simulated time, and callers on real
-/// threads decide whether to sleep it. This keeps the same retry logic
-/// usable from both deployment modes (DESIGN.md §4.1, clock-agnostic core).
+/// The mover does not sleep: [`DataMover::copy_with_retry_recorded`] and
+/// [`DataMover::evict_with_retry`] pass each backoff to the caller's `wait`
+/// (the real server's I/O clients sleep it). The simulator's fault plan
+/// charges the same schedule to simulated time
+/// ([`crate::faults::FaultPlan::roll_op_with_retry`]).
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Retries after the first failure (0 = fail fast).
@@ -51,9 +51,6 @@ pub struct CopyReceipt {
     pub bytes: u64,
     /// Attempts made (1 = no retries needed).
     pub attempts: u32,
-    /// Total backoff accumulated across failed attempts (simulated-clock
-    /// charge; never slept by the mover itself).
-    pub backoff: Duration,
 }
 
 /// Default copy chunk: 4 MiB keeps peak buffer use bounded while amortizing
@@ -107,60 +104,18 @@ impl DataMover {
     }
 
     /// Like [`DataMover::copy`], but retries transient failures
-    /// ([`TierError::TransientIo`]) up to `retry.max_retries` times with
-    /// exponential backoff. Copies are idempotent (same bytes, same
-    /// offsets), so a retry after a mid-copy failure simply re-walks the
-    /// chunks. Permanent errors propagate immediately; exhausting the
-    /// budget propagates the last transient error.
-    pub fn copy_with_retry(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        src: &dyn StorageBackend,
-        dst: &dyn StorageBackend,
-        retry: &RetryPolicy,
-    ) -> Result<CopyReceipt> {
-        self.copy_with_retry_using(file, range, src, dst, retry, &mut |_| {})
-    }
-
-    /// Like [`DataMover::copy_with_retry`], but invokes `wait` with each
-    /// backoff interval before the corresponding retry. Real-thread callers
-    /// pass `std::thread::sleep`; simulated-clock callers pass a no-op and
-    /// charge the receipt's accumulated backoff to simulated time instead.
-    pub fn copy_with_retry_using(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        src: &dyn StorageBackend,
-        dst: &dyn StorageBackend,
-        retry: &RetryPolicy,
-        wait: &mut dyn FnMut(Duration),
-    ) -> Result<CopyReceipt> {
-        let mut backoff = Duration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            match self.copy(file, range, src, dst) {
-                Ok(bytes) => {
-                    return Ok(CopyReceipt { bytes, attempts: attempt + 1, backoff });
-                }
-                Err(TierError::TransientIo { .. }) if attempt < retry.max_retries => {
-                    let pause = retry.backoff(attempt);
-                    backoff += pause;
-                    attempt += 1;
-                    wait(pause);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Like [`DataMover::copy_with_retry_using`], but additionally records
-    /// the move into `rec` labelled with the directed `(src_tier, dst_tier)`
-    /// hierarchy-index pair: bytes moved and copy count per tier pair, a
-    /// copy-size histogram, and a retry counter when attempts > 1. With a
-    /// disabled recorder this is exactly `copy_with_retry_using` plus one
-    /// branch. Failed copies are counted (`mover.failed_copies`) but move no
-    /// bytes.
+    /// ([`TierError::TransientIo`]) up to `retry.max_retries` times,
+    /// passing each backoff to `wait` before the retry. Copies are
+    /// idempotent (same bytes, same offsets), so a retry after a mid-copy
+    /// failure simply re-walks the chunks. Permanent errors propagate
+    /// immediately; exhausting the budget propagates the last transient
+    /// error.
+    ///
+    /// The move is recorded into `rec`, labelled with the directed
+    /// `(src_tier, dst_tier)` hierarchy-index pair: bytes moved and copy
+    /// count per tier pair, a copy-size histogram, and a retry counter when
+    /// attempts > 1. Failed copies are counted (`mover.failed_copies`) but
+    /// move no bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn copy_with_retry_recorded(
         &self,
@@ -173,7 +128,17 @@ impl DataMover {
         rec: &obs::Recorder,
         tier_pair: (u16, u16),
     ) -> Result<CopyReceipt> {
-        let outcome = self.copy_with_retry_using(file, range, src, dst, retry, wait);
+        let mut attempt = 0u32;
+        let outcome = loop {
+            match self.copy(file, range, src, dst) {
+                Ok(bytes) => break Ok(CopyReceipt { bytes, attempts: attempt + 1 }),
+                Err(TierError::TransientIo { .. }) if attempt < retry.max_retries => {
+                    wait(retry.backoff(attempt));
+                    attempt += 1;
+                }
+                Err(e) => break Err(e),
+            }
+        };
         if rec.is_enabled() {
             let label = obs::Label::tier_pair(tier_pair.0, tier_pair.1);
             match &outcome {
@@ -192,7 +157,7 @@ impl DataMover {
     }
 
     /// Evicts `range` of `file` from `backend`, retrying transient failures
-    /// on the same schedule as [`DataMover::copy_with_retry_using`] (each
+    /// on the same schedule as [`DataMover::copy_with_retry_recorded`] (each
     /// backoff is passed to `wait`). Returns the bytes evicted.
     pub fn evict_with_retry(
         &self,
@@ -212,40 +177,6 @@ impl DataMover {
                 outcome => return outcome,
             }
         }
-    }
-
-    /// Moves `range` of `file` from `src` to `dst`: copy, then evict from
-    /// the source (exclusive caching). Returns bytes moved.
-    pub fn relocate(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        src: &dyn StorageBackend,
-        dst: &dyn StorageBackend,
-    ) -> Result<u64> {
-        let copied = self.copy(file, range, src, dst)?;
-        src.evict(file, range)?;
-        Ok(copied)
-    }
-
-    /// Copies `range` from whichever of `sources` holds it fully, into
-    /// `dst`. Sources are tried in order (fastest tier first by convention).
-    /// Returns the index of the source used, or `None` if no source holds
-    /// the full range.
-    pub fn copy_from_any(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        sources: &[Arc<dyn StorageBackend>],
-        dst: &dyn StorageBackend,
-    ) -> Result<Option<usize>> {
-        for (i, src) in sources.iter().enumerate() {
-            if src.resident(file, range) {
-                self.copy(file, range, src.as_ref(), dst)?;
-                return Ok(Some(i));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -278,18 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn relocate_is_exclusive() {
-        let f = FileId(2);
-        let src = filled(f, 256);
-        let dst = MemoryBackend::new();
-        let mover = DataMover::new();
-        let moved = mover.relocate(f, ByteRange::new(0, 256), &src, &dst).unwrap();
-        assert_eq!(moved, 256);
-        assert_eq!(src.resident_bytes(f), 0, "source evicted");
-        assert_eq!(dst.resident_bytes(f), 256);
-    }
-
-    #[test]
     fn copy_of_missing_range_fails_cleanly() {
         let f = FileId(3);
         let src = filled(f, 100);
@@ -310,31 +229,6 @@ mod tests {
         let err = mover.copy(f, ByteRange::new(0, 160), &src, &dst).unwrap_err();
         assert!(matches!(err, TierError::RangeNotResident { .. }));
         assert_eq!(dst.resident_bytes(f), 96);
-    }
-
-    #[test]
-    fn copy_from_any_prefers_earlier_sources() {
-        let f = FileId(5);
-        let fast = filled(f, 64);
-        let slow = filled(f, 64);
-        let sources: Vec<Arc<dyn StorageBackend>> = vec![Arc::new(fast), Arc::new(slow)];
-        let dst = MemoryBackend::new();
-        let used = DataMover::new()
-            .copy_from_any(f, ByteRange::new(0, 64), &sources, &dst)
-            .unwrap();
-        assert_eq!(used, Some(0));
-    }
-
-    #[test]
-    fn copy_from_any_falls_through_and_reports_missing() {
-        let f = FileId(6);
-        let empty = MemoryBackend::new();
-        let holder = filled(f, 64);
-        let sources: Vec<Arc<dyn StorageBackend>> = vec![Arc::new(empty), Arc::new(holder)];
-        let dst = MemoryBackend::new();
-        let mover = DataMover::new();
-        assert_eq!(mover.copy_from_any(f, ByteRange::new(0, 64), &sources, &dst).unwrap(), Some(1));
-        assert_eq!(mover.copy_from_any(f, ByteRange::new(0, 128), &sources, &dst).unwrap(), None);
     }
 
     /// A backend that fails its first `fail_n` data operations transiently.
@@ -419,18 +313,32 @@ mod tests {
         assert_eq!(stuck.resident_bytes(f), 64, "an exhausted budget evicts nothing");
     }
 
+    /// A retried copy of `range` without a recorder; each backoff the
+    /// mover waits is appended to `waits`.
+    fn retried_copy(
+        f: FileId,
+        range: ByteRange,
+        src: &dyn StorageBackend,
+        dst: &dyn StorageBackend,
+        retry: &RetryPolicy,
+        waits: &mut Vec<Duration>,
+    ) -> crate::error::Result<CopyReceipt> {
+        let off = obs::Recorder::disabled();
+        DataMover::new()
+            .copy_with_retry_recorded(f, range, src, dst, retry, &mut |d| waits.push(d), &off, (0, 1))
+    }
+
     #[test]
     fn retry_recovers_from_transient_failures() {
         let f = FileId(8);
         let src = FailsFirst::new(filled(f, 256), 2);
         let dst = MemoryBackend::new();
         let retry = RetryPolicy::default();
-        let receipt = DataMover::new()
-            .copy_with_retry(f, ByteRange::new(0, 256), &src, &dst, &retry)
-            .unwrap();
+        let mut waits = Vec::new();
+        let receipt = retried_copy(f, ByteRange::new(0, 256), &src, &dst, &retry, &mut waits).unwrap();
         assert_eq!(receipt.bytes, 256);
         assert_eq!(receipt.attempts, 3, "two failures, then success");
-        assert_eq!(receipt.backoff, retry.backoff(0) + retry.backoff(1));
+        assert_eq!(waits, vec![retry.backoff(0), retry.backoff(1)]);
         assert_eq!(dst.resident_bytes(f), 256);
     }
 
@@ -440,8 +348,7 @@ mod tests {
         let src = FailsFirst::new(filled(f, 64), u32::MAX);
         let dst = MemoryBackend::new();
         let retry = RetryPolicy { max_retries: 2, base_backoff: Duration::from_millis(1) };
-        let err = DataMover::new()
-            .copy_with_retry(f, ByteRange::new(0, 64), &src, &dst, &retry)
+        let err = retried_copy(f, ByteRange::new(0, 64), &src, &dst, &retry, &mut Vec::new())
             .unwrap_err();
         assert!(matches!(err, TierError::TransientIo { .. }));
         // 1 initial attempt + 2 retries consumed exactly 3 gate tokens.
@@ -457,10 +364,12 @@ mod tests {
         let f = FileId(10);
         let src = filled(f, 100);
         let dst = MemoryBackend::new();
-        let err = DataMover::new()
-            .copy_with_retry(f, ByteRange::new(50, 100), &src, &dst, &RetryPolicy::default())
+        let mut waits = Vec::new();
+        let retry = RetryPolicy::default();
+        let err = retried_copy(f, ByteRange::new(50, 100), &src, &dst, &retry, &mut waits)
             .unwrap_err();
         assert!(matches!(err, TierError::RangeNotResident { .. }));
+        assert!(waits.is_empty());
     }
 
     #[test]

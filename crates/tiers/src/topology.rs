@@ -99,14 +99,6 @@ impl Hierarchy {
             .expect("ram+nvme hierarchy is valid")
     }
 
-    /// A RAM-over-burst-buffer-over-PFS hierarchy, matching the Stacker /
-    /// KnowAc configuration in §IV-B ("configured to fetch data from burst
-    /// buffers to the application's memory").
-    pub fn ram_bb(ram: u64, bb: u64) -> Self {
-        Self::new(vec![TierSpec::ram(ram), TierSpec::burst_buffer(bb), TierSpec::pfs()])
-            .expect("ram+bb hierarchy is valid")
-    }
-
     /// Number of tiers, including the backing store.
     pub fn len(&self) -> usize {
         self.tiers.len()
@@ -132,18 +124,6 @@ impl Hierarchy {
         TierId((self.tiers.len() - 1) as u16)
     }
 
-    /// The next tier down from `id` (toward the backing store), or `None`
-    /// if `id` is already the backing store.
-    pub fn next_down(&self, id: TierId) -> Option<TierId> {
-        let next = id.index() + 1;
-        (next < self.tiers.len()).then_some(TierId(next as u16))
-    }
-
-    /// The next tier up from `id` (toward RAM), or `None` at the top.
-    pub fn next_up(&self, id: TierId) -> Option<TierId> {
-        id.0.checked_sub(1).map(TierId)
-    }
-
     /// Iterator over `(TierId, &TierSpec)` fastest-first.
     pub fn iter(&self) -> impl Iterator<Item = (TierId, &TierSpec)> {
         self.tiers.iter().enumerate().map(|(i, t)| (TierId(i as u16), t))
@@ -152,16 +132,6 @@ impl Hierarchy {
     /// Iterator over the cache tiers only (excludes the backing store).
     pub fn iter_cache(&self) -> impl Iterator<Item = (TierId, &TierSpec)> {
         self.iter().filter(|(_, t)| !t.is_backing())
-    }
-
-    /// Total prefetching capacity summed over cache tiers.
-    pub fn total_cache_capacity(&self) -> u64 {
-        self.iter_cache().map(|(_, t)| t.capacity).sum()
-    }
-
-    /// True if tier `a` is strictly faster (higher in the hierarchy) than `b`.
-    pub fn is_faster(&self, a: TierId, b: TierId) -> bool {
-        a.0 < b.0
     }
 
     /// Find the first tier of a given kind, if present.
@@ -186,20 +156,8 @@ mod tests {
         assert_eq!(h.len(), 4);
         assert_eq!(h.cache_tiers(), 3);
         assert_eq!(h.backing(), TierId(3));
-        assert_eq!(h.total_cache_capacity(), gib(5) + gib(15) + gib(20));
         assert_eq!(h.find_kind(TierKind::Nvme), Some(TierId(1)));
         assert_eq!(h.find_kind(TierKind::Other), None);
-    }
-
-    #[test]
-    fn navigation() {
-        let h = Hierarchy::ares_reference();
-        assert_eq!(h.next_down(TierId(0)), Some(TierId(1)));
-        assert_eq!(h.next_down(TierId(3)), None);
-        assert_eq!(h.next_up(TierId(0)), None);
-        assert_eq!(h.next_up(TierId(2)), Some(TierId(1)));
-        assert!(h.is_faster(TierId(0), TierId(2)));
-        assert!(!h.is_faster(TierId(2), TierId(2)));
     }
 
     #[test]
@@ -241,14 +199,6 @@ mod tests {
         let h = Hierarchy::ram_only(gib(1));
         assert!(matches!(h.spec(TierId(9)), Err(TierError::UnknownTier(TierId(9)))));
         assert!(h.spec(TierId(0)).is_ok());
-    }
-
-    #[test]
-    fn ram_bb_matches_stacker_config() {
-        let h = Hierarchy::ram_bb(gib(1), gib(80));
-        assert_eq!(h.cache_tiers(), 2);
-        assert_eq!(h.find_kind(TierKind::BurstBuffer), Some(TierId(1)));
-        assert_eq!(h.find_kind(TierKind::Nvme), None);
     }
 
     #[test]

@@ -42,19 +42,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     format!("{bytes} B")
 }
 
-/// Formats a throughput (bytes/second) with a binary unit suffix.
-pub fn fmt_throughput(bytes_per_sec: f64) -> String {
-    if bytes_per_sec >= GIB as f64 {
-        format!("{:.2} GiB/s", bytes_per_sec / GIB as f64)
-    } else if bytes_per_sec >= MIB as f64 {
-        format!("{:.2} MiB/s", bytes_per_sec / MIB as f64)
-    } else if bytes_per_sec >= KIB as f64 {
-        format!("{:.2} KiB/s", bytes_per_sec / KIB as f64)
-    } else {
-        format!("{bytes_per_sec:.2} B/s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +66,5 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(1024), "1.00 KiB");
         assert_eq!(fmt_bytes(GIB + GIB / 2), "1.50 GiB");
-        assert_eq!(fmt_throughput(2.0 * GIB as f64), "2.00 GiB/s");
-        assert_eq!(fmt_throughput(100.0), "100.00 B/s");
     }
 }

@@ -66,6 +66,8 @@
 #      in-flight window counted staged fills and demand fetches together,
 #      staged fills held the slots the readers' fetches needed, and it read
 #      0.862.
+#  13. line count: scripts/loc.sh prints the non-test lines of each crate's
+#      sources and their total. It is a report, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -189,5 +191,8 @@ python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 
 hit = json.load(sys.stdin)["metrics"]["hit_ratio"]["value"]
 print(f"hit_ratio {hit:.3f} (floor 0.95)")
 sys.exit(0 if hit >= 0.95 else 1)'
+
+echo "== non-test line count (report, not a gate) =="
+scripts/loc.sh
 
 echo "== verify OK =="

@@ -71,10 +71,10 @@ pub mod prelude {
     };
     pub use sim::{NoPrefetch, Op, PrefetchPolicy, RankScript, ScriptBuilder, SimConfig, SimReport, Simulation};
     pub use sim::script::SimFile;
-    pub use tiers::ids::{AppId, FileId, NodeId, ProcessId, SegmentId, TierId};
+    pub use tiers::ids::{AppId, FileId, ProcessId, SegmentId, TierId};
     pub use tiers::range::ByteRange;
     pub use tiers::time::{Clock, ManualClock, Timestamp, WallClock};
-    pub use tiers::units::{fmt_bytes, fmt_throughput, gib, kib, mib, GIB, KIB, MIB};
+    pub use tiers::units::{fmt_bytes, gib, kib, mib, GIB, KIB, MIB};
     pub use tiers::{Hierarchy, TierKind, TierSpec};
     pub use workloads::{AccessPattern, MontageWorkflow, PatternWorkload, PipelineWorkflow, WrfWorkflow};
 }
