@@ -13,13 +13,11 @@
 
 use std::collections::HashMap;
 
-use sim::engine::SimCtl;
-use sim::policy::{PrefetchPolicy, TransferDone};
 use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::range::ByteRange;
-use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::BlockKey;
+use crate::pull::{Predictor, PullCache, PullPrefetcher};
 
 /// Stride detector state for one application.
 #[derive(Debug, Default)]
@@ -55,65 +53,34 @@ impl AppDetector {
 }
 
 /// Per-application stride prefetcher over a shared cache.
-pub struct AppCentricPrefetcher {
+pub type AppCentricPrefetcher = PullPrefetcher<Strides>;
+
+/// One stride detector per application.
+pub struct Strides {
     depth: u64,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue,
-    lru: LruTracker,
     detectors: HashMap<AppId, AppDetector>,
+}
+
+impl Strides {
+    /// Number of applications with active detectors.
+    pub fn tracked_apps(&self) -> usize {
+        self.detectors.len()
+    }
 }
 
 impl AppCentricPrefetcher {
     /// Prefetch `depth` blocks along the detected stride, `block` bytes
     /// each, into tier `dst`.
     pub fn new(depth: u64, block: u64, dst: TierId, max_inflight: usize) -> Self {
-        assert!(depth > 0 && block > 0 && max_inflight > 0);
-        Self {
-            depth,
-            block,
-            dst,
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            detectors: HashMap::new(),
-        }
-    }
-
-    /// Number of applications with active detectors.
-    pub fn tracked_apps(&self) -> usize {
-        self.detectors.len()
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
+        assert!(depth > 0);
+        let strides = Strides { depth, detectors: HashMap::new() };
+        Self::from_predictor(strides, block, dst, max_inflight)
     }
 }
 
-impl PrefetchPolicy for AppCentricPrefetcher {
+impl Predictor for Strides {
+    type Tag = ();
+
     fn name(&self) -> &str {
         "app-centric"
     }
@@ -124,14 +91,9 @@ impl PrefetchPolicy for AppCentricPrefetcher {
         range: ByteRange,
         _process: ProcessId,
         app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        cache: &mut PullCache<()>,
     ) {
-        let block = range.offset / self.block;
-        let key = BlockKey { file, block };
-        if self.lru.contains(&key) {
-            self.lru.touch(key);
-        }
+        let block = range.offset / cache.block();
         let detector = self.detectors.entry(app).or_default();
         if let Some(stride) = detector.observe(file, block) {
             // Prefetch along the application's stride.
@@ -141,18 +103,9 @@ impl PrefetchPolicy for AppCentricPrefetcher {
                 if b < 0 {
                     break;
                 }
-                let key = BlockKey { file, block: b as u64 };
-                if !self.lru.contains(&key) {
-                    self.pending.push(key);
-                }
+                cache.request(BlockKey { file, block: b as u64 }, ());
             }
         }
-        self.pump(ctl);
-    }
-
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
     }
 }
 
@@ -203,7 +156,7 @@ mod tests {
         let (report, policy) =
             Simulation::new(SimConfig::new(h.clone()), files.clone(), scripts.clone(), p).run();
         let (none, _) = Simulation::new(SimConfig::new(h), files, scripts, NoPrefetch).run();
-        assert_eq!(policy.tracked_apps(), 1);
+        assert_eq!(policy.predictor().tracked_apps(), 1);
         assert!(report.hit_ratio().unwrap() > 0.6, "{:?}", report.hit_ratio());
         assert!(report.seconds() < none.seconds());
     }
@@ -252,7 +205,7 @@ mod tests {
             .collect();
         let p = AppCentricPrefetcher::new(8, MIB, TierId(0), 8);
         let (report, policy) = Simulation::new(SimConfig::new(h), files, scripts, p).run();
-        assert_eq!(policy.tracked_apps(), 2);
+        assert_eq!(policy.predictor().tracked_apps(), 2);
         assert!(report.evicted_bytes > 0, "contention must evict");
         assert!(report.tiers[0].peak_bytes <= mib(4));
     }

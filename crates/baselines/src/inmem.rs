@@ -23,6 +23,7 @@ use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
 use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::pull::{Predictor, PullCache, PullPrefetcher};
 
 struct ProcState {
     lru: LruTracker,
@@ -49,6 +50,11 @@ impl ProcState {
 }
 
 /// Per-process partitioned in-memory prefetcher ("in-memory optimal").
+///
+/// It does not run the shared [`PullPrefetcher`] loop. Its room is its own
+/// partition's bookkeeping (`used` against `quota`), not the tier's free
+/// bytes, and it tests its own LRU instead of the tier's residency, so a
+/// block in another partition is fetched again rather than shared.
 pub struct InMemoryOptimal {
     quota: u64,
     depth: u64,
@@ -117,13 +123,10 @@ impl InMemoryOptimal {
             }
             let outcome = ctl.fetch(key.file, range, self.dst);
             if outcome.scheduled > 0 {
-                state.inflight += 1;
+                state.inflight += outcome.transfers as usize;
                 state.lru.touch(key);
                 state.used += range.len;
                 self.owner.insert(key, process);
-            } else if outcome.already_resident == range.len {
-                // Someone (possibly us, earlier) already cached it.
-                state.lru.touch(key);
             }
         }
     }
@@ -169,7 +172,7 @@ impl PrefetchPolicy for InMemoryOptimal {
         let key = BlockKey { file: done.file, block: done.range.offset / self.block };
         if let Some(owner) = self.owner.get(&key).copied() {
             if let Some(state) = self.procs.get_mut(&owner) {
-                state.inflight = state.inflight.saturating_sub(1);
+                state.inflight -= 1;
             }
             self.pump(owner, ctl);
         }
@@ -177,60 +180,27 @@ impl PrefetchPolicy for InMemoryOptimal {
 }
 
 /// Shared-pool in-memory prefetcher ("in-memory naive").
-pub struct InMemoryNaive {
+pub type InMemoryNaive = PullPrefetcher<SharedReadahead>;
+
+/// Readahead of the next `depth` blocks after each read, into one pool
+/// every process shares. The pull loop's global LRU evicts whoever is
+/// coldest, no matter whose readahead it was (cache pollution in action).
+pub struct SharedReadahead {
     depth: u64,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue,
-    lru: LruTracker,
 }
 
 impl InMemoryNaive {
     /// Readahead `depth` blocks of `block` bytes per read, shared cache,
     /// `max_inflight` total outstanding transfers.
     pub fn new(depth: u64, block: u64, max_inflight: usize) -> Self {
-        assert!(block > 0 && depth > 0 && max_inflight > 0);
-        Self {
-            depth,
-            block,
-            dst: TierId(0),
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-        }
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            // Global LRU: evict whoever is coldest, no matter whose
-            // readahead it was (cache pollution in action).
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
+        assert!(depth > 0);
+        Self::from_predictor(SharedReadahead { depth }, block, TierId(0), max_inflight)
     }
 }
 
-impl PrefetchPolicy for InMemoryNaive {
+impl Predictor for SharedReadahead {
+    type Tag = ();
+
     fn name(&self) -> &str {
         "inmem-naive"
     }
@@ -241,29 +211,12 @@ impl PrefetchPolicy for InMemoryNaive {
         range: ByteRange,
         _process: ProcessId,
         _app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        cache: &mut PullCache<()>,
     ) {
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
-            }
-        }
+        let last = *cache.span(range).end();
         for step in 1..=self.depth {
-            let key = BlockKey { file, block: last + step };
-            if !self.lru.contains(&key) {
-                self.pending.push(key);
-            }
+            cache.request(BlockKey { file, block: last + step }, ());
         }
-        self.pump(ctl);
-    }
-
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
     }
 }
 

@@ -13,16 +13,14 @@
 //! (a perfect profile) and reports the profiling cost alongside, exactly
 //! as the figure does.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use sim::engine::SimCtl;
-use sim::policy::{PrefetchPolicy, TransferDone};
 use sim::script::{Op, RankScript};
 use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::range::ByteRange;
-use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::BlockKey;
+use crate::pull::{Predictor, PullCache, PullPrefetcher, Room};
 
 /// One recorded access in the profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,25 +32,22 @@ pub struct TraceEntry {
 }
 
 /// History-based prefetcher replaying a recorded profile.
-pub struct KnowAcLike {
+pub type KnowAcLike = PullPrefetcher<Replay>;
+
+/// Replay of a recorded per-process read trace.
+pub struct Replay {
     /// Per-process recorded read sequence.
     trace: HashMap<ProcessId, Vec<TraceEntry>>,
     /// Per-process replay cursor.
     cursor: HashMap<ProcessId, usize>,
     /// How many future accesses to keep prefetched per process.
     window: usize,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue<(BlockKey, ProcessId, u32)>,
-    lru: LruTracker,
-    /// Blocks that have been read since they were prefetched. Eviction
-    /// only recycles consumed blocks: evicting data the application has
-    /// not read yet would be pure churn (fetch, evict, refetch), so when
-    /// the cache is full of unconsumed prefetches the prefetcher applies
-    /// backpressure instead.
-    consumed: std::collections::HashSet<BlockKey>,
+    /// Cached blocks that have been read since they were prefetched.
+    /// Eviction only recycles consumed blocks: evicting data the
+    /// application has not read yet would be pure churn (fetch, evict,
+    /// refetch), so when the cache is full of unconsumed prefetches the
+    /// prefetcher applies backpressure instead.
+    consumed: HashSet<BlockKey>,
     /// Reads that deviated from the recorded history.
     deviations: u64,
 }
@@ -66,20 +61,15 @@ impl KnowAcLike {
         dst: TierId,
         max_inflight: usize,
     ) -> Self {
-        assert!(window > 0 && block > 0 && max_inflight > 0);
-        Self {
+        assert!(window > 0);
+        let replay = Replay {
             trace,
             cursor: HashMap::new(),
             window,
-            block,
-            dst,
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            consumed: std::collections::HashSet::new(),
+            consumed: HashSet::new(),
             deviations: 0,
-        }
+        };
+        Self::from_predictor(replay, block, dst, max_inflight)
     }
 
     /// Profiles a workload by extracting every read op from its scripts —
@@ -103,97 +93,38 @@ impl KnowAcLike {
         }
         Self::new(trace, window, block, dst, max_inflight)
     }
+}
 
+impl Replay {
     /// Reads that did not match the recorded history.
     pub fn deviations(&self) -> u64 {
         self.deviations
     }
 
-    fn enqueue_entry(&mut self, entry: TraceEntry, process: ProcessId, pos: u32) {
-        let first = entry.range.offset / self.block;
-        let last = (entry.range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file: entry.file, block: b };
-            if !self.lru.contains(&key) {
-                self.pending.push((key, process, pos));
-            }
-        }
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some((key, process, pos)) = self.pending.pop() else { break };
-            // Stale request: the process already replayed past this trace
-            // position — fetching it now would only clog the cache.
-            if self.cursor.get(&process).copied().unwrap_or(0) > pos as usize {
-                continue;
-            }
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            let mut blocked = false;
-            while ctl.available(self.dst) < range.len {
-                // Recycle only blocks the application has already read.
-                let Some(victim) = self.lru.peek_coldest() else {
-                    blocked = true;
-                    break;
-                };
-                if !self.consumed.remove(&victim) {
-                    blocked = true;
-                    break; // cache full of not-yet-read prefetches: back off
-                }
-                self.lru.remove(&victim);
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            if blocked {
-                // Requeue and stop pumping until reads free space.
-                self.pending.push((key, process, pos));
-                break;
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
+    /// Requests the blocks of `process`'s next `window` recorded reads.
+    fn stage(&mut self, process: ProcessId, cache: &mut PullCache<(ProcessId, u32)>) {
+        let cursor = *self.cursor.entry(process).or_insert(0);
+        let Some(entries) = self.trace.get(&process) else { return };
+        for (pos, entry) in entries.iter().enumerate().skip(cursor).take(self.window) {
+            for block in cache.span(entry.range) {
+                cache.request(BlockKey { file: entry.file, block }, (process, pos as u32));
             }
         }
     }
 }
 
-impl PrefetchPolicy for KnowAcLike {
+impl Predictor for Replay {
+    /// The requesting process and the trace position it was staged for.
+    type Tag = (ProcessId, u32);
+
     fn name(&self) -> &str {
         "knowac"
     }
 
-    fn on_open(
-        &mut self,
-        _file: FileId,
-        process: ProcessId,
-        _app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
-    ) {
+    fn on_open(&mut self, _file: FileId, process: ProcessId, cache: &mut PullCache<Self::Tag>) {
         // The history tells us what this process reads first: stage its
         // initial window immediately.
-        let cursor = *self.cursor.entry(process).or_insert(0);
-        if let Some(entries) = self.trace.get(&process) {
-            let upcoming: Vec<(usize, TraceEntry)> = entries
-                .iter()
-                .enumerate()
-                .skip(cursor)
-                .take(self.window)
-                .map(|(i, e)| (i, *e))
-                .collect();
-            for (i, e) in upcoming {
-                self.enqueue_entry(e, process, i as u32);
-            }
-        }
-        self.pump(ctl);
+        self.stage(process, cache);
     }
 
     fn on_read(
@@ -202,62 +133,45 @@ impl PrefetchPolicy for KnowAcLike {
         range: ByteRange,
         process: ProcessId,
         _app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        cache: &mut PullCache<Self::Tag>,
     ) {
         let cursor = self.cursor.entry(process).or_insert(0);
-        let matched = self
-            .trace
-            .get(&process)
-            .and_then(|t| t.get(*cursor))
-            .is_some_and(|e| e.file == file && e.range == range);
-        if matched {
+        let entries = self.trace.get(&process).map_or(&[][..], Vec::as_slice);
+        if entries.get(*cursor).is_some_and(|e| e.file == file && e.range == range) {
             *cursor += 1;
         } else {
             self.deviations += 1;
             // Resynchronize: find the next matching entry.
-            if let Some(entries) = self.trace.get(&process) {
-                if let Some(pos) = entries
-                    .iter()
-                    .enumerate()
-                    .skip(*cursor)
-                    .find(|(_, e)| e.file == file && e.range == range)
-                    .map(|(i, _)| i)
-                {
-                    *cursor = pos + 1;
-                }
+            if let Some(pos) =
+                entries.iter().skip(*cursor).position(|e| e.file == file && e.range == range)
+            {
+                *cursor += pos + 1;
             }
         }
-        // Mark the blocks just read as consumed (evictable), then stage
-        // the next window.
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
+        // Mark the cached blocks just read as consumed (evictable), then
+        // stage the next window.
+        for block in cache.span(range) {
+            let key = BlockKey { file, block };
+            if cache.is_cached(&key) {
                 self.consumed.insert(key);
             }
         }
-        let cursor = self.cursor[&process];
-        if let Some(entries) = self.trace.get(&process) {
-            let upcoming: Vec<(usize, TraceEntry)> = entries
-                .iter()
-                .enumerate()
-                .skip(cursor)
-                .take(self.window)
-                .map(|(i, e)| (i, *e))
-                .collect();
-            for (i, e) in upcoming {
-                self.enqueue_entry(e, process, i as u32);
-            }
-        }
-        self.pump(ctl);
+        self.stage(process, cache);
     }
 
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+    /// The process already replayed past this trace position: fetching
+    /// the block now would only clog the cache.
+    fn stale(&self, _key: BlockKey, (process, pos): Self::Tag) -> bool {
+        self.cursor.get(&process).copied().unwrap_or(0) > pos as usize
+    }
+
+    /// Recycle only blocks the application has already read; with none,
+    /// back off until reads free space.
+    fn make_room(&mut self, coldest: Option<BlockKey>) -> Room {
+        match coldest {
+            Some(victim) if self.consumed.remove(&victim) => Room::Evict,
+            _ => Room::Wait,
+        }
     }
 }
 
@@ -292,10 +206,11 @@ mod tests {
     fn trace_extraction_captures_reads_in_order() {
         let (_, scripts) = strided_scripts(2);
         let k = KnowAcLike::from_scripts(&scripts, 4, MIB, TierId(0), 4);
-        assert_eq!(k.trace.len(), 2);
-        assert_eq!(k.trace[&ProcessId(0)].len(), 16);
-        assert_eq!(k.trace[&ProcessId(1)].len(), 16);
-        assert_eq!(k.trace[&ProcessId(0)][0].range.offset, 0);
+        let trace = &k.predictor().trace;
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace[&ProcessId(0)].len(), 16);
+        assert_eq!(trace[&ProcessId(1)].len(), 16);
+        assert_eq!(trace[&ProcessId(0)][0].range.offset, 0);
     }
 
     #[test]
@@ -306,7 +221,7 @@ mod tests {
         let (report, policy) =
             Simulation::new(SimConfig::new(h.clone()), files.clone(), scripts.clone(), k).run();
         let (none, _) = Simulation::new(SimConfig::new(h), files, scripts, NoPrefetch).run();
-        assert_eq!(policy.deviations(), 0, "trace matches the run");
+        assert_eq!(policy.predictor().deviations(), 0, "trace matches the run");
         assert!(
             report.hit_ratio().unwrap() > 0.8,
             "history replay hits: {:?}",
@@ -337,7 +252,7 @@ mod tests {
             .build()];
         let k = KnowAcLike::new(trace, 2, MIB, TierId(0), 4);
         let (_, policy) = Simulation::new(SimConfig::new(h), files, scripts, k).run();
-        assert_eq!(policy.deviations(), 1);
+        assert_eq!(policy.predictor().deviations(), 1);
     }
 
     #[test]
@@ -352,6 +267,6 @@ mod tests {
         let k = KnowAcLike::new(HashMap::new(), 2, MIB, TierId(0), 4);
         let (report, policy) = Simulation::new(SimConfig::new(h), files, scripts, k).run();
         assert_eq!(report.hit_ratio(), Some(0.0));
-        assert_eq!(policy.deviations(), 1);
+        assert_eq!(policy.predictor().deviations(), 1);
     }
 }

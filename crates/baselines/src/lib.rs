@@ -1,46 +1,52 @@
 //! Baseline prefetchers HFetch is evaluated against (§IV).
 //!
 //! Every baseline implements [`sim::PrefetchPolicy`], so the figure
-//! harnesses can swap them freely against [`hfetch_core::HFetchPolicy`]:
-//!
-//! * [`window::SerialPrefetcher`] — client-pull readahead with **one**
-//!   outstanding fetch ("the serial prefetcher can only bring one data
-//!   piece at a time", Fig. 4a).
-//! * [`window::ParallelPrefetcher`] — the same with `k` outstanding
-//!   fetches (the paper's parallel prefetcher, 4 threads).
-//! * [`inmem::InMemoryOptimal`] — per-process partitioned RAM cache: each
-//!   process prefetches its own stream into its own slice, no cross-process
-//!   eviction (Fig. 4b's "in-memory optimal").
-//! * [`inmem::InMemoryNaive`] — all processes compete for one shared RAM
-//!   cache with global LRU eviction; prefetch traffic and demand reads
-//!   fight for the PFS (Fig. 4b's "in-memory naive").
-//! * [`app_centric::AppCentricPrefetcher`] — a per-application
-//!   stride-detecting client-pull prefetcher sharing one cache: the
-//!   application-centric comparator of Fig. 5.
-//! * [`stacker::StackerLike`] — an online, learn-as-you-go data movement
-//!   engine modeled on Stacker \[26\]: first-order Markov prediction over
-//!   segment transitions, warm-up required, no offline cost.
-//! * [`knowac::KnowAcLike`] — a history-based prefetcher modeled on
-//!   KnowAc \[22\]: replays a recorded access trace perfectly, but a
-//!   profiling run must be paid for up front (the "Profile-Cost" stack in
-//!   Fig. 6).
-//!
-//! All of these are *client-pull, application-centric* designs: they react
+//! harnesses can swap them freely against [`hfetch_core::HFetchPolicy`].
+//! All of them are *client-pull, application-centric* designs: they react
 //! to their own application's accesses with no global view — precisely the
 //! contrast the paper draws with HFetch's data-centric server-push model.
+//!
+//! They differ only in what they predict, so all but one run the same
+//! pull cache, [`pull::PullPrefetcher`]: a request FIFO, an LRU over the
+//! fetched blocks and a bounded in-flight window. Each supplies a
+//! [`pull::Predictor`]:
+//!
+//! * [`WindowPrefetcher`] — readahead of the next `depth` blocks, dropping
+//!   requests the reader has passed. [`WindowPrefetcher::serial`] keeps one
+//!   transfer outstanding ("the serial prefetcher can only bring one data
+//!   piece at a time", Fig. 4a); [`WindowPrefetcher::parallel`] keeps `k`
+//!   (the paper's parallel prefetcher, 4 threads).
+//! * [`InMemoryNaive`] — readahead into one shared RAM cache with global
+//!   LRU eviction; prefetch traffic and demand reads fight for the PFS
+//!   (Fig. 4b's "in-memory naive").
+//! * [`AppCentricPrefetcher`] — a stride detector per application over a
+//!   shared cache: the application-centric comparator of Fig. 5.
+//! * [`StackerLike`] — an online, learn-as-you-go data movement engine
+//!   modeled on Stacker \[26\]: first-order Markov prediction over block
+//!   transitions, warm-up required, no offline cost.
+//! * [`KnowAcLike`] — a history-based prefetcher modeled on KnowAc \[22\]:
+//!   replays a recorded access trace, evicts only blocks already read, and
+//!   a profiling run must be paid for up front (the "Profile-Cost" stack in
+//!   Fig. 6).
+//!
+//! [`InMemoryOptimal`] — per-process partitions of the RAM cache, each
+//! process prefetching its own stream into its own slice (Fig. 4b's
+//! "in-memory optimal") — keeps its own loop: it sizes room from its
+//! partition quota and tests its own LRU, not the tier.
 
 #![warn(missing_docs)]
 
 pub mod app_centric;
 pub mod inmem;
 pub mod knowac;
-pub mod lru;
+mod lru;
+pub mod pull;
 pub mod stacker;
 pub mod window;
 
 pub use app_centric::AppCentricPrefetcher;
 pub use inmem::{InMemoryNaive, InMemoryOptimal};
 pub use knowac::KnowAcLike;
-pub use lru::LruTracker;
+pub use lru::BlockKey;
 pub use stacker::StackerLike;
-pub use window::{ParallelPrefetcher, SerialPrefetcher};
+pub use window::WindowPrefetcher;

@@ -54,17 +54,6 @@ impl LruTracker {
         self.by_key.contains_key(key)
     }
 
-    /// Removes `key` if tracked.
-    pub fn remove(&mut self, key: &BlockKey) -> bool {
-        match self.by_key.remove(key) {
-            Some(age) => {
-                self.by_age.remove(&(age, *key));
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Removes and returns the least-recently-used block.
     pub fn pop_coldest(&mut self) -> Option<BlockKey> {
         let (age, key) = self.by_age.pop_first()?;
@@ -81,21 +70,6 @@ impl LruTracker {
     /// Number of tracked blocks.
     pub fn len(&self) -> usize {
         self.by_key.len()
-    }
-
-    /// True if nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
-    }
-
-    /// Drops every block of `file`, returning the dropped keys.
-    pub fn remove_file(&mut self, file: FileId) -> Vec<BlockKey> {
-        let keys: Vec<BlockKey> =
-            self.by_key.keys().copied().filter(|k| k.file == file).collect();
-        for k in &keys {
-            self.remove(k);
-        }
-        keys
     }
 }
 
@@ -131,21 +105,6 @@ impl<T: Copy + Eq + std::hash::Hash> PendingQueue<T> {
         self.members.remove(&item);
         Some(item)
     }
-
-    /// True if `item` is queued.
-    pub fn contains(&self, item: &T) -> bool {
-        self.members.contains(item)
-    }
-
-    /// Queued item count.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -158,15 +117,11 @@ mod tests {
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(!q.push(1), "duplicate rejected");
-        assert_eq!(q.len(), 2);
-        assert!(q.contains(&1));
         assert_eq!(q.pop(), Some(1));
-        assert!(!q.contains(&1));
         assert!(q.push(1), "re-enqueue after pop is allowed");
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 
     fn key(file: u64, block: u64) -> BlockKey {
@@ -185,16 +140,6 @@ mod tests {
         assert_eq!(lru.pop_coldest(), Some(key(0, 2)));
         assert_eq!(lru.pop_coldest(), Some(key(0, 0)));
         assert_eq!(lru.pop_coldest(), None);
-        assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn remove_specific_key() {
-        let mut lru = LruTracker::new();
-        lru.touch(key(1, 5));
-        assert!(lru.contains(&key(1, 5)));
-        assert!(lru.remove(&key(1, 5)));
-        assert!(!lru.remove(&key(1, 5)));
         assert_eq!(lru.len(), 0);
     }
 
@@ -206,18 +151,6 @@ mod tests {
         }
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.pop_coldest(), Some(key(0, 7)));
-    }
-
-    #[test]
-    fn remove_file_sweeps_only_that_file() {
-        let mut lru = LruTracker::new();
-        lru.touch(key(1, 0));
-        lru.touch(key(1, 1));
-        lru.touch(key(2, 0));
-        let dropped = lru.remove_file(FileId(1));
-        assert_eq!(dropped.len(), 2);
-        assert_eq!(lru.len(), 1);
-        assert!(lru.contains(&key(2, 0)));
     }
 
     #[test]

@@ -18,26 +18,21 @@
 
 use std::collections::HashMap;
 
-use sim::engine::SimCtl;
-use sim::policy::{PrefetchPolicy, TransferDone};
 use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::range::ByteRange;
-use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::BlockKey;
+use crate::pull::{Predictor, PullCache, PullPrefetcher};
 
 /// Online Markov-model prefetcher (Stacker-like).
-pub struct StackerLike {
-    block: u64,
-    dst: TierId,
+pub type StackerLike = PullPrefetcher<Markov>;
+
+/// First-order Markov model over block transitions.
+pub struct Markov {
     fanout: usize,
-    max_inflight: usize,
-    inflight: usize,
     /// Transition counts: block → (successor → count).
     model: HashMap<BlockKey, HashMap<BlockKey, u32>>,
     last_by_process: HashMap<ProcessId, BlockKey>,
-    pending: PendingQueue,
-    lru: LruTracker,
     predictions: u64,
 }
 
@@ -49,19 +44,14 @@ impl StackerLike {
     /// Prefetch the top-`fanout` predicted successors of each accessed
     /// block (`block` bytes each) into tier `dst`.
     pub fn new(block: u64, dst: TierId, fanout: usize, max_inflight: usize) -> Self {
-        assert!(block > 0 && fanout > 0 && max_inflight > 0);
-        Self {
-            block,
-            dst,
-            fanout,
-            max_inflight,
-            inflight: 0,
-            model: HashMap::new(),
-            last_by_process: HashMap::new(),
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            predictions: 0,
-        }
+        Self::from_predictor(Markov::new(fanout), block, dst, max_inflight)
+    }
+}
+
+impl Markov {
+    fn new(fanout: usize) -> Self {
+        assert!(fanout > 0);
+        Self { fanout, model: HashMap::new(), last_by_process: HashMap::new(), predictions: 0 }
     }
 
     /// How many predictions the model has issued.
@@ -77,37 +67,15 @@ impl StackerLike {
     fn predict(&self, from: BlockKey) -> Vec<BlockKey> {
         let Some(successors) = self.model.get(&from) else { return Vec::new() };
         let mut ranked: Vec<(&BlockKey, &u32)> =
-            successors.iter().filter(|(_, c)| **c >= Self::MIN_SUPPORT).collect();
+            successors.iter().filter(|(_, c)| **c >= StackerLike::MIN_SUPPORT).collect();
         ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         ranked.into_iter().take(self.fanout).map(|(k, _)| *k).collect()
     }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
-    }
 }
 
-impl PrefetchPolicy for StackerLike {
+impl Predictor for Markov {
+    type Tag = ();
+
     fn name(&self) -> &str {
         "stacker"
     }
@@ -118,13 +86,9 @@ impl PrefetchPolicy for StackerLike {
         range: ByteRange,
         process: ProcessId,
         _app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        cache: &mut PullCache<()>,
     ) {
-        let key = BlockKey { file, block: range.offset / self.block };
-        if self.lru.contains(&key) {
-            self.lru.touch(key);
-        }
+        let key = BlockKey { file, block: range.offset / cache.block() };
         // Learn the transition from this process's previous access.
         if let Some(prev) = self.last_by_process.insert(process, key) {
             if prev != key {
@@ -134,16 +98,8 @@ impl PrefetchPolicy for StackerLike {
         // Predict and enqueue.
         for predicted in self.predict(key) {
             self.predictions += 1;
-            if !self.lru.contains(&predicted) {
-                self.pending.push(predicted);
-            }
+            cache.request(predicted, ());
         }
-        self.pump(ctl);
-    }
-
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
     }
 }
 
@@ -158,7 +114,7 @@ mod tests {
 
     #[test]
     fn model_learns_transitions_after_warmup() {
-        let mut s = StackerLike::new(MIB, TierId(0), 2, 4);
+        let mut s = Markov::new(2);
         let a = BlockKey { file: FileId(0), block: 0 };
         let b = BlockKey { file: FileId(0), block: 5 };
         assert!(s.predict(a).is_empty());
@@ -170,7 +126,7 @@ mod tests {
 
     #[test]
     fn fanout_ranks_by_count() {
-        let mut s = StackerLike::new(MIB, TierId(0), 2, 4);
+        let mut s = Markov::new(2);
         let a = BlockKey { file: FileId(0), block: 0 };
         for (blk, count) in [(1u64, 5u32), (2, 9), (3, 2), (4, 7)] {
             s.model.entry(a).or_default().insert(BlockKey { file: FileId(0), block: blk }, count);
@@ -199,8 +155,8 @@ mod tests {
         let p = StackerLike::new(MIB, TierId(0), 2, 4);
         let (report, policy) =
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
-        assert!(policy.model_size() >= 7, "learned the cycle: {}", policy.model_size());
-        assert!(policy.predictions() > 0);
+        assert!(policy.predictor().model_size() >= 7, "learned the cycle: {}", policy.predictor().model_size());
+        assert!(policy.predictor().predictions() > 0);
         // 6 laps of 8 reads; warm-up costs the first ~2 laps.
         assert!(
             report.hit_ratio().unwrap() > 0.4,
@@ -223,7 +179,7 @@ mod tests {
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
         // A single sequential pass never repeats a transition: the model
         // stays silent and everything misses.
-        assert_eq!(policy.predictions(), 0);
+        assert_eq!(policy.predictor().predictions(), 0);
         assert_eq!(report.hit_ratio(), Some(0.0));
     }
 }

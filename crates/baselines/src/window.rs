@@ -1,36 +1,26 @@
 //! Windowed readahead prefetchers: the serial and parallel baselines.
 //!
-//! Fig. 4(a) compares HFetch against "a serial prefetcher" (one data piece
-//! in flight at a time) and "a parallel prefetcher" (four prefetching
-//! threads) that fetch ahead of sequential reads into a single RAM cache.
-//! [`WindowPrefetcher`] implements the shared machinery: per-process
-//! readahead of the next `depth` blocks, at most `max_inflight`
-//! outstanding transfers, LRU eviction when the cache tier fills.
+//! Fig. 4(a) compares HFetch against "a serial prefetcher" and "a parallel
+//! prefetcher" (four prefetching threads) that fetch ahead of sequential
+//! reads into a single RAM cache. [`WindowPrefetcher`] is both: per-process
+//! readahead of the next `depth` blocks over the shared pull loop, with at
+//! most `max_inflight` outstanding transfers.
 
 use std::collections::HashMap;
 
-use sim::engine::SimCtl;
-use sim::policy::{PrefetchPolicy, TransferDone};
 use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::range::ByteRange;
-use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::BlockKey;
+use crate::pull::{Predictor, PullCache, PullPrefetcher};
 
 /// Client-pull readahead with a bounded in-flight window.
-pub struct WindowPrefetcher {
+pub type WindowPrefetcher = PullPrefetcher<Window>;
+
+/// Readahead of the next `depth` blocks after each read.
+pub struct Window {
     name: &'static str,
-    /// Maximum concurrent transfers ("prefetching threads").
-    max_inflight: usize,
-    /// How many blocks ahead of each read to request.
     depth: u64,
-    /// Prefetch block size.
-    block: u64,
-    /// Cache tier (RAM for the paper's baselines).
-    dst: TierId,
-    inflight: usize,
-    pending: PendingQueue<(BlockKey, ProcessId)>,
-    lru: LruTracker,
     /// Highest block each process has read per file: readahead requests
     /// the reader has already passed are stale and get pruned, so a slow
     /// (serial) window spends its budget at the front of the stream.
@@ -38,7 +28,8 @@ pub struct WindowPrefetcher {
 }
 
 impl WindowPrefetcher {
-    /// Creates a prefetcher with explicit parameters.
+    /// Readahead of `depth` blocks of `block` bytes into `dst`, with at
+    /// most `max_inflight` transfers ("prefetching threads") outstanding.
     pub fn new(
         name: &'static str,
         max_inflight: usize,
@@ -46,68 +37,26 @@ impl WindowPrefetcher {
         block: u64,
         dst: TierId,
     ) -> Self {
-        assert!(max_inflight > 0 && depth > 0 && block > 0);
-        Self {
-            name,
-            max_inflight,
-            depth,
-            block,
-            dst,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            position: HashMap::new(),
-        }
+        assert!(depth > 0);
+        let window = Window { name, depth, position: HashMap::new() };
+        Self::from_predictor(window, block, dst, max_inflight)
     }
 
-    /// Blocks currently tracked in the cache.
-    pub fn cached_blocks(&self) -> usize {
-        self.lru.len()
+    /// The paper's serial prefetcher: one outstanding transfer.
+    pub fn serial(depth: u64, block: u64, dst: TierId) -> Self {
+        Self::new("serial", 1, depth, block, dst)
     }
 
-    fn enqueue(&mut self, key: BlockKey, process: ProcessId) {
-        if !self.lru.contains(&key) {
-            self.pending.push((key, process));
-        }
-    }
-
-    /// Issues queued prefetches while the window has room.
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some((key, requester)) = self.pending.pop() else { break };
-            // Stale readahead: the requester already read past this block.
-            if let Some(&pos) = self.position.get(&(requester, key.file)) {
-                if key.block <= pos {
-                    continue;
-                }
-            }
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            // Make room: evict coldest blocks until the range fits.
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            } else if outcome.already_resident > 0 || outcome.in_flight > 0 {
-                self.lru.touch(key);
-            }
-            // Denied with nothing evictable: drop the request.
-        }
+    /// The paper's parallel prefetcher: `threads` outstanding transfers
+    /// (4 in the evaluation).
+    pub fn parallel(threads: usize, depth: u64, block: u64, dst: TierId) -> Self {
+        Self::new("parallel", threads, depth, block, dst)
     }
 }
 
-impl PrefetchPolicy for WindowPrefetcher {
+impl Predictor for Window {
+    type Tag = ProcessId;
+
     fn name(&self) -> &str {
         self.name
     }
@@ -118,71 +67,19 @@ impl PrefetchPolicy for WindowPrefetcher {
         range: ByteRange,
         process: ProcessId,
         _app: AppId,
-        _now: Timestamp,
-        ctl: &mut SimCtl<'_>,
+        cache: &mut PullCache<ProcessId>,
     ) {
-        // Touch the blocks being read (they are useful; keep them warm).
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
-            }
-        }
+        let last = *cache.span(range).end();
         let pos = self.position.entry((process, file)).or_insert(0);
         *pos = (*pos).max(last);
-        // Readahead: the next `depth` blocks after the request.
         for step in 1..=self.depth {
-            self.enqueue(BlockKey { file, block: last + step }, process);
-        }
-        self.pump(ctl);
-    }
-
-    fn on_write(
-        &mut self,
-        file: FileId,
-        range: ByteRange,
-        _process: ProcessId,
-        _app: AppId,
-        _now: Timestamp,
-        _ctl: &mut SimCtl<'_>,
-    ) {
-        // The simulator already invalidated residency; drop our tracking.
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            self.lru.remove(&BlockKey { file, block: b });
+            cache.request(BlockKey { file, block: last + step }, process);
         }
     }
 
-    fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
-    }
-}
-
-/// The paper's serial prefetcher: one outstanding fetch.
-pub struct SerialPrefetcher;
-
-impl SerialPrefetcher {
-    /// Readahead of `depth` blocks of `block` bytes into `dst`.
-    #[allow(clippy::new_ret_no_self)] // namespace type: configures a WindowPrefetcher
-    pub fn new(depth: u64, block: u64, dst: TierId) -> WindowPrefetcher {
-        WindowPrefetcher::new("serial", 1, depth, block, dst)
-    }
-}
-
-/// The paper's parallel prefetcher: `threads` outstanding fetches
-/// (4 in the evaluation).
-pub struct ParallelPrefetcher;
-
-impl ParallelPrefetcher {
-    /// `threads`-way readahead of `depth` blocks of `block` bytes into
-    /// `dst`.
-    #[allow(clippy::new_ret_no_self)] // namespace type: configures a WindowPrefetcher
-    pub fn new(threads: usize, depth: u64, block: u64, dst: TierId) -> WindowPrefetcher {
-        WindowPrefetcher::new("parallel", threads, depth, block, dst)
+    /// The requester has already read past this block.
+    fn stale(&self, key: BlockKey, requester: ProcessId) -> bool {
+        self.position.get(&(requester, key.file)).is_some_and(|&pos| key.block <= pos)
     }
 }
 
@@ -190,7 +87,7 @@ impl ParallelPrefetcher {
 mod tests {
     use super::*;
     use sim::engine::{SimConfig, Simulation};
-    use sim::policy::NoPrefetch;
+    use sim::policy::{NoPrefetch, PrefetchPolicy};
     use sim::script::{RankScript, ScriptBuilder, SimFile};
     use std::time::Duration;
     use tiers::topology::Hierarchy;
@@ -229,8 +126,8 @@ mod tests {
                 .0
         };
         let none = run(Box::new(NoPrefetch));
-        let serial = run(Box::new(SerialPrefetcher::new(4, MIB, TierId(0))));
-        let parallel = run(Box::new(ParallelPrefetcher::new(4, 4, MIB, TierId(0))));
+        let serial = run(Box::new(WindowPrefetcher::serial(4, MIB, TierId(0))));
+        let parallel = run(Box::new(WindowPrefetcher::parallel(4, 4, MIB, TierId(0))));
         assert!(
             parallel.seconds() < serial.seconds(),
             "parallel {} < serial {}",
@@ -252,7 +149,7 @@ mod tests {
         // Cache of 4 MiB, workload streams 64 MiB: usage must stay bounded.
         let h = Hierarchy::ram_only(mib(4));
         let (files, scripts) = sequential(1, mib(64), 64, Duration::from_millis(10));
-        let p = ParallelPrefetcher::new(2, 2, MIB, TierId(0));
+        let p = WindowPrefetcher::parallel(2, 2, MIB, TierId(0));
         let (report, policy) =
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(report.tiers[0].peak_bytes <= mib(4));
@@ -261,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn write_drops_tracking() {
+    fn a_write_invalidates_the_readahead_block() {
         let h = Hierarchy::ram_only(mib(8));
         let files = vec![SimFile { id: FileId(0), size: mib(8) }];
         let scripts = vec![ScriptBuilder::new(ProcessId(0), AppId(0))
@@ -270,7 +167,7 @@ mod tests {
             .write(FileId(0), MIB, MIB) // clobber the readahead block
             .read(FileId(0), MIB, MIB)
             .build()];
-        let p = SerialPrefetcher::new(2, MIB, TierId(0));
+        let p = WindowPrefetcher::serial(2, MIB, TierId(0));
         let (report, _) = Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(report.invalidated_bytes >= MIB);
     }

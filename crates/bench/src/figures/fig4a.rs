@@ -11,7 +11,7 @@
 //! (paper: 17% slower) with an **8× smaller RAM footprint**; serial well
 //! behind (HFetch 44% faster); no-prefetching slowest.
 
-use baselines::window::ParallelPrefetcher;
+use baselines::window::WindowPrefetcher;
 use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
 use sim::policy::NoPrefetch;
@@ -87,7 +87,7 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
                     nodes,
                     files,
                     scripts,
-                    ParallelPrefetcher::new(parallel_inflight, depth, request, TierId(0)),
+                    WindowPrefetcher::parallel(parallel_inflight, depth, request, TierId(0)),
                 )
             }
         }),
@@ -110,9 +110,9 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
                 )
             }
         }),
-        // "Serial" = one outstanding fetch per 8-node group (a per-group
-        // serial service; a single global stream would be invisible at
-        // cluster scale).
+        // "Serial" = a window of `serial_inflight` (4) outstanding
+        // transfers at every scale, against parallel's 16: one global
+        // stream would be invisible at cluster scale.
         crate::figures::sim_cell({
             let (flat, files, scripts) = (flat.clone(), files.clone(), scripts.clone());
             move || {
@@ -121,7 +121,7 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
                     nodes,
                     files,
                     scripts,
-                    baselines::window::WindowPrefetcher::new(
+                    WindowPrefetcher::new(
                         "serial",
                         serial_inflight,
                         depth,

@@ -40,9 +40,7 @@ pub fn run_sim<P: PrefetchPolicy>(
     scripts: Vec<RankScript>,
     policy: P,
 ) -> SimReport {
-    let config = SimConfig::new(hierarchy).with_nodes(nodes);
-    let (report, _) = Simulation::new(config, files, scripts, policy).run();
-    report
+    run_sim_obs(hierarchy, nodes, files, scripts, policy, obs::Recorder::default())
 }
 
 /// [`run_sim`] with a recorder threaded into the simulator, so the fetch

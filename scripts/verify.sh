@@ -66,7 +66,10 @@
 #      in-flight window counted staged fills and demand fetches together,
 #      staged fills held the slots the readers' fetches needed, and it read
 #      0.862.
-#  13. line count: scripts/loc.sh prints the non-test lines of each crate's
+#  13. examples: every file under examples/ runs to a zero exit (clippy
+#      only compiles them). access_patterns drives the app-centric
+#      baseline, montage_workflow the Stacker- and KnowAc-like ones.
+#  14. line count: scripts/loc.sh prints the non-test lines of each crate's
 #      sources and their total. It is a report, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -191,6 +194,13 @@ python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 
 hit = json.load(sys.stdin)["metrics"]["hit_ratio"]["value"]
 print(f"hit_ratio {hit:.3f} (floor 0.95)")
 sys.exit(0 if hit >= 0.95 else 1)'
+
+echo "== examples: run each, fail on a non-zero exit =="
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    cargo run -q --release --example "$name" > /dev/null
+done
 
 echo "== non-test line count (report, not a gate) =="
 scripts/loc.sh

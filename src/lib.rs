@@ -62,8 +62,8 @@ pub use workloads;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use baselines::{
-        AppCentricPrefetcher, InMemoryNaive, InMemoryOptimal, KnowAcLike, ParallelPrefetcher,
-        SerialPrefetcher, StackerLike,
+        AppCentricPrefetcher, InMemoryNaive, InMemoryOptimal, KnowAcLike, StackerLike,
+        WindowPrefetcher,
     };
     pub use hfetch_core::{
         Auditor, FileHeatmap, HFetchAgent, HFetchConfig, HFetchPolicy, HFetchServer,

@@ -13,8 +13,8 @@ fn hierarchy() -> Hierarchy {
 fn policies(scripts: &[RankScript]) -> Vec<Box<dyn PrefetchPolicy>> {
     vec![
         Box::new(NoPrefetch),
-        Box::new(SerialPrefetcher::new(4, MIB, TierId(0))),
-        Box::new(ParallelPrefetcher::new(4, 4, MIB, TierId(0))),
+        Box::new(WindowPrefetcher::serial(4, MIB, TierId(0))),
+        Box::new(WindowPrefetcher::parallel(4, 4, MIB, TierId(0))),
         Box::new(InMemoryNaive::new(4, MIB, 8)),
         Box::new(InMemoryOptimal::new(mib(32), 16, 4, MIB, 2)),
         Box::new(AppCentricPrefetcher::new(4, MIB, TierId(0), 8)),
