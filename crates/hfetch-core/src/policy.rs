@@ -70,6 +70,12 @@ impl Transfers for SimCtl<'_> {
         self.fetch_traced(segment.file, range, to, engine.span_of(segment))
     }
 
+    fn land_read(&mut self, action: PlacementAction, range: ByteRange, engine: &PlacementEngine)
+        -> FetchOutcome {
+        let (segment, to) = action.target();
+        SimCtl::land_read(self, segment.file, range, to, engine.span_of(segment))
+    }
+
     fn discard(&mut self, segment: SegmentId, range: ByteRange, tier: TierId) {
         SimCtl::discard(self, segment.file, range, tier);
     }
@@ -104,6 +110,7 @@ impl PrefetchPolicy for HFetchPolicy {
     ) {
         self.auditor.observe_read(file, range, process, now);
         self.exec.maybe_run(&self.auditor, now, ctl);
+        self.exec.land_read(file, range, ctl);
     }
 
     fn on_write(
@@ -561,6 +568,45 @@ mod tests {
         let engine = policy.inner.engine();
         assert!(engine.placements().all(|(s, _)| engine.score_of(s) == Some(0.0)), "all cooled");
         assert!(policy.unplaced.is_empty(), "cached but not placed: {:?}", policy.unplaced);
+    }
+
+    /// Four ranks each stream their own file through one demand slot, so
+    /// lookahead fetches queue behind it and reads catch up with them. A
+    /// read that misses on a segment whose fetch waits lands that fetch
+    /// from its own bytes: the backing store serves each byte once, to a
+    /// read or to a transfer, never to both.
+    #[test]
+    fn each_byte_crosses_the_backing_store_once() {
+        let hierarchy = Hierarchy::with_budgets(mib(64), mib(64), mib(64));
+        let files: Vec<SimFile> = (0..4).map(|f| SimFile { id: FileId(f), size: mib(16) }).collect();
+        let scripts = (0..4)
+            .map(|r| {
+                ScriptBuilder::new(ProcessId(r), AppId(0))
+                    .open(FileId(u64::from(r)))
+                    .timestep_reads(FileId(u64::from(r)), 0, MIB, 16, Duration::from_millis(5))
+                    .close(FileId(u64::from(r)))
+                    .build()
+            })
+            .collect();
+        let rec = obs::Recorder::enabled();
+        let cfg = HFetchConfig {
+            max_inflight_fetches: 1,
+            epoch_base_score: 0.0,
+            reactiveness: crate::config::Reactiveness::high(),
+            obs: rec.clone(),
+            ..Default::default()
+        };
+        let policy = HFetchPolicy::new(cfg, &hierarchy);
+        let sim = SimConfig::new(hierarchy).with_obs(rec.clone());
+        let (report, _) = Simulation::new(sim, files, scripts, policy).run();
+        let obs = rec.report();
+        let from_backing = |key: &str| -> u64 {
+            (0..3).filter_map(|t| obs.counter(&format!("{key}{{from=3,to={t}}}"))).sum()
+        };
+        let fetched = from_backing("sim.fetch.bytes");
+        let filled = from_backing("sim.fetch.read_fill_bytes");
+        assert!(filled > 0 && obs.counter("executor.read_fills").is_some(), "no read landed a fetch");
+        assert_eq!(report.tier_read_bytes(TierId(3)) + fetched, mib(64), "filled {filled}");
     }
 
     #[test]

@@ -168,6 +168,11 @@ impl ResidencyMap {
         }
     }
 
+    /// True if any byte of `range` of `file` is resident on any of `tiers`.
+    pub fn overlaps_any(&self, file: FileId, range: ByteRange, tiers: &[TierId]) -> bool {
+        tiers.iter().any(|&t| self.sets.get(&(file, t)).is_some_and(|s| s.intersects(range)))
+    }
+
     /// True if any byte of `file` is resident on any of `tiers` — the
     /// cheap guard that lets the simulator skip read planning entirely for
     /// files with no cached data (the common case under no/weak

@@ -9,6 +9,10 @@
 #      --exclude hfetch -q, so the root suite runs once): the member
 #      crates' unit and integration suites (golden traces, thread-count
 #      equivalence, fault invariants, obs-on/off agreement) run only there.
+#      They include crates/bench/tests/full_shape.rs, which regenerates
+#      Fig. 4(a) and Fig. 5 at full scale (~20 s) and fails unless Fig. 4(a)
+#      orders parallel < HFetch < serial < none and Fig. 5's data-centric
+#      HFetch beats the app-centric cache on repetitive and irregular.
 #   2. clippy: the whole workspace must be warning-free, test, bench and
 #      example targets included. Then rustdoc over the workspace with
 #      warnings denied, so a doc link to a renamed or deleted item fails.
@@ -48,10 +52,13 @@
 #   9. hfbench self-tests: the standalone benchmark package builds against
 #      the workspace crates' current public API, and its own tests pass.
 #  10. sim_large_file gate: a short seed-7 benchmark run must reach a hit
-#      ratio of at least 0.85 and a makespan of at most 2.00 s (the
-#      sim-clock metrics are exact for a seed; it reads 0.901 and 1.914 s).
-#      Staging only the heatmap's history, with no readahead past each run
-#      of observed segments, reads 0.825 and 2.070 s. Evicting a closed
+#      ratio of at least 0.90 and a makespan of at most 1.88 s (the
+#      sim-clock metrics are exact for a seed; it reads 0.916 and 1.843 s).
+#      When a read that missed on a segment whose demand fetch still waited
+#      for a slot did not land that fetch, the fetch read the same bytes
+#      from the PFS again: 0.901 and 1.914 s. Staging only the heatmap's
+#      history, with no readahead past each run of observed segments,
+#      reads 0.825 and 2.070 s. Evicting a closed
 #      file instead of cooling it reads a hit ratio of 0.275, and issuing
 #      staging ahead of demand ~0.04. Issuing staging while the PFS has no
 #      free channel reads a makespan of 2.307 s, later than NoPrefetch's
@@ -172,8 +179,8 @@ python3 hfbench/run.py --workload sim_large_file --seed 7 --seconds 0.1 --trace 
 metrics = json.load(sys.stdin)["metrics"]
 hit = metrics["hit_ratio"]["value"]
 makespan = metrics["makespan_s"]["value"]
-print(f"hit_ratio {hit:.3f} (floor 0.85), makespan_s {makespan:.3f} (ceiling 2.00)")
-sys.exit(0 if hit >= 0.85 and makespan <= 2.00 else 1)'
+print(f"hit_ratio {hit:.3f} (floor 0.90), makespan_s {makespan:.3f} (ceiling 1.88)")
+sys.exit(0 if hit >= 0.90 and makespan <= 1.88 else 1)'
 
 echo "== server_agents gate: correct and peak RSS, seed 7 =="
 CARGO_TARGET_DIR=.bench_build \
