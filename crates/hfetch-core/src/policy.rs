@@ -631,11 +631,8 @@ mod tests {
 
     /// A scaled-down `sim_large_file`: 48 ranks each own a 1 GiB stripe of
     /// one file 9x the cache, and each epoch re-reads half of the previous
-    /// one's range. The PFS, not the cache, bounds the run, so staging may
-    /// use only the backing-store time the ranks' misses leave idle: HFetch
-    /// then finishes no later than `NoPrefetch`.
-    #[test]
-    fn staging_on_a_saturated_pfs_costs_no_makespan() {
+    /// one's range. RAM : NVMe : BB = 1 : 2 : 4, one ninth of the file in all.
+    fn large_file_shape() -> (Hierarchy, Vec<SimFile>, Vec<RankScript>) {
         let (ranks, epochs, steps) = (48u32, 3u32, 16u32);
         let file = FileId(0);
         let files = vec![SimFile { id: file, size: gib(1) * u64::from(ranks) }];
@@ -663,9 +660,16 @@ mod tests {
                 b.build()
             })
             .collect();
-        // RAM : NVMe : BB = 1 : 2 : 4, one ninth of the file in all.
         let unit = gib(1) * u64::from(ranks) / 9 / 7;
-        let hierarchy = Hierarchy::with_budgets(unit, 2 * unit, 4 * unit);
+        (Hierarchy::with_budgets(unit, 2 * unit, 4 * unit), files, scripts)
+    }
+
+    /// On [`large_file_shape`] the PFS, not the cache, bounds the run, so
+    /// staging may use only the backing-store time the ranks' misses leave
+    /// idle: HFetch then finishes no later than `NoPrefetch`.
+    #[test]
+    fn staging_on_a_saturated_pfs_costs_no_makespan() {
+        let (hierarchy, files, scripts) = large_file_shape();
         let sim = SimConfig::new(hierarchy.clone()).with_nodes(2);
         let policy = HFetchPolicy::new(HFetchConfig::default(), &hierarchy);
         let (hfetch, _) =
@@ -678,5 +682,34 @@ mod tests {
             hfetch.seconds(),
             none.seconds()
         );
+    }
+
+    /// FNV-1a over `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Every placement decision HFetch makes on [`large_file_shape`], in
+    /// order, and the simulator's report, hashed into one pinned digest.
+    /// Engine and auditor speed-ups must leave it unchanged: a change here
+    /// is a change of behaviour, not of cost.
+    #[test]
+    fn large_file_decision_stream_is_pinned() {
+        let (hierarchy, files, scripts) = large_file_shape();
+        let rec = obs::Recorder::enabled();
+        let sim = SimConfig::new(hierarchy.clone()).with_nodes(2).with_obs(rec.clone());
+        let cfg = HFetchConfig { obs: rec.clone(), ..HFetchConfig::default() };
+        let policy = HFetchPolicy::new(cfg, &hierarchy);
+        let (report, _) = Simulation::new(sim, files, scripts, policy).run();
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        let mut decisions = 0;
+        for ev in rec.trace_events() {
+            if let obs::TraceEvent::Placement(p) = ev {
+                decisions += 1;
+                digest = fnv1a(digest, format!("{p:?}").as_bytes());
+            }
+        }
+        digest = fnv1a(digest, format!("{report:?}").as_bytes());
+        assert_eq!((decisions, format!("{digest:016x}")), (9728, "a0e16ec826cb8780".into()));
     }
 }
