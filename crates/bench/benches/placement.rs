@@ -1,15 +1,20 @@
 //! Ablation: Algorithm 1's incremental watermark placement vs a naive
 //! full re-sort on every batch (the "deriving an optimal placement is
 //! often more expensive" trade-off of §IV-A.1).
+//!
+//! `reopen` is the pass that dominates a file read in several epochs: a
+//! file 9x the cache is closed, so its cached segments cool where they sit,
+//! and re-opened, so one base-score fill stages all of it over a full cache.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfetch_core::auditor::ScoreUpdate;
-use hfetch_core::config::Reactiveness;
+use hfetch_core::config::{HFetchConfig, Reactiveness};
 use hfetch_core::engine::PlacementEngine;
+use hfetch_core::update_queue::{Fill, UpdateBatch};
 use tiers::ids::{FileId, SegmentId};
 use tiers::time::Timestamp;
 use tiers::topology::Hierarchy;
-use tiers::units::{mib, MIB};
+use tiers::units::{gib, mib, MIB};
 
 fn updates(n: u64, salt: u64) -> Vec<ScoreUpdate> {
     (0..n)
@@ -92,5 +97,26 @@ fn bench_placement(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_placement);
+/// One re-open: cool a cache full of the file's segments, then run the
+/// fill pass that stages the whole file at the base score.
+fn bench_reopen(c: &mut Criterion) {
+    let hierarchy = Hierarchy::with_budgets(gib(1), gib(2), gib(4));
+    let base = HFetchConfig::default().epoch_base_score;
+    let file = FileId(0);
+    let fill = || UpdateBatch::new(Vec::new(), vec![Fill::new(file, gib(64), MIB, base)]);
+    let mut group = c.benchmark_group("placement");
+    group.bench_function("reopen_file_9x_cache", |b| {
+        let mut engine = PlacementEngine::new(&hierarchy, Reactiveness::high());
+        engine.run(fill(), Timestamp::ZERO);
+        let mut at = 0;
+        b.iter(|| {
+            at += 1;
+            engine.cool_file(file);
+            black_box(engine.run(fill(), Timestamp::from_millis(at)))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_placement, bench_reopen);
 criterion_main!(benches);
