@@ -354,7 +354,7 @@ impl Executor {
         batch.retain(|u| {
             u.anticipated
                 || self.engine.location(u.segment).is_some()
-                || auditor.stat(u.segment).is_some_and(|st| st.frequency >= 2)
+                || auditor.frequency(u.segment).is_some_and(|reads| reads >= 2)
         });
         // Causal root of the pass: an `ingest` span from the oldest queued
         // update to this drain, and a `drain` instant the fetch decisions
