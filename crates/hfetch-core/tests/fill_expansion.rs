@@ -9,7 +9,8 @@
 //! [`UpdateBatch::expanded`].
 //!
 //! The cases are pseudo-random but deterministic (inline LCG, fixed seeds):
-//! random pre-existing placements, an offline tier, short tail segments,
+//! random pre-existing placements (some at another size than the fill's
+//! entry), an offline tier, short tail segments,
 //! two fills in one batch (tied scores included), explicit updates above,
 //! at and below the fill score (some with the size of a resized file), and
 //! explicit updates a filter suppressed after the batch was built.
@@ -116,7 +117,13 @@ fn check_case(seed: u64) {
         let batch: Vec<ScoreUpdate> = (0..rng.below(30))
             .map(|_| {
                 let f = &files[rng.below(files.len() as u64) as usize];
-                f.update(rng.below(f.segments()), score_near(&mut rng, base), rng.chance(50))
+                let mut u =
+                    f.update(rng.below(f.segments()), score_near(&mut rng, base), rng.chance(50));
+                if rng.chance(10) {
+                    // Placed at another size than the fill's entry.
+                    u.size = MIB / (1 + rng.below(4));
+                }
+                u
             })
             .collect();
         t += 1;
