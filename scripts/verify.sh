@@ -73,10 +73,18 @@
 #      in-flight window counted staged fills and demand fetches together,
 #      staged fills held the slots the readers' fetches needed, and it read
 #      0.862.
-#  13. examples: every file under examples/ runs to a zero exit (clippy
+#  13. sim_large_file layer counts: a short seed-7 traced benchmark run
+#      (--trace 1) must report the sim-exact counts engine.passes = 209,
+#      placement.events = 13931, sim.fetch.transfers = 3844 and
+#      effect.prefetch.wasted = 1438. The engine's shortcuts (re-keying a
+#      segment where it sits, jumping over fill entries that change
+#      nothing) must make exactly the decisions a full settle of every
+#      update would; a count that moves is a decision that moved. The
+#      wall-clock layer times of the same run are not gated.
+#  14. examples: every file under examples/ runs to a zero exit (clippy
 #      only compiles them). access_patterns drives the app-centric
 #      baseline, montage_workflow the Stacker- and KnowAc-like ones.
-#  14. line count: scripts/loc.sh prints the non-test lines of each crate's
+#  15. line count: scripts/loc.sh prints the non-test lines of each crate's
 #      sources and their total. It is a report, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -201,6 +209,18 @@ python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 
 hit = json.load(sys.stdin)["metrics"]["hit_ratio"]["value"]
 print(f"hit_ratio {hit:.3f} (floor 0.95)")
 sys.exit(0 if hit >= 0.95 else 1)'
+
+echo "== sim_large_file layer counts: decisions unchanged, seed 7 =="
+CARGO_TARGET_DIR=.bench_build \
+python3 hfbench/run.py --workload sim_large_file --seed 7 --seconds 0.1 --trace 1 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+want = {"engine.passes": 209, "placement.events": 13931,
+        "sim.fetch.transfers": 3844, "effect.prefetch.wasted": 1438}
+got = {name: metrics[name]["value"] for name in want}
+print(" ".join(f"{name} {got[name]:.0f} (want {want[name]})" for name in want))
+sys.exit(0 if got == want else 1)'
 
 echo "== examples: run each, fail on a non-zero exit =="
 for example in examples/*.rs; do
