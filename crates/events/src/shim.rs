@@ -188,10 +188,11 @@ impl PosixShim {
 
     /// Positional write to the backing store; grows the registered file
     /// size and emits a `Write` event if the file is watched (triggering
-    /// invalidation of prefetched data upstream).
+    /// invalidation of prefetched data upstream). The caller keeps `data`,
+    /// so this is where a write's bytes are copied, once.
     pub fn fwrite_at(&self, handle: &FileHandle, offset: u64, data: &[u8]) -> Result<()> {
         debug_assert!(handle.mode.writes(), "fwrite on read-only handle");
-        self.backing.write(handle.file, offset, data)?;
+        self.backing.write(handle.file, offset, Bytes::copy_from_slice(data))?;
         self.registry.set_size(handle.file, offset + data.len() as u64);
         if self.watches.is_watched(handle.file) {
             self.queue.push(AccessEvent::write(
@@ -244,14 +245,14 @@ impl PosixShim {
     pub fn stage_file(&self, path: impl AsRef<Path>, size: u64) -> Result<FileId> {
         let file = self.registry.register_with_size(&path, size);
         const CHUNK: usize = 1 << 20;
-        let mut buf = vec![0u8; CHUNK];
+        // Byte `o` is `o % 251`: every chunk is a window of one periodic
+        // pattern, starting `offset % 251` bytes in.
+        let pattern: Vec<u8> = (0..CHUNK + 251).map(|i| (i % 251) as u8).collect();
         let mut offset = 0u64;
         while offset < size {
             let len = CHUNK.min((size - offset) as usize);
-            for (i, b) in buf[..len].iter_mut().enumerate() {
-                *b = ((offset as usize + i) % 251) as u8;
-            }
-            self.backing.write(file, offset, &buf[..len])?;
+            let at = (offset % 251) as usize;
+            self.backing.write(file, offset, Bytes::copy_from_slice(&pattern[at..at + len]))?;
             offset += len as u64;
         }
         Ok(file)

@@ -78,6 +78,10 @@ impl HFetchAgent {
     /// wins), backing store for the rest. The backing-store portion goes
     /// through the shim so the auditor sees the access; cache hits are
     /// reported to the auditor directly (the paper's tier I/O events).
+    ///
+    /// A range one tier read serves whole is returned as that read's
+    /// handle, copying nothing; otherwise the pieces are copied once, in
+    /// offset order, into a buffer of the range's length.
     pub fn read(&self, handle: &FileHandle, range: ByteRange) -> Result<Bytes> {
         let file = handle.file();
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
@@ -91,7 +95,7 @@ impl HFetchAgent {
         let obs_on = self.server.config().obs.is_enabled();
         let read_start = if obs_on { self.server.clock().now().as_nanos() } else { 0 };
         let mut parent = obs::SpanCtx::NONE;
-        let mut buf = BytesMut::zeroed(range.len as usize);
+        let mut pieces: Vec<(u64, Bytes)> = Vec::new();
         let mut remaining: Vec<ByteRange> = vec![range];
 
         for (tier, _) in self.server.hierarchy().iter_cache() {
@@ -109,8 +113,7 @@ impl HFetchAgent {
                     }
                     match backend.read(file, sub) {
                         Ok(bytes) => {
-                            let start = (sub.offset - range.offset) as usize;
-                            buf[start..start + bytes.len()].copy_from_slice(&bytes);
+                            pieces.push((sub.offset, bytes));
                             self.stats.hit_bytes.fetch_add(sub.len, Ordering::Relaxed);
                             self.server
                                 .stats()
@@ -150,9 +153,7 @@ impl HFetchAgent {
 
         // Misses go through the instrumented shim (emits the read event).
         for gap in remaining {
-            let bytes = self.shim.fread_at(handle, gap)?;
-            let start = (gap.offset - range.offset) as usize;
-            buf[start..start + bytes.len()].copy_from_slice(&bytes);
+            pieces.push((gap.offset, self.shim.fread_at(handle, gap)?));
             self.stats.miss_bytes.fetch_add(gap.len, Ordering::Relaxed);
             self.server.stats().miss_bytes.fetch_add(gap.len, Ordering::Relaxed);
             self.server.config().obs.counter_add(
@@ -166,7 +167,7 @@ impl HFetchAgent {
             let ctx = obs.span_start("app_read", parent, read_start, file.0, range.offset);
             obs.span_end(ctx, self.server.clock().now().as_nanos());
         }
-        Ok(buf.freeze())
+        Ok(assemble(range, pieces))
     }
 
     /// Sequential read at the handle's cursor.
@@ -185,6 +186,23 @@ impl HFetchAgent {
     pub fn file_id(&self, path: impl AsRef<Path>) -> Option<FileId> {
         self.shim.registry().lookup(path)
     }
+}
+
+/// Joins the `(offset, bytes)` pieces that tile `range` into one buffer.
+/// Pieces arrive in tier order, not offset order.
+fn assemble(range: ByteRange, mut pieces: Vec<(u64, Bytes)>) -> Bytes {
+    if let [(_, whole)] = pieces.as_slice() {
+        debug_assert_eq!(whole.len() as u64, range.len);
+        return whole.clone();
+    }
+    pieces.sort_unstable_by_key(|&(offset, _)| offset);
+    let mut buf = BytesMut::with_capacity(range.len as usize);
+    for (offset, bytes) in &pieces {
+        debug_assert_eq!(range.offset + buf.len() as u64, *offset, "pieces tile the range");
+        buf.extend_from_slice(bytes);
+    }
+    debug_assert_eq!(buf.len() as u64, range.len);
+    buf.freeze()
 }
 
 #[cfg(test)]
@@ -248,6 +266,37 @@ mod tests {
         }
         let ratio = agent.stats().hit_ratio().unwrap();
         assert!(ratio > 0.9, "hit ratio {ratio}");
+        agent.close(&h);
+        server.shutdown();
+    }
+
+    /// Pieces come back in tier order (RAM, NVMe, backing store); the
+    /// result must be in offset order.
+    #[test]
+    fn a_read_assembles_tier_pieces_in_offset_order() {
+        use tiers::ids::TierId;
+        // No fill staging and one read per segment: nothing moves the
+        // pieces placed below.
+        let cfg = HFetchConfig { epoch_base_score: 0.0, ..Default::default() };
+        let server = HFetchServer::in_memory(cfg, Hierarchy::with_budgets(mib(4), mib(8), mib(16)));
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/mixed", mib(3)).unwrap();
+        let agent = HFetchAgent::new(Arc::clone(server.inner()), shim, ProcessId(4), AppId(0));
+        let h = agent.open("/mixed");
+        server.quiesce();
+        let inner = server.inner();
+        let backing = inner.backend(inner.hierarchy().backing());
+        for (segment, tier) in [(1, TierId(0)), (0, TierId(1))] {
+            let range = ByteRange::new(segment * MIB, MIB);
+            let piece = backing.read(h.file(), range).unwrap();
+            inner.backend(tier).write(h.file(), range.offset, piece).unwrap();
+        }
+        let range = ByteRange::new(MIB / 2, 2 * MIB);
+        let data = agent.read(&h, range).unwrap();
+        assert_eq!(&data[..], &expected_pattern(range.offset, range.len as usize)[..]);
+        let stats = agent.stats();
+        assert_eq!(stats.hit_bytes.load(Ordering::Relaxed), mib(3) / 2, "RAM and NVMe served");
+        assert_eq!(stats.miss_bytes.load(Ordering::Relaxed), MIB / 2, "backing served the rest");
         agent.close(&h);
         server.shutdown();
     }

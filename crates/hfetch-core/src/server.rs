@@ -10,7 +10,7 @@
 //! I/O clients report each job's completion or failure back.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -90,6 +90,9 @@ pub struct ServerInner {
     queue: EventQueue,
     clock: Arc<dyn Clock>,
     stats: ServerStats,
+    /// Jobs the I/O clients have finished, signalled on each, so
+    /// [`HFetchServer::quiesce`] wakes on I/O progress.
+    finished: (std::sync::Mutex<u64>, Condvar),
 }
 
 /// The server as the executor's transfer layer. Called with the executor
@@ -325,6 +328,9 @@ impl ServerInner {
                 Err(_) => exec.transfer_failed(action, io),
             }
         });
+        let (count, progress) = &self.finished;
+        *count.lock().expect("finished-jobs lock") += 1;
+        progress.notify_all();
     }
 
     fn handle_event(&self, access: &AccessEvent) {
@@ -398,6 +404,7 @@ impl HFetchServer {
             queue: queue.clone(),
             clock: Arc::clone(&clock),
             stats: ServerStats::default(),
+            finished: Default::default(),
         });
         let watches = Arc::new(WatchManager::new());
         let shim = Arc::new(PosixShim::new(registry, watches, queue.clone(), clock, backing));
@@ -472,20 +479,25 @@ impl HFetchServer {
     /// Blocks until the event queue is drained, the engine has run over
     /// all pending updates, and the executor has no queued or in-flight
     /// work. Gives tests and examples a deterministic settle point.
+    ///
+    /// While work remains it waits for an I/O client to finish a job, at
+    /// most 5 ms a time, so parked actions are still ticked again.
     pub fn quiesce(&self) {
         let inner = &self.inner;
+        let (count, progress) = &inner.finished;
         loop {
             if let Some(m) = &self.monitor {
                 m.drain();
             }
-            // `drain` already waits for every popped event to be handled;
-            // this only paces the settle loop.
-            std::thread::sleep(Duration::from_millis(5));
+            let seen = *count.lock().expect("finished-jobs lock");
             let now = inner.clock.now();
             let idle = inner.with_exec(|exec, io| exec.tick(&inner.auditor, now, io));
             if idle && inner.queue.is_empty() && inner.auditor.pending_updates() == 0 {
                 break;
             }
+            let guard = count.lock().expect("finished-jobs lock");
+            let unchanged = |n: &mut u64| *n == seen;
+            let _ = progress.wait_timeout_while(guard, Duration::from_millis(5), unchanged);
         }
     }
 
@@ -591,7 +603,7 @@ mod tests {
     }
 
     impl StorageBackend for FailsFirstWrites {
-        fn write(&self, file: FileId, offset: u64, data: &[u8]) -> tiers::error::Result<()> {
+        fn write(&self, file: FileId, offset: u64, data: bytes::Bytes) -> tiers::error::Result<()> {
             if self.remaining.load(Ordering::SeqCst) > 0 {
                 self.remaining.fetch_sub(1, Ordering::SeqCst);
                 return Err(tiers::error::TierError::TransientIo { op: "write" });

@@ -36,7 +36,9 @@ use crate::range::ByteRange;
 /// be shared across I/O client threads.
 pub trait StorageBackend: Send + Sync {
     /// Writes `data` at `offset` of `file`, marking the range resident.
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> Result<()>;
+    /// `Bytes` is immutable, so a backend may keep the handle itself
+    /// instead of copying the bytes.
+    fn write(&self, file: FileId, offset: u64, data: Bytes) -> Result<()>;
 
     /// Reads `range` of `file`. Fails with [`TierError::RangeNotResident`]
     /// if any requested byte is not resident on this backend.
@@ -170,9 +172,12 @@ impl MemFile {
 /// resident bytes.
 ///
 /// Eviction frees the evicted bytes at once, and a file with no resident
-/// byte is dropped. Writes copy their payload before taking the tier lock,
-/// and reads copy theirs after releasing it: under the lock a write only
-/// cuts and inserts extents, and a read only clones extent handles.
+/// byte is dropped. A write stores the caller's handle as its extent, and a
+/// read of exactly one extent returns that extent's handle: neither copies.
+/// A read of a sub-range or of several extents copies them into a buffer
+/// of its own after releasing the tier lock, so no handle a read hands out
+/// keeps more bytes alive than it shows. Under the lock a write only cuts
+/// and inserts extents, and a read only clones extent handles.
 #[derive(Default)]
 pub struct MemoryBackend {
     files: RwLock<HashMap<FileId, MemFile>>,
@@ -193,11 +198,10 @@ impl MemoryBackend {
 }
 
 impl StorageBackend for MemoryBackend {
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> Result<()> {
+    fn write(&self, file: FileId, offset: u64, data: Bytes) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        let data = Bytes::copy_from_slice(data);
         let range = ByteRange::new(offset, data.len() as u64);
         let mut files = self.files.write();
         let f = files.entry(file).or_default();
@@ -219,6 +223,7 @@ impl StorageBackend for MemoryBackend {
             f.overlapping(range).map(|(start, data)| (start, data.clone())).collect()
         };
         Ok(match pieces.as_slice() {
+            [(start, data)] if ByteRange::new(*start, data.len() as u64) == range => data.clone(),
             [(start, data)] => Bytes::copy_from_slice(clip(*start, data, range)),
             _ => {
                 let mut buf = Vec::with_capacity(range.len as usize);
@@ -304,14 +309,14 @@ impl DirectoryBackend {
 }
 
 impl StorageBackend for DirectoryBackend {
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> Result<()> {
+    fn write(&self, file: FileId, offset: u64, data: Bytes) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
         use std::os::unix::fs::FileExt;
         let path = self.path_of(file);
         let handle = fs::OpenOptions::new().create(true).truncate(false).write(true).open(&path)?;
-        handle.write_all_at(data, offset)?;
+        handle.write_all_at(&data, offset)?;
         self.resident
             .write()
             .entry(file)
@@ -397,6 +402,10 @@ impl StorageBackend for DirectoryBackend {
 mod tests {
     use super::*;
 
+    fn bytes(data: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(data)
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "hfetch-backend-{tag}-{}-{:?}",
@@ -410,8 +419,8 @@ mod tests {
     fn exercise_backend(b: &dyn StorageBackend) {
         let f = FileId(1);
         // Write two disjoint extents.
-        b.write(f, 0, b"hello").unwrap();
-        b.write(f, 100, b"world").unwrap();
+        b.write(f, 0, bytes(b"hello")).unwrap();
+        b.write(f, 100, bytes(b"world")).unwrap();
         assert_eq!(b.resident_bytes(f), 10);
         assert_eq!(b.used_bytes(), 10);
         assert!(b.resident(f, ByteRange::new(0, 5)));
@@ -437,7 +446,7 @@ mod tests {
         ));
 
         // Overwrite extends residency.
-        b.write(f, 3, b"p me u").unwrap();
+        b.write(f, 3, bytes(b"p me u")).unwrap();
         assert!(b.resident(f, ByteRange::new(0, 9)));
         assert_eq!(&b.read(f, ByteRange::new(0, 9)).unwrap()[..], b"help me u");
 
@@ -476,7 +485,7 @@ mod tests {
     fn directory_backend_removes_files_on_full_eviction() {
         let dir = temp_dir("evict");
         let b = DirectoryBackend::new(&dir).unwrap();
-        b.write(FileId(5), 0, b"abc").unwrap();
+        b.write(FileId(5), 0, bytes(b"abc")).unwrap();
         let path = dir.join("f5.tier");
         assert!(path.exists());
         b.evict(FileId(5), ByteRange::new(0, 3)).unwrap();
@@ -487,9 +496,9 @@ mod tests {
     #[test]
     fn empty_writes_and_reads() {
         let b = MemoryBackend::new();
-        b.write(FileId(1), 0, b"").unwrap();
+        b.write(FileId(1), 0, bytes(b"")).unwrap();
         assert_eq!(b.used_bytes(), 0);
-        b.write(FileId(1), 0, b"x").unwrap();
+        b.write(FileId(1), 0, bytes(b"x")).unwrap();
         assert_eq!(b.read(FileId(1), ByteRange::new(0, 0)).unwrap().len(), 0);
     }
 
@@ -501,7 +510,7 @@ mod tests {
             let b = b.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..50u64 {
-                    b.write(FileId(t), i * 10, &[t as u8; 10]).unwrap();
+                    b.write(FileId(t), i * 10, bytes(&[t as u8; 10])).unwrap();
                 }
             }));
         }
@@ -519,11 +528,28 @@ mod tests {
         const MIB: u64 = 1 << 20;
         let b = MemoryBackend::new();
         let f = FileId(3);
-        b.write(f, 20 * MIB, &vec![7u8; MIB as usize]).unwrap();
+        b.write(f, 20 * MIB, vec![7u8; MIB as usize].into()).unwrap();
         assert_eq!(b.held_bytes(), MIB, "no buffer below the first written byte");
         assert_eq!(b.evict(f, ByteRange::new(20 * MIB, MIB)).unwrap(), MIB);
         assert_eq!(b.held_bytes(), 0, "eviction frees the bytes");
         assert!(b.files().is_empty(), "an empty file is dropped");
+    }
+
+    #[test]
+    fn an_exact_extent_read_shares_the_extent_and_a_sub_range_read_copies() {
+        let b = MemoryBackend::new();
+        let f = FileId(4);
+        let data: Bytes = (0..4096u32).map(|i| i as u8).collect::<Vec<u8>>().into();
+        let stored = data.as_ptr();
+        b.write(f, 8192, data).unwrap();
+        let whole = b.read(f, ByteRange::new(8192, 4096)).unwrap();
+        assert!(std::ptr::eq(whole.as_ptr(), stored), "the read shares the handle");
+        let part = b.read(f, ByteRange::new(8192 + 100, 1000)).unwrap();
+        assert_eq!(part.len(), 1000);
+        let inside = stored as usize..stored as usize + 4096;
+        assert!(!inside.contains(&(part.as_ptr() as usize)), "a sub-range read has its own buffer");
+        assert_eq!(&part[..], &whole[100..1100]);
+        assert_eq!(b.held_bytes(), b.used_bytes());
     }
 
     /// Dense reference model of one tier: per file, a payload buffer and a
@@ -606,7 +632,7 @@ mod tests {
                     0 => {
                         let data: Vec<u8> =
                             (0..len).map(|i| (step as u64 * 31 + i) as u8).collect();
-                        b.write(file, offset, &data).unwrap();
+                        b.write(file, offset, bytes(&data)).unwrap();
                         model.write(file, offset, &data);
                     }
                     1 => proptest::prop_assert_eq!(b.evict(file, range).unwrap(), model.evict(file, range)),
@@ -653,8 +679,8 @@ mod tests {
         let b = Arc::new(MemoryBackend::new());
         // The region sits inside a larger extent, so the first rewrite
         // splits it.
-        b.write(FileId(0), 0, &vec![0xAA; 64 * 1024]).unwrap();
-        b.write(FileId(0), region.offset, &pattern(0)).unwrap();
+        b.write(FileId(0), 0, vec![0xAA; 64 * 1024].into()).unwrap();
+        b.write(FileId(0), region.offset, pattern(0).into()).unwrap();
         let start = Arc::new(Barrier::new(READERS + 1));
         let done = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..READERS)
@@ -675,7 +701,7 @@ mod tests {
             .collect();
         start.wait();
         for version in 1..VERSIONS {
-            b.write(FileId(0), region.offset, &pattern(version)).unwrap();
+            b.write(FileId(0), region.offset, pattern(version).into()).unwrap();
         }
         done.store(true, Ordering::Release);
         for r in readers {

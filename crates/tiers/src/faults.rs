@@ -377,7 +377,7 @@ impl FlakyBackend {
 }
 
 impl StorageBackend for FlakyBackend {
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> Result<()> {
+    fn write(&self, file: FileId, offset: u64, data: Bytes) -> Result<()> {
         self.gate("write")?;
         self.inner.write(file, offset, data)
     }
@@ -541,7 +541,7 @@ mod tests {
     fn flaky_backend_injects_and_recovers() {
         let f = FileId(1);
         let inner = Arc::new(MemoryBackend::new());
-        inner.write(f, 0, &[7u8; 64]).unwrap();
+        inner.write(f, 0, vec![7u8; 64].into()).unwrap();
         let flaky = FlakyBackend::new(
             inner,
             TierId(0),
@@ -571,7 +571,7 @@ mod tests {
     fn flaky_backend_offline_switch() {
         let f = FileId(2);
         let inner = Arc::new(MemoryBackend::new());
-        inner.write(f, 0, &[1u8; 8]).unwrap();
+        inner.write(f, 0, vec![1u8; 8].into()).unwrap();
         let flaky =
             FlakyBackend::new(inner, TierId(3), FaultPlan::new(FaultConfig::with_seed(0)));
         flaky.set_offline(true);
@@ -579,7 +579,7 @@ mod tests {
             flaky.read(f, ByteRange::new(0, 8)),
             Err(TierError::TierOffline(TierId(3)))
         ));
-        assert!(matches!(flaky.write(f, 0, &[2u8; 4]), Err(TierError::TierOffline(_))));
+        assert!(matches!(flaky.write(f, 0, vec![2u8; 4].into()), Err(TierError::TierOffline(_))));
         flaky.set_offline(false);
         assert_eq!(flaky.read(f, ByteRange::new(0, 8)).unwrap().len(), 8);
     }

@@ -83,6 +83,10 @@ impl DataMover {
 
     /// Copies `range` of `file` from `src` to `dst`. The range must be fully
     /// resident on `src`. Returns the number of bytes copied.
+    ///
+    /// Each chunk `src` reads is handed to `dst` as it is: between memory
+    /// tiers a chunk that is one whole source extent moves as a shared
+    /// handle, and only a part of an extent is copied (by the read).
     pub fn copy(
         &self,
         file: FileId,
@@ -96,7 +100,7 @@ impl DataMover {
         while cursor < end {
             let len = self.chunk.min(end - cursor);
             let chunk = src.read(file, ByteRange::new(cursor, len))?;
-            dst.write(file, cursor, &chunk)?;
+            dst.write(file, cursor, chunk)?;
             copied += len;
             cursor += len;
         }
@@ -189,7 +193,7 @@ mod tests {
     fn filled(file: FileId, len: u64) -> MemoryBackend {
         let b = MemoryBackend::new();
         let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        b.write(file, 0, &data).unwrap();
+        b.write(file, 0, data.into()).unwrap();
         b
     }
 
@@ -206,6 +210,27 @@ mod tests {
         assert_eq!(got, want);
         // Source untouched by plain copy.
         assert_eq!(src.resident_bytes(f), 1000);
+    }
+
+    #[test]
+    fn copying_a_segment_out_of_a_larger_extent_holds_only_the_segment() {
+        const MIB: u64 = 1 << 20;
+        let f = FileId(2);
+        let src = filled(f, 4 * MIB);
+        let extent = src.read(f, ByteRange::new(0, 4 * MIB)).unwrap();
+        let dst = MemoryBackend::new();
+        let segment = ByteRange::new(MIB, MIB);
+        assert_eq!(DataMover::new().copy(f, segment, &src, &dst).unwrap(), MIB);
+        let held = dst.read(f, segment).unwrap();
+        let inside = extent.as_ptr() as usize..extent.as_ptr() as usize + extent.len();
+        assert!(!inside.contains(&(held.as_ptr() as usize)), "the destination pins the source");
+        assert_eq!(held, &extent[MIB as usize..2 * MIB as usize]);
+        assert_eq!((dst.held_bytes(), dst.used_bytes()), (MIB, MIB));
+        // A whole extent moves as a handle: source and destination share it.
+        let dst = MemoryBackend::new();
+        DataMover::new().copy(f, ByteRange::new(0, 4 * MIB), &src, &dst).unwrap();
+        let moved = dst.read(f, ByteRange::new(0, 4 * MIB)).unwrap();
+        assert!(std::ptr::eq(moved.as_ptr(), extent.as_ptr()), "a whole-extent copy copied");
     }
 
     #[test]
@@ -253,7 +278,7 @@ mod tests {
     }
 
     impl StorageBackend for FailsFirst {
-        fn write(&self, file: FileId, offset: u64, data: &[u8]) -> crate::error::Result<()> {
+        fn write(&self, file: FileId, offset: u64, data: bytes::Bytes) -> crate::error::Result<()> {
             self.gate()?;
             self.inner.write(file, offset, data)
         }

@@ -199,7 +199,7 @@ struct GatedBackend {
 }
 
 impl StorageBackend for GatedBackend {
-    fn write(&self, file: FileId, offset: u64, data: &[u8]) -> TierResult<()> {
+    fn write(&self, file: FileId, offset: u64, data: bytes::Bytes) -> TierResult<()> {
         self.waiting.fetch_add(1, Ordering::SeqCst);
         while self.closed.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
