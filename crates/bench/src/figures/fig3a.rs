@@ -19,7 +19,7 @@ use events::event::AccessEvent;
 use events::monitor::{HardwareMonitor, MonitorConfig};
 use events::queue::EventQueue;
 use hfetch_core::auditor::Auditor;
-use hfetch_core::config::{HFetchConfig, Reactiveness};
+use hfetch_core::config::HFetchConfig;
 use hfetch_core::engine::PlacementEngine;
 use parking_lot::Mutex;
 use tiers::ids::{AppId, FileId, ProcessId};
@@ -35,7 +35,6 @@ use crate::table::Table;
 pub fn measure(daemons: usize, engine_threads: usize, clients: u32, events_per_client: u64) -> f64 {
     let cfg = HFetchConfig {
         lookahead: 0, // bound update volume; the metric is consumption rate
-        reactiveness: Reactiveness { interval: Duration::from_millis(50), score_updates: 512 },
         ..Default::default()
     };
     let auditor = Arc::new(Auditor::new(cfg.clone()));
@@ -59,7 +58,7 @@ pub fn measure(daemons: usize, engine_threads: usize, clients: u32, events_per_c
     let monitor = HardwareMonitor::start(
         queue.clone(),
         sink,
-        MonitorConfig { daemons, poll_interval: Duration::from_micros(500), ..Default::default() },
+        MonitorConfig { daemons, poll_interval: Duration::from_micros(500) },
     );
 
     // Engine threads: continuously drain score updates into placements.

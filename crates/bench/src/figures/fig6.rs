@@ -114,25 +114,18 @@ fn point_cells(
     ]
 }
 
-/// The HFetch tuning shared by [`point_cells`] and the trace cells.
+/// The HFetch configuration shared by [`point_cells`] and the trace cells.
 fn hfetch_cfg(inflight: usize, request: u64) -> HFetchConfig {
     HFetchConfig {
         max_inflight_fetches: inflight,
         // Adaptive segment size (§V-c: "dynamic prefetching
         // granularity"): match the workflow's request size.
         segment_size: request,
-        // Short sequencing lookahead: the caches hold roughly one request
-        // per process, so deeper anticipation would replace staged
-        // segments before they are read.
+        // Measured at full scale: with the default lookahead of 4, Fig.
+        // 6(a) at 320 ranks finishes behind no prefetching (15.372 s
+        // against 15.340 s), and it is slower than 2 at every 6(a) point
+        // (121.151 s against 120.081 s at 2560 ranks).
         lookahead: 2,
-        // Cold staging of entire files is counterproductive when the data
-        // dwarfs the cache; rely on observed heat, sequencing lookahead,
-        // and heatmap history instead.
-        epoch_base_score: 0.0,
-        // Workflow phases re-open the same files; dropping the cache at
-        // every close would forfeit the cross-phase reuse the workflows
-        // exhibit.
-        cool_on_epoch_end: false,
         ..Default::default()
     }
 }

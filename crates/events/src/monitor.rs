@@ -34,6 +34,12 @@ where
     }
 }
 
+/// Maximum events a daemon takes per queue rendezvous. Each daemon reuses
+/// one buffer of this size, so batching amortises channel overhead without
+/// per-batch allocation; latency is unaffected because a batch is whatever
+/// is *already* waiting (minimum one).
+const BATCH_SIZE: usize = 64;
+
 /// Monitor configuration.
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
@@ -42,16 +48,11 @@ pub struct MonitorConfig {
     /// How long an idle daemon waits on the queue before re-checking for
     /// shutdown.
     pub poll_interval: Duration,
-    /// Maximum events a daemon takes per queue rendezvous. Each daemon
-    /// reuses one buffer of this size, so larger batches amortise channel
-    /// overhead without per-batch allocation; latency is unaffected
-    /// because a batch is whatever is *already* waiting (minimum one).
-    pub batch_size: usize,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        Self { daemons: 4, poll_interval: Duration::from_millis(10), batch_size: 64 }
+        Self { daemons: 4, poll_interval: Duration::from_millis(10) }
     }
 }
 
@@ -67,7 +68,6 @@ impl HardwareMonitor {
     /// Spawns the daemon pool; every drained event is handed to `sink`.
     pub fn start(queue: EventQueue, sink: Arc<dyn EventSink>, config: MonitorConfig) -> Self {
         assert!(config.daemons > 0, "need at least one daemon thread");
-        assert!(config.batch_size > 0, "need a positive batch size");
         let shutdown = Arc::new(AtomicBool::new(false));
         let consumed = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(config.daemons);
@@ -77,15 +77,14 @@ impl HardwareMonitor {
             let shutdown = Arc::clone(&shutdown);
             let consumed = Arc::clone(&consumed);
             let poll = config.poll_interval;
-            let batch = config.batch_size;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("hfetch-daemon-{i}"))
                     .spawn(move || {
-                        let mut buf: Vec<AccessEvent> = Vec::with_capacity(batch);
+                        let mut buf: Vec<AccessEvent> = Vec::with_capacity(BATCH_SIZE);
                         loop {
                             buf.clear();
-                            let n = queue.pop_batch(&mut buf, batch, poll);
+                            let n = queue.pop_batch(&mut buf, BATCH_SIZE, poll);
                             if n == 0 {
                                 if shutdown.load(Ordering::Acquire) && queue.is_empty() {
                                     break;
@@ -178,7 +177,7 @@ mod tests {
         let monitor = HardwareMonitor::start(
             q.clone(),
             sink,
-            MonitorConfig { daemons: 3, poll_interval: Duration::from_millis(1), ..Default::default() },
+            MonitorConfig { daemons: 3, poll_interval: Duration::from_millis(1) },
         );
         assert_eq!(monitor.daemons(), 3);
         for i in 0..10_000 {
@@ -203,7 +202,7 @@ mod tests {
         let monitor = HardwareMonitor::start(
             q.clone(),
             sink,
-            MonitorConfig { daemons: 4, poll_interval: Duration::from_millis(1), ..Default::default() },
+            MonitorConfig { daemons: 4, poll_interval: Duration::from_millis(1) },
         );
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -220,24 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_still_consumes_everything() {
-        let q = EventQueue::with_capacity(1 << 12);
-        let monitor = HardwareMonitor::start(
-            q.clone(),
-            Arc::new(|_: &AccessEvent| {}),
-            MonitorConfig {
-                daemons: 2,
-                poll_interval: Duration::from_millis(1),
-                batch_size: 1,
-            },
-        );
-        for i in 0..2000 {
-            q.push_blocking(ev(i));
-        }
-        assert_eq!(monitor.stop(), 2000, "degenerate batching loses nothing");
-    }
-
-    #[test]
     fn drop_joins_threads() {
         let q = EventQueue::with_capacity(16);
         let monitor = HardwareMonitor::start(q.clone(), Arc::new(|_: &AccessEvent| {}), MonitorConfig::default());
@@ -251,7 +232,7 @@ mod tests {
         let monitor = HardwareMonitor::start(
             q.clone(),
             Arc::new(|_: &AccessEvent| {}),
-            MonitorConfig { daemons: 2, poll_interval: Duration::from_millis(1), ..Default::default() },
+            MonitorConfig { daemons: 2, poll_interval: Duration::from_millis(1) },
         );
         for i in 0..1000 {
             q.push_blocking(ev(i));
@@ -280,7 +261,7 @@ mod tests {
         let monitor = Arc::new(HardwareMonitor::start(
             q.clone(),
             sink,
-            MonitorConfig { daemons: 1, poll_interval: Duration::from_millis(1), ..Default::default() },
+            MonitorConfig { daemons: 1, poll_interval: Duration::from_millis(1) },
         ));
         // Rebound after the monitor so that a failing assert drops it (and
         // frees the daemon) before the monitor's drop joins the daemon.

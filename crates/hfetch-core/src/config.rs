@@ -67,12 +67,6 @@ pub struct HFetchConfig {
     /// channel free, so it uses only backing-store time that demand leaves
     /// idle. 0 turns the base-score fill off.
     pub epoch_base_score: f64,
-    /// A closed file gives up its place: when its last reader closes it,
-    /// its placed segments cool to score 0 where they sit, and any hotter
-    /// segment may then evict them (a cold victim is never demoted). A
-    /// re-open re-keys the resident ones in place. `false` keeps the
-    /// closed file's scores.
-    pub cool_on_epoch_end: bool,
     /// Displacement hysteresis passed to the placement engine: a segment
     /// only displaces a placed one when its score exceeds the victim's by
     /// this factor. 1.0 is the paper's strict Algorithm 1; ~2.0 damps
@@ -102,7 +96,6 @@ impl Default for HFetchConfig {
             reactiveness: Reactiveness::default(),
             lookahead: 4,
             epoch_base_score: 1e-6,
-            cool_on_epoch_end: true,
             displacement_margin: 2.0,
             max_inflight_fetches: 64,
             obs: obs::Recorder::default(),

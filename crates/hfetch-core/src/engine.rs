@@ -25,7 +25,7 @@
 //! segment and touched segment, not per file segment.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{hash_map, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use dht::FxHashMap;
 use tiers::ids::{FileId, SegmentId, TierId};
@@ -193,10 +193,6 @@ pub struct PlacementEngine {
     margin: f64,
     last_run: Timestamp,
     runs: u64,
-    /// Reusable buffers for the per-run duplicate collapse; kept across
-    /// runs so the hot path allocates nothing once warm.
-    scratch_slot: FxHashMap<SegmentId, usize>,
-    scratch_order: Vec<ScoreUpdate>,
     /// Fill entries settled so far; the rest were skipped as no-ops.
     fill_settles: u64,
     /// Observability sink: every emitted [`PlacementAction`] is mirrored as
@@ -249,8 +245,6 @@ impl PlacementEngine {
             margin,
             last_run: Timestamp::ZERO,
             runs: 0,
-            scratch_slot: FxHashMap::default(),
-            scratch_order: Vec::new(),
             fill_settles: 0,
             obs: obs::Recorder::default(),
             evacuating: false,
@@ -334,7 +328,8 @@ impl PlacementEngine {
     }
 
     /// Processes a batch of score updates, returning the actions to
-    /// execute. Updates for the same segment collapse to the last one.
+    /// execute. Updates for the same segment collapse to the last one (see
+    /// [`UpdateBatch::new`]).
     pub fn run(&mut self, batch: impl Into<UpdateBatch>, now: Timestamp) -> Vec<PlacementAction> {
         self.run_traced(batch, now, obs::SpanCtx::NONE)
     }
@@ -362,25 +357,8 @@ impl PlacementEngine {
         self.pass_span = parent;
         self.last_run = now;
         self.runs += 1;
-        let (updates, fills) = batch.into().into_parts();
+        let (mut order, fills) = batch.into().into_parts();
         let mut actions = Vec::new();
-        // Collapse duplicates, keeping the latest score per segment. The
-        // auditor already coalesces its queue, but callers may hand the
-        // engine raw batches; the collapse reuses scratch buffers so a
-        // warm engine allocates nothing here.
-        let mut slot_of = std::mem::take(&mut self.scratch_slot);
-        let mut order = std::mem::take(&mut self.scratch_order);
-        slot_of.clear();
-        order.clear();
-        for u in updates {
-            match slot_of.entry(u.segment) {
-                hash_map::Entry::Occupied(e) => order[*e.get()] = u,
-                hash_map::Entry::Vacant(e) => {
-                    e.insert(order.len());
-                    order.push(u);
-                }
-            }
-        }
         // A cooled resident segment this pass updates is re-keyed where it
         // sits before anything settles, so no other update of the pass
         // evicts it as a cold victim only for it to be fetched back.
@@ -403,7 +381,7 @@ impl PlacementEngine {
         }
         // Place hotter segments first so they claim fast tiers before
         // colder ones fill them.
-        // The collapse left one update per segment, so the order is total.
+        // One update per segment, so the order is total.
         order.sort_unstable_by_key(settle_key);
         if fills.is_empty() {
             for &u in &order {
@@ -412,8 +390,6 @@ impl PlacementEngine {
         } else {
             self.run_with_fills(&order, &fills, &mut actions);
         }
-        self.scratch_slot = slot_of;
-        self.scratch_order = order;
         actions
     }
 

@@ -231,7 +231,7 @@ impl Executor {
     /// score 0 where they sit. They leave only when a hotter segment needs
     /// their room, and a re-open re-keys the resident ones in place.
     pub fn close(&mut self, auditor: &Auditor, file: FileId, now: Timestamp) {
-        if auditor.end_epoch(file, now) && self.cfg.cool_on_epoch_end {
+        if auditor.end_epoch(file, now) {
             self.engine.cool_file(file);
         }
     }

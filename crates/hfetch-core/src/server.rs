@@ -430,7 +430,7 @@ impl HFetchServer {
         let monitor = HardwareMonitor::start(
             queue,
             Arc::new(ServerSink(Arc::clone(&inner))),
-            MonitorConfig { daemons, poll_interval: Duration::from_millis(2), ..Default::default() },
+            MonitorConfig { daemons, poll_interval: Duration::from_millis(2) },
         );
 
         // Engine trigger thread.

@@ -32,6 +32,9 @@ use crate::report::{SimReport, TierReport};
 use crate::residency::{ReadPlan, ResidencyMap};
 use crate::script::{Op, RankScript, SimFile};
 
+/// Fixed simulated cost of an open or a close call.
+const OPEN_CLOSE_COST: Duration = Duration::from_micros(1);
+
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -42,10 +45,6 @@ pub struct SimConfig {
     /// NVMe devices. Remote tiers (burst buffers, PFS) are shared and
     /// unscaled.
     pub nodes: u32,
-    /// Fixed cost of an open call.
-    pub open_cost: Duration,
-    /// Fixed cost of a close call.
-    pub close_cost: Duration,
     /// Optional seeded fault-injection configuration. `None` (the default)
     /// runs fault-free; an *inert* config (all probabilities zero, no
     /// windows) consumes no randomness and produces byte-identical reports
@@ -59,13 +58,11 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Single-node configuration over `hierarchy` with 1 µs open/close.
+    /// Single-node configuration over `hierarchy`.
     pub fn new(hierarchy: Hierarchy) -> Self {
         Self {
             hierarchy,
             nodes: 1,
-            open_cost: Duration::from_micros(1),
-            close_cost: Duration::from_micros(1),
             faults: None,
             obs: obs::Recorder::default(),
         }
@@ -1225,7 +1222,7 @@ impl<P: PrefetchPolicy> Simulation<P> {
                     eff.note_open(file);
                 }
                 self.notify(PendingNotify { file, process, app, op: NotifyOp::Open });
-                let t = self.core.now.after(self.core.config.open_cost);
+                let t = self.core.now.after(OPEN_CLOSE_COST);
                 self.push(t, EventKind::RankReady(rank));
             }
             Op::Close(file) => {
@@ -1233,7 +1230,7 @@ impl<P: PrefetchPolicy> Simulation<P> {
                     eff.note_close(file);
                 }
                 self.notify(PendingNotify { file, process, app, op: NotifyOp::Close });
-                let t = self.core.now.after(self.core.config.close_cost);
+                let t = self.core.now.after(OPEN_CLOSE_COST);
                 self.push(t, EventKind::RankReady(rank));
             }
             Op::Read { file, range } => {

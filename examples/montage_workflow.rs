@@ -69,9 +69,8 @@ fn main() {
 
     let cfg = HFetchConfig {
         segment_size: MIB,
+        // Fig. 6's measured lookahead (see `hfetch_cfg` in the bench crate).
         lookahead: 2,
-        epoch_base_score: 0.0,
-        cool_on_epoch_end: false,
         max_inflight_fetches: 32,
         ..Default::default()
     };
