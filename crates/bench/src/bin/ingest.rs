@@ -41,19 +41,18 @@ fn main() {
         }
     }
     println!(
-        "{:>12.0} events/s   {:.3} locks/event   ({} map + {} queue + {} aux)",
+        "{:>12.0} events/s   {:.3} locks/event   ({} shard + {} aux)",
         best.events_per_s(),
         best.locks_per_event(),
         best.locks.map_shard,
-        best.locks.queue_stripe,
         best.locks.auxiliary,
     );
     let per_event = |locks: u64| locks as f64 / best.events as f64;
     metrics.push(Metric::new("ingest/events_per_s", best.events_per_s(), "events_per_s"));
     for (name, value) in [
         ("ingest/locks_per_event", best.locks_per_event()),
-        ("ingest/map_locks_per_event", per_event(best.locks.map_shard)),
-        ("ingest/queue_locks_per_event", per_event(best.locks.queue_stripe)),
+        ("ingest/aux_locks_per_event", per_event(best.locks.auxiliary)),
+        ("ingest/shard_locks_per_event", per_event(best.locks.map_shard)),
     ] {
         metrics.push(Metric::new(name, value, "locks_per_event"));
     }

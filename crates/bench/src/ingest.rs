@@ -5,9 +5,10 @@
 //! turning raw accesses into pending score updates:
 //!
 //! * **events/s** — single-thread observe_read throughput,
-//! * **locks/event** — lock acquisitions (map shards + queue stripes +
-//!   auxiliary mutexes) per event; this is machine-independent and the
-//!   primary contention currency,
+//! * **locks/event** — lock acquisitions per event, by family: statistics
+//!   shards (each holding its stripe of pending updates) and auxiliary
+//!   mutexes; this is machine-independent and the primary contention
+//!   currency,
 //! * **drain equivalence** — the same seeded workload driven by 1, 2 and
 //!   4 producer threads (disjoint files per thread) must produce
 //!   byte-identical canonicalised drains; the digest is asserted in the
@@ -269,7 +270,6 @@ pub fn run_ingest(threads: usize, scale: IngestScale, drain_every: Option<u64>) 
         wall_s,
         locks: IngestLockStats {
             map_shard: after.map_shard - baseline.map_shard,
-            queue_stripe: after.queue_stripe - baseline.queue_stripe,
             auxiliary: after.auxiliary - baseline.auxiliary,
         },
         drained: final_drain.len() + mid_drained,

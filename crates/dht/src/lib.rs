@@ -11,11 +11,13 @@
 //!   key lives in shard `hash(key) % SHARDS`. Single-key operations are
 //!   atomic (they run under the owning shard's lock), which is exactly the
 //!   property the auditor relies on when several processes update one
-//!   segment's score concurrently.
+//!   segment's score concurrently. Each shard also carries side state
+//!   under the same lock: the auditor's pending score updates.
 //! * [`hash`] — the FxHash function (implemented in-tree; see DESIGN.md §6)
 //!   used for shard routing and as a fast drop-in `HashMap` hasher across
 //!   the workspace.
-//! * [`stats`] — operation counters exported as `dht.map.*`.
+//! * [`stats`] — per-shard operation counters, summed and exported as
+//!   `dht.map.*`.
 //!
 //! The map is volatile: it lives in one process and is gone when the
 //! process ends. HCL's power-down recovery is not reproduced. The only
@@ -30,4 +32,4 @@ pub mod stats;
 
 pub use hash::{FxHashMap, FxHasher};
 pub use map::{DistributedMap, SHARDS};
-pub use stats::MapStats;
+pub use stats::StatsSnapshot;

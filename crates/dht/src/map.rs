@@ -6,66 +6,128 @@
 //! to different segments proceed in parallel and updates to the *same*
 //! segment are atomic — the property the auditor needs when many ranks read
 //! one file region concurrently.
+//!
+//! Each shard also holds caller-defined *side state* `S`, guarded by the
+//! same lock. The auditor keeps a segment's pending score updates there,
+//! so recording a read and queueing its score is one lock, and an update
+//! can only land in the shard its segment lives in. Every operation below
+//! that takes a shard lock can reach the side state; the plain forms pass
+//! it by.
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::hash::{hash_one, FxHashMap};
-use crate::stats::MapStats;
+use crate::stats::StatsSnapshot;
 
-/// Number of shards in every [`DistributedMap`]. The auditor's update queue
-/// has one stripe per shard, so queue contention follows map contention.
+/// Number of shards in every [`DistributedMap`].
 pub const SHARDS: usize = 32;
 
-/// A concurrent hashmap over [`SHARDS`] independently locked shards.
-pub struct DistributedMap<K, V> {
-    shards: [RwLock<FxHashMap<K, V>>; SHARDS],
-    stats: MapStats,
+/// One shard: its entries, its operation counts and its side state.
+struct Shard<K, V, S> {
+    entries: FxHashMap<K, V>,
+    counts: StatsSnapshot,
+    side: S,
 }
 
-impl<K, V> Default for DistributedMap<K, V> {
+impl<K, V, S: Default> Default for Shard<K, V, S> {
     fn default() -> Self {
-        Self { shards: std::array::from_fn(|_| RwLock::default()), stats: MapStats::default() }
+        Self { entries: FxHashMap::default(), counts: StatsSnapshot::default(), side: S::default() }
     }
 }
 
-impl<K, V> DistributedMap<K, V>
+impl<K: Eq + Hash, V, S> Shard<K, V, S> {
+    /// Upserts `key` and hands `f` its value and the side state; `gauge`
+    /// is the map's live entry count.
+    fn upsert<R>(
+        &mut self,
+        gauge: &AtomicU64,
+        key: K,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&mut V, &mut S) -> R,
+    ) -> R {
+        match self.entries.entry(key) {
+            Entry::Occupied(mut e) => {
+                self.counts.updates += 1;
+                f(e.get_mut(), &mut self.side)
+            }
+            Entry::Vacant(e) => {
+                self.counts.inserts += 1;
+                gauge.fetch_add(1, Ordering::Relaxed);
+                f(e.insert(default()), &mut self.side)
+            }
+        }
+    }
+
+    /// Looks `key` up, counting a hit or a miss, and hands `f` the value
+    /// and the side state.
+    fn peek<R>(&mut self, key: &K, f: impl FnOnce(Option<&V>, &mut S) -> R) -> R {
+        let value = self.entries.get(key);
+        match value {
+            Some(_) => self.counts.hits += 1,
+            None => self.counts.misses += 1,
+        }
+        f(value, &mut self.side)
+    }
+}
+
+/// A concurrent hashmap over [`SHARDS`] independently locked shards, each
+/// with side state `S`.
+pub struct DistributedMap<K, V, S = ()> {
+    shards: [Mutex<Shard<K, V, S>>; SHARDS],
+    /// Live entries across all shards, so `len()` takes no lock.
+    entries: AtomicU64,
+}
+
+impl<K, V, S: Default> Default for DistributedMap<K, V, S> {
+    fn default() -> Self {
+        Self { shards: std::array::from_fn(|_| Mutex::default()), entries: AtomicU64::new(0) }
+    }
+}
+
+impl<K, V, S> DistributedMap<K, V, S>
 where
     K: Eq + Hash + Clone,
-    V: Clone,
 {
     /// The shard `key` lives in: `hash_one(key) % SHARDS`.
     pub fn locate(&self, key: &K) -> usize {
         (hash_one(key) % SHARDS as u64) as usize
     }
 
-    fn shard_of(&self, key: &K) -> &RwLock<FxHashMap<K, V>> {
-        &self.shards[self.locate(key)]
+    /// Locks shard `shard`, counting the acquisition.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard<K, V, S>> {
+        let mut guard = self.shards[shard].lock();
+        guard.counts.shard_locks += 1;
+        guard
     }
 
     /// Returns a clone of the value under `key`.
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub fn get(&self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
         self.get_with(key, V::clone)
     }
 
     /// Applies `f` to the value under `key` *in place* under the shard's
-    /// read lock — no clone. This is what lookahead peeks want: reading a
+    /// lock — no clone. This is what lookahead peeks want: reading a
     /// [`get`]-style clone of a value with owned fields (e.g. a `Vec`)
     /// allocates per peek; `get_with` borrows instead. `f` must not block
-    /// (it holds the shard read lock) and cannot re-enter the map.
+    /// (it holds the shard lock) and cannot re-enter the map.
     ///
     /// [`get`]: DistributedMap::get
     pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.stats.record_locks(1);
-        let result = self.shard_of(key).read().get(key).map(f);
-        if result.is_some() {
-            self.stats.record_hit();
-        } else {
-            self.stats.record_miss();
-        }
-        result
+        self.peek_with(key, |value, _| value.map(f))
+    }
+
+    /// Looks `key` up and hands `f` the value, if any, and the side state
+    /// of its shard, under one lock: a lookahead peek and the anticipated
+    /// update it queues.
+    pub fn peek_with<R>(&self, key: &K, f: impl FnOnce(Option<&V>, &mut S) -> R) -> R {
+        self.lock(self.locate(key)).peek(key, f)
     }
 
     /// Atomically updates the value under `key`, inserting
@@ -80,17 +142,26 @@ where
         default: impl FnOnce() -> V,
         f: impl FnOnce(&mut V) -> R,
     ) -> R {
-        let shard = self.shard_of(&key);
-        self.stats.record_locks(1);
-        let mut entries = shard.write();
-        self.apply_entry(&mut entries, key, default, f)
+        self.update_with_side(key, default, |value, _| f(value))
+    }
+
+    /// [`update_with`], with the side state of `key`'s shard under the
+    /// same lock.
+    ///
+    /// [`update_with`]: DistributedMap::update_with
+    pub fn update_with_side<R>(
+        &self,
+        key: K,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&mut V, &mut S) -> R,
+    ) -> R {
+        self.lock(self.locate(&key)).upsert(&self.entries, key, default, f)
     }
 
     /// Builds the shard-grouped visit order for `keys`: `(shard, input
     /// index)` pairs sorted by shard, input order preserved within each
-    /// shard's run. Callers that batch several structures by the same
-    /// routing (the auditor batches map writes *and* queue pushes per
-    /// shard) compute this once and reuse it.
+    /// shard's run. The ordered operations below take it, so a caller
+    /// that visits the same keys twice routes them once.
     pub fn route(&self, keys: &[K]) -> Vec<(usize, usize)> {
         let mut order: Vec<(usize, usize)> =
             keys.iter().enumerate().map(|(i, k)| (self.locate(k), i)).collect();
@@ -98,80 +169,81 @@ where
         order
     }
 
+    /// Visits `keys` grouped by shard, taking each shard's lock once per
+    /// group: `visit(shard, index)` runs for every position of `order`,
+    /// which must be exactly `self.route(keys)` (checked in debug builds).
+    fn visit_ordered(
+        &self,
+        order: &[(usize, usize)],
+        keys: &[K],
+        mut visit: impl FnMut(&mut Shard<K, V, S>, usize),
+    ) {
+        debug_assert_eq!(order.len(), keys.len());
+        debug_assert!(order.windows(2).all(|w| w[0].0 <= w[1].0), "order not shard-sorted");
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.lock(group[0].0);
+            for &(at, idx) in group {
+                debug_assert_eq!(at, self.locate(&keys[idx]), "order/keys mismatch");
+                visit(&mut shard, idx);
+            }
+        }
+    }
+
     /// Atomically updates every key in `keys`, inserting `default()` for
-    /// absent ones, taking each owning shard's **write lock exactly once**
-    /// even when several keys share a shard. `order` must be exactly
+    /// absent ones, taking each owning shard's **lock exactly once** even
+    /// when several keys share a shard. `order` must be exactly
     /// `self.route(keys)` (checked in debug builds). `f` receives the index
-    /// of the key within `keys` plus the mutable value; results come back
-    /// in input order.
+    /// of the key within `keys`, the mutable value and the shard's side
+    /// state; results come back in input order.
     ///
-    /// This is the batched form of [`update_with`] the auditor uses for
-    /// multi-segment reads: a 3-segment request that lands on one shard
-    /// costs one lock acquisition instead of three. Keys are applied
+    /// This is the batched form of [`update_with_side`] the auditor uses
+    /// for multi-segment reads: a 3-segment request that lands on one
+    /// shard costs one lock acquisition instead of three. Keys are applied
     /// grouped by shard (input order *within* each shard group), so `f`
     /// must not depend on cross-key application order — per-key mutations
     /// in HFetch don't (each segment's update is self-contained).
     ///
-    /// [`update_with`]: DistributedMap::update_with
+    /// [`update_with_side`]: DistributedMap::update_with_side
     pub fn update_ordered_with<R>(
         &self,
         order: &[(usize, usize)],
         keys: &[K],
         mut default: impl FnMut() -> V,
-        mut f: impl FnMut(usize, &mut V) -> R,
+        mut f: impl FnMut(usize, &mut V, &mut S) -> R,
     ) -> Vec<R> {
-        debug_assert_eq!(order.len(), keys.len());
-        debug_assert!(order.windows(2).all(|w| w[0].0 <= w[1].0), "order not shard-sorted");
         let mut out: Vec<Option<R>> = Vec::with_capacity(keys.len());
         out.resize_with(keys.len(), || None);
-        let mut i = 0;
-        while i < order.len() {
-            let shard = order[i].0;
-            debug_assert_eq!(shard, self.locate(&keys[order[i].1]), "order/keys mismatch");
-            self.stats.record_locks(1);
-            let mut entries = self.shards[shard].write();
-            while i < order.len() && order[i].0 == shard {
-                let idx = order[i].1;
-                out[idx] =
-                    Some(self.apply_entry(&mut entries, keys[idx].clone(), &mut default, |v| {
-                        f(idx, v)
-                    }));
-                i += 1;
-            }
-        }
+        self.visit_ordered(order, keys, |shard, idx| {
+            let r = shard.upsert(&self.entries, keys[idx].clone(), &mut default, |v, side| {
+                f(idx, v, side)
+            });
+            out[idx] = Some(r);
+        });
         out.into_iter().map(|r| r.expect("every key visited")).collect()
     }
 
-    /// Entry upsert under an already-held shard write lock, with the same
-    /// stats accounting as [`update_with`].
-    ///
-    /// [`update_with`]: DistributedMap::update_with
-    fn apply_entry<R>(
-        &self,
-        entries: &mut FxHashMap<K, V>,
-        key: K,
-        default: impl FnOnce() -> V,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> R {
-        match entries.entry(key) {
-            Entry::Occupied(mut e) => {
-                self.stats.record_update();
-                f(e.get_mut())
-            }
-            Entry::Vacant(e) => {
-                self.stats.record_insert();
-                f(e.insert(default()))
-            }
+    /// Hands `f` the side state of every key's shard, without touching the
+    /// entries: `f(index, side)` runs for each position of `order`
+    /// (exactly `self.route(keys)`), one lock per shard visited.
+    pub fn side_ordered(&self, order: &[(usize, usize)], keys: &[K], mut f: impl FnMut(usize, &mut S)) {
+        self.visit_ordered(order, keys, |shard, idx| f(idx, &mut shard.side));
+    }
+
+    /// Applies `f` to each shard's side state in turn, under that shard's
+    /// lock.
+    pub fn for_each_side(&self, mut f: impl FnMut(&mut S)) {
+        for shard in 0..SHARDS {
+            f(&mut self.lock(shard).side);
         }
     }
 
-    /// Number of entries across all shards. Served from the stats entry
-    /// gauge in O(1) — no shard locks are touched, so hot-path callers
-    /// don't contend with writers. The value is a consistent-ish snapshot,
-    /// not a linearizable one: an in-flight insert or removal may or may
-    /// not be counted yet.
+    /// Number of entries across all shards. Served from the entry gauge in
+    /// O(1) — no shard locks are touched, so hot-path callers don't
+    /// contend with writers. The value is a consistent-ish snapshot, not a
+    /// linearizable one: an in-flight insert or removal may or may not be
+    /// counted yet.
     pub fn len(&self) -> usize {
-        self.stats.entries() as usize
+        self.entries.load(Ordering::Relaxed) as usize
     }
 
     /// True if the map holds no entries (O(1), gauge-served like [`len`]).
@@ -182,11 +254,10 @@ where
     }
 
     /// Applies `f` to every entry, shard by shard (each shard is visited
-    /// under its read lock).
+    /// under its lock).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        self.stats.record_locks(SHARDS as u64);
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
+        for shard in 0..SHARDS {
+            for (k, v) in self.lock(shard).entries.iter() {
                 f(k, v);
             }
         }
@@ -196,20 +267,26 @@ where
     /// were removed.
     pub fn retain(&self, mut pred: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0;
-        self.stats.record_locks(SHARDS as u64);
-        for shard in &self.shards {
-            let mut entries = shard.write();
-            let before = entries.len();
-            entries.retain(|k, v| pred(k, v));
-            removed += before - entries.len();
+        for shard in 0..SHARDS {
+            let mut shard = self.lock(shard);
+            let before = shard.entries.len();
+            shard.entries.retain(|k, v| pred(k, v));
+            let gone = before - shard.entries.len();
+            shard.counts.removes += gone as u64;
+            self.entries.fetch_sub(gone as u64, Ordering::Relaxed);
+            removed += gone;
         }
-        self.stats.record_removes(removed as u64);
         removed
     }
 
-    /// Operation counters.
-    pub fn stats(&self) -> &MapStats {
-        &self.stats
+    /// The operation counts summed over the shards, with the live entry
+    /// count. Reading them takes each shard's lock, uncounted.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut total = StatsSnapshot { entries: self.len() as u64, ..Default::default() };
+        for shard in &self.shards {
+            total.add(&shard.lock().counts);
+        }
+        total
     }
 }
 
@@ -227,7 +304,7 @@ mod tests {
     }
 
     fn update_batch(m: &DistributedMap<u64, u64>, keys: &[u64], add: u64) -> Vec<u64> {
-        m.update_ordered_with(&m.route(keys), keys, || 0, |_, v| {
+        m.update_ordered_with(&m.route(keys), keys, || 0, |_, v, _| {
             *v += add;
             *v
         })
@@ -257,11 +334,11 @@ mod tests {
         assert_eq!(m.get_with(&1, |v| v.iter().sum::<u64>()), Some(60));
         // Parity with `get`: a hit and a miss were recorded for get_with
         // exactly as the cloning lookup would have recorded them.
-        let s = m.stats().snapshot();
+        let s = m.snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(m.get(&1), Some(vec![10, 20, 30]));
         assert_eq!(m.get(&2), None);
-        let s = m.stats().snapshot();
+        let s = m.snapshot();
         assert_eq!((s.hits, s.misses), (2, 2));
     }
 
@@ -271,7 +348,7 @@ mod tests {
         let sequential: DistributedMap<u64, u64> = DistributedMap::default();
         let keys: Vec<u64> = vec![3, 50, 3, 17, 99, 50, 8];
         let order = batched.route(&keys);
-        let got = batched.update_ordered_with(&order, &keys, || 100, |idx, v| {
+        let got = batched.update_ordered_with(&order, &keys, || 100, |idx, v, _| {
             *v += idx as u64 + 1;
             *v
         });
@@ -291,11 +368,11 @@ mod tests {
         assert_eq!(contents(&batched), contents(&sequential));
         // Batched ops count inserts/updates exactly as single-key ops:
         // 5 distinct keys inserted, 2 updates.
-        let sa = batched.stats().snapshot();
-        let sb = sequential.stats().snapshot();
+        let sa = batched.snapshot();
+        let sb = sequential.snapshot();
         assert_eq!((sa.inserts, sa.updates), (sb.inserts, sb.updates));
         assert_eq!((sa.inserts, sa.updates), (5, 2));
-        assert!(batched.update_ordered_with(&[], &[], || 0, |_, v| *v).is_empty());
+        assert!(batched.update_ordered_with(&[], &[], || 0, |_, v, _| *v).is_empty());
     }
 
     #[test]
@@ -303,9 +380,9 @@ mod tests {
         let m: DistributedMap<u64, u64> = DistributedMap::default();
         // All copies of one key share a shard: the batch must take exactly
         // one lock no matter how many keys ride along.
-        let before = m.stats().snapshot().shard_locks;
+        let before = m.snapshot().shard_locks;
         update_batch(&m, &[7u64; 16], 1);
-        let after = m.stats().snapshot().shard_locks;
+        let after = m.snapshot().shard_locks;
         assert_eq!(after - before, 1, "same-shard batch takes one lock");
         assert_eq!(m.get(&7), Some(16));
 
@@ -315,9 +392,9 @@ mod tests {
         let mut shards: Vec<usize> = keys.iter().map(|k| m.locate(k)).collect();
         shards.sort_unstable();
         shards.dedup();
-        let before = m.stats().snapshot().shard_locks;
+        let before = m.snapshot().shard_locks;
         update_batch(&m, &keys, 1);
-        let after = m.stats().snapshot().shard_locks;
+        let after = m.snapshot().shard_locks;
         assert_eq!(after - before, shards.len() as u64);
         assert!(shards.len() < keys.len(), "batching must beat per-key locking");
     }
@@ -349,7 +426,7 @@ mod tests {
         m.for_each(|_, v| assert_eq!(v % 2, 0));
         assert_eq!(m.retain(|_, _| false), 10);
         assert!(m.is_empty());
-        let s = m.stats().snapshot();
+        let s = m.snapshot();
         assert_eq!((s.inserts, s.removes, s.entries), (20, 20, 0));
         m.update_with(7, || 7, |_| ());
         assert_eq!(m.len(), 1);
@@ -404,9 +481,67 @@ mod tests {
         });
         let swept = contents(&m).len();
         assert_eq!(m.len(), swept, "gauge diverged from actual contents");
-        let snap = m.stats().snapshot();
+        let snap = m.snapshot();
         assert_eq!(snap.entries as usize, swept);
         assert_eq!(snap.inserts - snap.removes, snap.entries);
+    }
+
+
+    /// A shard's side state: the keys pushed into it.
+    type Pushed = Vec<u64>;
+
+    #[test]
+    fn an_update_with_its_side_push_takes_one_shard_lock() {
+        let m: DistributedMap<u64, u64, Pushed> = DistributedMap::default();
+        let before = m.snapshot().shard_locks;
+        let r = m.update_with_side(9, || 0, |v, side| {
+            *v += 1;
+            side.push(9);
+            *v
+        });
+        assert_eq!(r, 1);
+        assert_eq!(m.snapshot().shard_locks - before, 1, "statistics and side push: one lock");
+        // A peek and its side push: one more.
+        let seen = m.peek_with(&9, |v, side| {
+            side.push(10);
+            v.copied()
+        });
+        assert_eq!(seen, Some(1));
+        assert_eq!(m.snapshot().shard_locks - before, 2);
+        let s = m.snapshot();
+        assert_eq!((s.inserts, s.hits, s.misses), (1, 1, 0));
+        // Both pushes landed in key 9's shard, and only there.
+        let mut sides = Vec::new();
+        m.for_each_side(|side| sides.push(std::mem::take(side)));
+        assert_eq!(m.snapshot().shard_locks - before, 2 + SHARDS as u64, "one lock per shard");
+        for (shard, side) in sides.iter().enumerate() {
+            let want: &[u64] = if shard == m.locate(&9) { &[9, 10] } else { &[] };
+            assert_eq!(side, want, "shard {shard}");
+        }
+    }
+
+    #[test]
+    fn ordered_side_visits_lock_each_shard_once_and_land_in_the_key_s_shard() {
+        let m: DistributedMap<u64, u64, Pushed> = DistributedMap::default();
+        let keys: Vec<u64> = (0..100).collect();
+        let order = m.route(&keys);
+        let mut shards: Vec<usize> = keys.iter().map(|k| m.locate(k)).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        m.side_ordered(&order, &keys, |idx, side| side.push(keys[idx]));
+        assert_eq!(m.snapshot().shard_locks, shards.len() as u64);
+        m.update_ordered_with(&order, &keys, || 0, |idx, v, side| {
+            *v += 1;
+            side.push(keys[idx]);
+        });
+        assert_eq!(m.snapshot().shard_locks, 2 * shards.len() as u64);
+        let mut by_shard: Vec<Vec<u64>> = Vec::new();
+        m.for_each_side(|side| by_shard.push(std::mem::take(side)));
+        for (shard, side) in by_shard.iter().enumerate() {
+            assert!(side.iter().all(|k| m.locate(k) == shard), "shard {shard} holds a stranger");
+        }
+        assert_eq!(by_shard.iter().map(Vec::len).sum::<usize>(), 2 * keys.len());
+        assert_eq!(m.len(), keys.len());
     }
 
     proptest! {

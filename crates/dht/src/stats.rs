@@ -1,29 +1,11 @@
 //! Operation counters for the distributed map.
 //!
-//! Lock-free (relaxed atomics): the counters are telemetry, not control
-//! flow, so exact cross-thread ordering is unnecessary.
+//! Each shard counts its own operations in plain fields under the shard's
+//! lock, which every counted operation holds anyway; the map sums the
+//! shards for a snapshot. Only the live entry count is a shared atomic, so
+//! `len()` takes no lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts of map operations since creation, plus a live entry-count gauge.
-#[derive(Debug, Default)]
-pub struct MapStats {
-    inserts: AtomicU64,
-    updates: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    removes: AtomicU64,
-    /// Shard lock acquisitions (read or write). The ingestion benchmark's
-    /// contention currency: batched multi-key ops show up here as one
-    /// acquisition per *shard visited* instead of one per key.
-    shard_locks: AtomicU64,
-    /// Live entries across all shards. A *gauge*, not an op counter: it
-    /// moves with inserts and `retain` removals, so the map can serve
-    /// `len()` from it in O(1) without sweeping shard locks.
-    entries: AtomicU64,
-}
-
-/// A point-in-time copy of the counters.
+/// Counts of map operations since creation, plus the live entry count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Keys newly inserted.
@@ -36,13 +18,25 @@ pub struct StatsSnapshot {
     pub misses: u64,
     /// Keys removed.
     pub removes: u64,
-    /// Shard lock acquisitions (read or write; one per shard visited).
+    /// Shard lock acquisitions: one per shard visited, whether the
+    /// operation touched the entries, the shard's side state or both.
     pub shard_locks: u64,
     /// Live entries at snapshot time (gauge).
     pub entries: u64,
 }
 
 impl StatsSnapshot {
+    /// Adds `other`'s operation counts into `self` (the entry gauge is
+    /// the map's, not a shard's, and is left alone).
+    pub(crate) fn add(&mut self, other: &StatsSnapshot) {
+        self.inserts += other.inserts;
+        self.updates += other.updates;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.removes += other.removes;
+        self.shard_locks += other.shard_locks;
+    }
+
     /// Exports the snapshot into an [`obs::Recorder`] under `dht.map.*`
     /// names: op counts and shard-lock acquisitions as counters, live
     /// entries as a gauge. Callers export once per run (at report time),
@@ -66,95 +60,50 @@ impl StatsSnapshot {
     }
 }
 
-impl MapStats {
-    pub(crate) fn record_insert(&self) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_update(&self) {
-        self.updates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries dropped by `retain`.
-    pub(crate) fn record_removes(&self, n: u64) {
-        self.removes.fetch_add(n, Ordering::Relaxed);
-        self.entries.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` shard lock acquisitions.
-    pub(crate) fn record_locks(&self, n: u64) {
-        self.shard_locks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Live entry count (the gauge behind `DistributedMap::len`).
-    pub(crate) fn entries(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    /// Copies the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            inserts: self.inserts.load(Ordering::Relaxed),
-            updates: self.updates.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
-            shard_locks: self.shard_locks.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let s = MapStats::default();
-        s.record_insert();
-        s.record_insert();
-        s.record_hit();
-        s.record_miss();
-        s.record_update();
-        s.record_removes(1);
-        s.record_locks(3);
-        let snap = s.snapshot();
-        assert_eq!(snap.inserts, 2);
-        assert_eq!(snap.hits, 1);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.updates, 1);
-        assert_eq!(snap.removes, 1);
-        assert_eq!(snap.shard_locks, 3);
-        assert_eq!(snap.entries, 1, "gauge = inserts - removes");
-        s.record_removes(1);
-        assert_eq!(s.snapshot().entries, 0);
-        assert_eq!(s.snapshot().removes, 2);
+    fn shard_counts_add_up() {
+        let mut total = StatsSnapshot { entries: 7, ..Default::default() };
+        let shard = StatsSnapshot {
+            inserts: 2,
+            updates: 1,
+            hits: 1,
+            misses: 1,
+            removes: 1,
+            shard_locks: 3,
+            entries: 99,
+        };
+        total.add(&shard);
+        total.add(&shard);
+        assert_eq!(
+            total,
+            StatsSnapshot {
+                inserts: 4,
+                updates: 2,
+                hits: 2,
+                misses: 2,
+                removes: 2,
+                shard_locks: 6,
+                entries: 7,
+            },
+            "counts sum, the gauge stays the map's"
+        );
     }
 
     #[test]
     fn snapshot_exports_to_recorder() {
-        let s = MapStats::default();
-        s.record_insert();
-        s.record_hit();
-        s.record_locks(5);
+        let s = StatsSnapshot { inserts: 1, hits: 1, shard_locks: 5, entries: 1, ..Default::default() };
         let rec = obs::Recorder::enabled();
-        s.snapshot().export_obs(&rec);
+        s.export_obs(&rec);
         let report = rec.report();
         assert_eq!(report.counter("dht.map.inserts"), Some(1));
         assert_eq!(report.counter("dht.map.hits"), Some(1));
         assert_eq!(report.counter("dht.map.shard_locks"), Some(5));
         assert_eq!(report.gauge("dht.map.entries"), Some(1));
         // A disabled recorder takes the early-out path.
-        s.snapshot().export_obs(&obs::Recorder::disabled());
+        s.export_obs(&obs::Recorder::disabled());
     }
 }

@@ -29,11 +29,10 @@
 //! reads ahead past each run of read segments, by the run's once-read
 //! advance in the last epoch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dht::{DistributedMap, FxHashMap};
-use parking_lot::Mutex;
+use dht::FxHashMap;
+use parking_lot::{Mutex, MutexGuard};
 use tiers::ids::{FileId, ProcessId, SegmentId};
 use tiers::range::{segment_count, segment_range, segments_of_request, ByteRange};
 use tiers::time::Timestamp;
@@ -41,7 +40,7 @@ use tiers::time::Timestamp;
 use crate::config::{HFetchConfig, LOOKAHEAD_DECAY};
 use crate::heatmap::{FileHeatmap, HeatmapStore};
 use crate::scoring::ScoreState;
-use crate::update_queue::{Fill, StripedUpdateQueue, UpdateBatch};
+use crate::update_queue::{Fill, StripedMap, StripedUpdateQueue, UpdateBatch};
 
 /// Maximum distinct predecessors tracked per segment (`n` saturates here).
 const MAX_PREDECESSORS: usize = 8;
@@ -83,19 +82,18 @@ pub struct ScoreUpdate {
 /// Lock acquisitions across the ingestion path, by lock family.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestLockStats {
-    /// Statistics-map shard locks (read or write).
+    /// Statistics-map shard locks; each shard holds its segments'
+    /// statistics and their pending updates.
     pub map_shard: u64,
-    /// Update-queue stripe locks.
-    pub queue_stripe: u64,
-    /// Auxiliary mutexes (file sizes and staging seeds, per-process last
-    /// segment, epoch refcounts).
+    /// Auxiliary mutexes: the per-file, per-process and epoch tables, and
+    /// the update queue's pending fills.
     pub auxiliary: u64,
 }
 
 impl IngestLockStats {
     /// Total acquisitions across all families.
     pub fn total(&self) -> u64 {
-        self.map_shard + self.queue_stripe + self.auxiliary
+        self.map_shard + self.auxiliary
     }
 }
 
@@ -118,22 +116,33 @@ impl Seeds {
     }
 }
 
-/// What the auditor keeps per file, behind one lock.
+/// What the auditor keeps per file.
 #[derive(Default)]
 struct FileEntry {
     size: u64,
     seeds: Option<Arc<Seeds>>,
 }
 
+/// What the auditor keeps beside the statistics, behind one lock.
+#[derive(Default)]
+struct Aux {
+    files: FxHashMap<FileId, FileEntry>,
+    /// The last segment each process read (sequencing).
+    last_by_process: FxHashMap<ProcessId, SegmentId>,
+    /// Open epochs: concurrent openers per file.
+    epoch_refs: FxHashMap<FileId, u32>,
+    /// Acquisitions of this lock (ingestion telemetry).
+    locks: u64,
+}
+
 /// The File Segment Auditor.
 pub struct Auditor {
     cfg: HFetchConfig,
-    stats: DistributedMap<SegmentId, SegmentStat>,
-    files: Mutex<FxHashMap<FileId, FileEntry>>,
-    last_by_process: Mutex<FxHashMap<ProcessId, SegmentId>>,
-    epoch_refs: Mutex<FxHashMap<FileId, u32>>,
+    /// Segment statistics; each shard also holds the stripe of pending
+    /// updates for its segments.
+    stats: StripedMap<SegmentStat>,
+    aux: Mutex<Aux>,
     updates: StripedUpdateQueue,
-    aux_locks: AtomicU64,
     heatmaps: Arc<HeatmapStore>,
     /// Simulated timestamp of the oldest score update queued since the last
     /// drain. Only touched when `cfg.obs` is enabled (the policy reads it at
@@ -149,18 +158,13 @@ impl Auditor {
     }
 
     /// Creates an auditor sharing an existing heatmap store.
-    /// The update queue has one stripe per statistics-map shard, so queue
-    /// contention follows map contention.
     pub fn with_heatmaps(cfg: HFetchConfig, heatmaps: Arc<HeatmapStore>) -> Self {
         cfg.validate();
         Self {
             cfg,
-            stats: DistributedMap::default(),
-            files: Mutex::new(FxHashMap::default()),
-            last_by_process: Mutex::new(FxHashMap::default()),
-            epoch_refs: Mutex::new(FxHashMap::default()),
+            stats: StripedMap::default(),
+            aux: Mutex::default(),
             updates: StripedUpdateQueue::default(),
-            aux_locks: AtomicU64::new(0),
             heatmaps,
             pending_since: Mutex::new(None),
         }
@@ -194,16 +198,18 @@ impl Auditor {
         &self.cfg
     }
 
-    fn aux_lock(&self) {
-        self.aux_locks.fetch_add(1, Ordering::Relaxed);
+    /// Locks the auxiliary tables, counting the acquisition.
+    fn aux(&self) -> MutexGuard<'_, Aux> {
+        let mut aux = self.aux.lock();
+        aux.locks += 1;
+        aux
     }
 
     /// Registers (or grows) a file's size so segment indices can be
     /// bounded.
     pub fn set_file_size(&self, file: FileId, size: u64) {
-        self.aux_lock();
-        let mut files = self.files.lock();
-        let entry = files.entry(file).or_default();
+        let mut aux = self.aux();
+        let entry = aux.files.entry(file).or_default();
         entry.size = entry.size.max(size);
     }
 
@@ -214,46 +220,35 @@ impl Auditor {
 
     /// The recorded size of `file` and its staging seeds, under one lock.
     fn file_entry(&self, file: FileId) -> (u64, Option<Arc<Seeds>>) {
-        self.aux_lock();
-        self.files.lock().get(&file).map_or((0, None), |e| (e.size, e.seeds.clone()))
-    }
-
-    /// Routes `update` to the queue stripe matching its segment's map
-    /// shard, so queue contention follows map contention.
-    fn push_update(&self, update: ScoreUpdate) {
-        let stripe = self.stats.locate(&update.segment);
-        self.updates.push(stripe, update);
+        self.aux().files.get(&file).map_or((0, None), |e| (e.size, e.seeds.clone()))
     }
 
     /// Lock acquisitions across the ingestion path since construction.
     /// The `ingest` benchmark divides this by events processed to get its
-    /// locks-per-event figure.
+    /// locks-per-event figure. Reading them takes the locks uncounted.
     pub fn ingest_lock_stats(&self) -> IngestLockStats {
         IngestLockStats {
-            map_shard: self.stats.stats().snapshot().shard_locks,
-            queue_stripe: self.updates.lock_acquisitions(),
-            auxiliary: self.aux_locks.load(Ordering::Relaxed),
+            map_shard: self.stats.snapshot().shard_locks,
+            auxiliary: self.aux.lock().locks + self.updates.lock_acquisitions(),
         }
     }
 
     /// Exports the statistics map's shard counters (inserts, hits, lock
     /// acquisitions, …) into the configured recorder under `dht.map.*`,
     /// plus the ingestion-contention telemetry: lock acquisitions by
-    /// family ([`IngestLockStats`]) and the striped update queue's shape
-    /// and level. The counters are cumulative since construction: export
-    /// once per run (the obs-diff gate watches them for regressions in
-    /// the striped ingestion path).
+    /// family ([`IngestLockStats`]) and the update queue's level. The
+    /// counters are cumulative since construction: export once per run
+    /// (the obs-diff gate watches them for regressions in the ingestion
+    /// path).
     pub fn export_obs(&self) {
         if !self.cfg.obs.is_enabled() {
             return;
         }
-        self.stats.stats().snapshot().export_obs(&self.cfg.obs);
+        self.stats.snapshot().export_obs(&self.cfg.obs);
         let locks = self.ingest_lock_stats();
         let o = &self.cfg.obs;
         o.counter_add("ingest.locks.map_shard", obs::Label::None, locks.map_shard);
-        o.counter_add("ingest.locks.queue_stripe", obs::Label::None, locks.queue_stripe);
         o.counter_add("ingest.locks.auxiliary", obs::Label::None, locks.auxiliary);
-        o.gauge_set("ingest.queue.stripes", obs::Label::None, dht::SHARDS as u64);
         o.gauge_set("ingest.queue.pending", obs::Label::None, self.updates.pending());
     }
 
@@ -276,9 +271,8 @@ impl Auditor {
     /// saved under another segment size is ignored.
     pub fn start_epoch(&self, file: FileId, now: Timestamp) -> bool {
         let first = {
-            self.aux_lock();
-            let mut refs = self.epoch_refs.lock();
-            let count = refs.entry(file).or_insert(0);
+            let mut aux = self.aux();
+            let count = aux.epoch_refs.entry(file).or_insert(0);
             *count += 1;
             *count == 1
         };
@@ -350,9 +344,8 @@ impl Auditor {
             state
         };
         {
-            self.aux_lock();
-            let mut files = self.files.lock();
-            if let Some(entry) = files.get_mut(&file) {
+            let mut aux = self.aux();
+            if let Some(entry) = aux.files.get_mut(&file) {
                 // A fill re-seeds every segment; without one, earlier seeds
                 // of segments not staged now stay as they were.
                 let mut seeds = match (&fill, entry.seeds.take()) {
@@ -379,10 +372,9 @@ impl Auditor {
         // score, and the explicit updates then overwrite theirs.
         let staged = fill.is_some() || !explicit.is_empty();
         if let Some(fill) = fill {
-            self.updates.push_fill(fill, segments - explicit.len() as u64);
+            self.updates.push_fill(&self.stats, fill, segments - explicit.len() as u64);
         }
-        let keys: Vec<SegmentId> = explicit.iter().map(|u| u.segment).collect();
-        self.updates.push_ordered(&self.stats.route(&keys), |idx| explicit[idx]);
+        self.updates.push_all(&self.stats, &explicit);
         if staged {
             self.note_ingest(now);
         }
@@ -393,14 +385,13 @@ impl Auditor {
     /// concurrent closer; the heatmap is persisted at that point.
     pub fn end_epoch(&self, file: FileId, now: Timestamp) -> bool {
         let last = {
-            self.aux_lock();
-            let mut refs = self.epoch_refs.lock();
-            match refs.get_mut(&file) {
+            let mut aux = self.aux();
+            match aux.epoch_refs.get_mut(&file) {
                 None => return false,
                 Some(count) => {
                     *count = count.saturating_sub(1);
                     if *count == 0 {
-                        refs.remove(&file);
+                        aux.epoch_refs.remove(&file);
                         true
                     } else {
                         false
@@ -419,8 +410,7 @@ impl Auditor {
 
     /// True if `file` currently has an open epoch.
     pub fn in_epoch(&self, file: FileId) -> bool {
-        self.aux_lock();
-        self.epoch_refs.lock().contains_key(&file)
+        self.aux().epoch_refs.contains_key(&file)
     }
 
     /// Observes a read: updates frequency/recency/sequencing for every
@@ -436,19 +426,23 @@ impl Auditor {
         process: ProcessId,
         now: Timestamp,
     ) -> usize {
-        // One lookup for the whole call; per-segment sizes are derived
-        // locally.
-        let (size, seeds) = self.file_entry(file);
-        if size == 0 || range.offset >= size {
-            return 0;
-        }
-        let clamped = ByteRange::from_bounds(range.offset, range.end().min(size));
-        let parts = segments_of_request(file, clamped, self.cfg.segment_size);
-        if parts.is_empty() {
-            return 0;
-        }
-        self.aux_lock();
-        let carried = self.last_by_process.lock().get(&process).copied();
+        // One auxiliary lock for the whole call: the file's size and seeds,
+        // and the process's previous segment, swapped for this read's last.
+        let (size, seeds, carried, first, last_seg) = {
+            let mut aux = self.aux();
+            let (size, seeds) =
+                aux.files.get(&file).map_or((0, None), |e| (e.size, e.seeds.clone()));
+            let end = range.end().min(size);
+            if range.offset >= end {
+                return 0;
+            }
+            let last = SegmentId::new(file, (end - 1) / self.cfg.segment_size);
+            let carried = aux.last_by_process.insert(process, last);
+            (size, seeds, carried, range.offset / self.cfg.segment_size, last)
+        };
+        // The touched segments are `first..=last_seg.index`.
+        let touched = (last_seg.index - first + 1) as usize;
+        let segment = |idx: usize| SegmentId::new(file, first + idx as u64);
         let params = self.cfg.score;
         let seg_size = |index: u64| segment_range(index, self.cfg.segment_size, size).len;
         let seed = |index: u64| seeds.as_ref().and_then(|s| s.get(index));
@@ -475,79 +469,78 @@ impl Auditor {
             st.score.record(now, &params, n)
         };
         let prev_of = |idx: usize| -> Option<SegmentId> {
-            let seg = parts[idx].0;
             match idx {
-                0 => carried.filter(|p| p.file == file && *p != seg),
-                _ => Some(parts[idx - 1].0),
+                0 => carried.filter(|p| p.file == file && *p != segment(0)),
+                _ => Some(segment(idx - 1)),
             }
         };
-        // `record` leaves the last segment's accumulator stamped at `now`,
-        // so the score it returns *is* the lookahead's starting peek — no
-        // map re-read needed.
-        let last_seg = parts.last().expect("non-empty").0;
-        let last_score = if parts.len() > 1 {
-            // Route once: the shard-grouped visit order drives the map's
-            // batched write pass *and* the queue's grouped push (stripes
-            // align with shards), so a request pays one hashing/sorting
-            // pass and one lock per shard touched — in each structure —
-            // instead of one lock per segment.
-            let keys: Vec<SegmentId> = parts.iter().map(|(seg, _)| *seg).collect();
+        let observed = |segment: SegmentId, score: f64| ScoreUpdate {
+            segment,
+            score,
+            size: seg_size(segment.index),
+            anticipated: false,
+        };
+        // Stamps for every push this call can make, in the order it makes
+        // them: the touched segments, then each lookahead step.
+        let lookahead = self.cfg.lookahead;
+        let stamp = self.updates.stamps(touched + lookahead as usize);
+        // Each segment's statistics and its queued score go under its
+        // shard's one lock. `record` leaves the last segment's accumulator
+        // stamped at `now`, so the score it returns *is* the lookahead's
+        // starting peek — no map re-read needed.
+        let last_score = if touched > 1 {
+            // Route once: one lock per shard touched instead of one per
+            // segment.
+            let keys: Vec<SegmentId> = (0..touched).map(segment).collect();
             let order = self.stats.route(&keys);
-            let scores = self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st| {
-                record(st, keys[idx].index, prev_of(idx))
-            });
-            self.updates.push_ordered(&order, |idx| ScoreUpdate {
-                segment: keys[idx],
-                score: scores[idx],
-                size: seg_size(keys[idx].index),
-                anticipated: false,
-            });
+            let scores =
+                self.stats.update_ordered_with(&order, &keys, SegmentStat::default, |idx, st, stripe| {
+                    let score = record(st, keys[idx].index, prev_of(idx));
+                    stripe.push(stamp + idx as u64, observed(keys[idx], score));
+                    score
+                });
             *scores.last().expect("non-empty")
         } else {
-            let score = self.stats.update_with(last_seg, SegmentStat::default, |st| {
-                record(st, last_seg.index, prev_of(0))
-            });
-            self.push_update(ScoreUpdate {
-                segment: last_seg,
-                score,
-                size: seg_size(last_seg.index),
-                anticipated: false,
-            });
-            score
+            self.stats.update_with_side(last_seg, SegmentStat::default, |st, stripe| {
+                let score = record(st, last_seg.index, prev_of(0));
+                stripe.push(stamp, observed(last_seg, score));
+                score
+            })
         };
         // Sequencing lookahead: anticipate the successors of the last
         // touched segment.
         let total_segments = segment_count(size, self.cfg.segment_size);
+        let mut pushed = touched as u64;
         let mut anticipated = last_score;
-        for step in 1..=self.cfg.lookahead {
+        for step in 1..=lookahead {
             anticipated *= LOOKAHEAD_DECAY;
             let index = last_seg.index + step;
             if index >= total_segments {
                 break;
             }
             let succ = SegmentId::new(file, index);
+            let at = stamp + touched as u64 + step - 1;
             // In-place peek: no `SegmentStat` clone (the predecessor Vec
             // would make a `get`-based peek an allocation). A never-read
             // segment has no predecessors, so n = 1.
-            let existing = self
-                .stats
-                .get_with(&succ, |st| st.score.peek(now, &params, st.n()))
-                .or_else(|| seed(index).map(|state| state.peek(now, &params, 1)))
-                .unwrap_or(0.0);
-            let score = existing.max(anticipated);
-            if score > 0.0 {
-                self.push_update(ScoreUpdate {
-                    segment: succ,
-                    score,
-                    size: seg_size(index),
-                    anticipated: true,
-                });
-            }
+            let queued = self.stats.peek_with(&succ, |st, stripe| {
+                let existing = match st {
+                    Some(st) => st.score.peek(now, &params, st.n()),
+                    None => seed(index).map_or(0.0, |state| state.peek(now, &params, 1)),
+                };
+                let score = existing.max(anticipated);
+                let queued = score > 0.0;
+                if queued {
+                    let size = seg_size(index);
+                    stripe.push(at, ScoreUpdate { segment: succ, score, size, anticipated: true });
+                }
+                queued
+            });
+            pushed += u64::from(queued);
         }
-        self.aux_lock();
-        self.last_by_process.lock().insert(process, last_seg);
+        self.updates.pushed(pushed);
         self.note_ingest(now);
-        parts.len()
+        touched
     }
 
     /// Observes a write: returns the segments whose prefetched data must be
@@ -568,7 +561,7 @@ impl Auditor {
     /// so a single-threaded producer drains exactly what the old global
     /// queue produced); staged files come as fills.
     pub fn drain_updates(&self) -> UpdateBatch {
-        self.updates.drain()
+        self.updates.drain(&self.stats)
     }
 
     /// Number of updates accumulated since the last drain. Counts *raw*
@@ -850,6 +843,65 @@ mod tests {
                 shards.len()
             );
         }
+    }
+
+    /// A one-segment read takes one auxiliary lock (file entry and the
+    /// process's last segment) and one shard lock per segment it touches:
+    /// the statistics update with its queued score, and each lookahead peek
+    /// with its queued anticipation.
+    #[test]
+    fn a_read_takes_one_lock_per_segment_touched_and_one_auxiliary() {
+        let a = auditor();
+        a.set_file_size(F, 64 * MIB);
+        let lookahead = a.config().lookahead;
+        let before = a.ingest_lock_stats();
+        a.observe_read(F, ByteRange::new(8 * MIB, MIB), ProcessId(0), Timestamp::from_secs(1));
+        let after = a.ingest_lock_stats();
+        assert_eq!(after.auxiliary - before.auxiliary, 1);
+        assert_eq!(after.map_shard - before.map_shard, 1 + lookahead);
+        assert_eq!(a.pending_updates() as u64, 1 + lookahead);
+        // A read past the end of the file takes the auxiliary lock only.
+        a.observe_read(F, ByteRange::new(64 * MIB, MIB), ProcessId(0), Timestamp::from_secs(2));
+        let past = a.ingest_lock_stats();
+        assert_eq!((past.auxiliary, past.map_shard), (after.auxiliary + 1, after.map_shard));
+    }
+
+    /// Four readers over overlapping segments race a drainer: every drain
+    /// holds one update per segment, and once the readers stop the raw
+    /// count drains to 0. The drain's own uniqueness check is a debug
+    /// assertion; this one holds in release builds too.
+    #[test]
+    fn concurrent_reads_drain_one_update_per_segment() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let a = auditor();
+        a.set_file_size(F, 16 * MIB);
+        a.start_epoch(F, Timestamp::ZERO);
+        let readers_done = AtomicUsize::new(0);
+        let unique = |batch: &UpdateBatch| {
+            let mut seen = std::collections::HashSet::new();
+            batch.updates().iter().all(|u| seen.insert(u.segment))
+        };
+        std::thread::scope(|s| {
+            for p in 0..4u64 {
+                let (a, readers_done) = (&a, &readers_done);
+                s.spawn(move || {
+                    for i in 0..2000u64 {
+                        let first = (p * 3 + i * 5) % 14;
+                        let read = ByteRange::new(first * MIB, (1 + i % 3) * MIB);
+                        a.observe_read(F, read, ProcessId(p as u32), Timestamp::from_millis(i));
+                    }
+                    readers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            s.spawn(|| {
+                while readers_done.load(Ordering::Acquire) < 4 {
+                    assert!(unique(&a.drain_updates()), "a segment drained twice in one batch");
+                    std::thread::yield_now();
+                }
+            });
+        });
+        assert!(unique(&a.drain_updates()));
+        assert_eq!(a.pending_updates(), 0, "the raw count returns to 0");
     }
 
     /// An auditor whose base score is large enough to tell a seeded

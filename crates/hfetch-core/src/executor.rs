@@ -205,6 +205,11 @@ impl Executor {
         self.demand.is_empty() && self.staging.is_empty() && self.parked.is_empty() && self.busy.is_empty()
     }
 
+    /// True while a transfer is in flight: its completion will be reported.
+    pub fn in_flight(&self) -> bool {
+        !self.busy.is_empty()
+    }
+
     /// A transfer of `segment` landed: frees its slot if it was demand,
     /// requeues parked actions and issues queued ones.
     pub fn transfer_done(&mut self, segment: SegmentId, io: &mut impl Transfers) {

@@ -15,9 +15,9 @@
 //!   maps the score spectrum onto the tier stack with per-tier watermarks,
 //!   capacity-aware demotion cascades, and an exclusive placement model.
 //! * [`update_queue`] — striped, coalescing score-update queues: the
-//!   pending-update vector sharded along the DHT's topology so ingestion
-//!   never funnels through one global lock, with a deterministic
-//!   first-touch merge on drain.
+//!   pending-update vector kept inside the statistics map's shards, so a
+//!   read's statistics and its queued score take one lock, with a
+//!   deterministic first-touch merge on drain.
 //! * [`executor`] — the one pass → execute → reconcile loop around the
 //!   engine, behind a small transfer trait both deployments implement.
 //! * [`policy`] — the simulator adapter: wires auditor + executor into
@@ -49,7 +49,7 @@ pub mod update_queue;
 
 pub use agent::HFetchAgent;
 pub use auditor::{Auditor, IngestLockStats, ScoreUpdate};
-pub use update_queue::{Fill, StripedUpdateQueue, UpdateBatch};
+pub use update_queue::{Fill, StripedMap, StripedUpdateQueue, UpdateBatch};
 pub use config::{HFetchConfig, Reactiveness};
 pub use engine::{PlacementAction, PlacementEngine};
 pub use executor::{Executor, Transfers};

@@ -480,8 +480,10 @@ impl HFetchServer {
     /// all pending updates, and the executor has no queued or in-flight
     /// work. Gives tests and examples a deterministic settle point.
     ///
-    /// While work remains it waits for an I/O client to finish a job, at
-    /// most 5 ms a time, so parked actions are still ticked again.
+    /// While a transfer is in flight it waits for an I/O client to finish
+    /// a job, which every completion signals. With none in flight nothing
+    /// could signal, so it ticks again at once: a denied action spends one
+    /// retry per tick, so the retries run out.
     pub fn quiesce(&self) {
         let inner = &self.inner;
         let (count, progress) = &inner.finished;
@@ -491,13 +493,15 @@ impl HFetchServer {
             }
             let seen = *count.lock().expect("finished-jobs lock");
             let now = inner.clock.now();
-            let idle = inner.with_exec(|exec, io| exec.tick(&inner.auditor, now, io));
+            let (idle, in_flight) = inner
+                .with_exec(|exec, io| (exec.tick(&inner.auditor, now, io), exec.in_flight()));
             if idle && inner.queue.is_empty() && inner.auditor.pending_updates() == 0 {
                 break;
             }
-            let guard = count.lock().expect("finished-jobs lock");
-            let unchanged = |n: &mut u64| *n == seen;
-            let _ = progress.wait_timeout_while(guard, Duration::from_millis(5), unchanged);
+            if in_flight {
+                let guard = count.lock().expect("finished-jobs lock");
+                drop(progress.wait_while(guard, |n| *n == seen).expect("finished-jobs lock"));
+            }
         }
     }
 
@@ -761,6 +765,40 @@ mod tests {
         assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
         assert_eq!(server.inner().backend(TierId(0)).used_bytes(), 0);
         server.inner().check_drift().unwrap();
+        shim.fclose(&h);
+        server.shutdown();
+    }
+
+    /// A denied action with nothing in flight is retried tick after tick
+    /// until its retries run out: no completion could end a wait for one.
+    #[test]
+    fn a_denied_action_with_nothing_in_flight_is_retried_without_waiting() {
+        let server = HFetchServer::in_memory(HFetchConfig::default(), small_hierarchy());
+        let inner = Arc::clone(server.inner());
+        // Capacity held outside the engine's model denies every fetch.
+        let held: Vec<(TierId, u64)> =
+            inner.hierarchy().iter_cache().map(|(tier, _)| (tier, inner.ledger.available(tier))).collect();
+        for &(tier, bytes) in &held {
+            inner.ledger.reserve(tier, bytes).unwrap();
+        }
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/denied", mib(2)).unwrap();
+        let started = std::time::Instant::now();
+        let (h, _) = shim.fopen(
+            "/denied",
+            events::shim::OpenMode::Read,
+            tiers::ids::ProcessId(0),
+            tiers::ids::AppId(0),
+        );
+        server.quiesce();
+        let took = started.elapsed();
+        assert!(server.stats().denied_fetches.load(Ordering::Relaxed) > 0, "staging was denied");
+        // Eight retries, each once waited out in 5 ms laps, took over 40 ms.
+        assert!(took < Duration::from_millis(20), "quiesce took {took:?}");
+        for (tier, bytes) in held {
+            inner.ledger.release(tier, bytes).unwrap();
+        }
+        inner.check_drift().unwrap();
         shim.fclose(&h);
         server.shutdown();
     }

@@ -1,20 +1,23 @@
 //! Striped, coalescing score-update queues.
 //!
 //! The auditor's update vector is the one piece of state every monitor
-//! daemon writes on every event, so a single `Mutex<Vec<_>>` serialises
-//! the whole ingestion path even though the segment *statistics* are
-//! already sharded. [`StripedUpdateQueue`] has one stripe per statistics
-//! map shard ([`dht::SHARDS`]) and the auditor routes each segment's
-//! updates to the stripe matching its map shard, so two daemons
-//! ingesting different segments take different queue locks exactly when
-//! they take different map locks.
+//! daemon writes on every event, so a single `Mutex<Vec<_>>` would
+//! serialise the whole ingestion path even though the segment *statistics*
+//! are sharded. Instead each statistics shard holds one [`Stripe`] of
+//! pending updates as its side state ([`StripedMap`]): recording a read
+//! and queueing its score take that shard's one lock, and a segment's
+//! update can land only in its own shard's stripe, so two daemons contend
+//! on a stripe exactly when they contend on the statistics.
+//! [`StripedUpdateQueue`] keeps what the stripes share: the first-touch
+//! stamps, the raw push count and the fills.
 //!
 //! Determinism: every *new* segment slot is stamped with a globally
 //! monotonic sequence number, and [`drain`] merges the stripes by sorting
 //! slots on that stamp. A single-threaded producer therefore drains in
-//! first-touch order, byte-identical to the old global queue; concurrent
+//! first-touch order, byte-identical to one global queue; concurrent
 //! producers drain in the (deterministic, per-interleaving) order their
-//! first touches were stamped.
+//! first touches were stamped. A segment has one slot in one stripe, so a
+//! drain holds one update per segment by construction.
 //!
 //! Accounting: `pending()` counts **raw pushes** — the engine's
 //! count-based trigger (Reactiveness, §III-D) fires on access volume, not
@@ -33,9 +36,10 @@
 //!
 //! [`drain`]: StripedUpdateQueue::drain
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dht::FxHashMap;
+use dht::{DistributedMap, FxHashMap};
 use parking_lot::Mutex;
 use tiers::ids::{FileId, SegmentId};
 use tiers::range::{segment_count, segment_range};
@@ -55,7 +59,7 @@ pub struct Fill {
     score: f64,
     /// Sorted indices the fill does not expand, because its batch carried
     /// an explicit update for them (kept when a filter later drops that
-    /// update). Maintained by [`UpdateBatch::new`].
+    /// update). Maintained by [`UpdateBatch::from_unique`].
     except: Vec<u64>,
 }
 
@@ -139,7 +143,7 @@ impl UpdateBatch {
     /// # Panics
     ///
     /// If two fills stage the same file.
-    pub fn new(updates: Vec<ScoreUpdate>, mut fills: Vec<Fill>) -> Self {
+    pub fn new(updates: Vec<ScoreUpdate>, fills: Vec<Fill>) -> Self {
         let mut slot_of: FxHashMap<SegmentId, usize> = FxHashMap::default();
         let mut collapsed = Vec::with_capacity(updates.len());
         for u in updates {
@@ -148,7 +152,23 @@ impl UpdateBatch {
                 _ => collapsed.push(u),
             }
         }
-        let updates = collapsed;
+        Self::from_unique(collapsed, fills)
+    }
+
+    /// Builds a batch from updates that already hold one per segment, as a
+    /// drain's do: only the fills' skip lists are worked out.
+    ///
+    /// # Panics
+    ///
+    /// If two fills stage the same file.
+    pub(crate) fn from_unique(updates: Vec<ScoreUpdate>, mut fills: Vec<Fill>) -> Self {
+        debug_assert!(
+            {
+                let mut seen = std::collections::HashSet::new();
+                updates.iter().all(|u| seen.insert(u.segment))
+            },
+            "a segment has two updates in one batch"
+        );
         if fills.is_empty() {
             return Self { updates, fills };
         }
@@ -226,6 +246,14 @@ struct FillSlot {
     fill: Fill,
 }
 
+/// The pending fills, at most one per file, and the acquisitions of the
+/// lock guarding them.
+#[derive(Default)]
+struct Fills {
+    slots: Vec<FillSlot>,
+    locks: u64,
+}
+
 /// One coalesced slot: the latest update for a segment plus bookkeeping.
 struct Slot {
     /// Globally monotonic first-touch stamp; never reset, so merged
@@ -237,136 +265,133 @@ struct Slot {
     update: ScoreUpdate,
 }
 
-/// One stripe: a slot vector plus a segment → slot index.
+/// The pending updates of the segments one statistics shard holds: a slot
+/// vector plus a segment → slot index. It is the shard's side state, so
+/// the map hands out only the stripe of a segment's own shard.
 #[derive(Default)]
-struct Stripe {
+pub struct Stripe {
     slots: Vec<Slot>,
     index: FxHashMap<SegmentId, usize>,
 }
 
-/// Pending score updates, coalesced to the latest value per segment and
-/// striped across [`dht::SHARDS`] independently locked queues.
+impl Stripe {
+    /// Coalesces `update` into its segment's pending slot, or opens a slot
+    /// stamped `seq`.
+    pub(crate) fn push(&mut self, seq: u64, update: ScoreUpdate) {
+        match self.index.entry(update.segment) {
+            Entry::Occupied(e) => {
+                let slot = &mut self.slots[*e.get()];
+                slot.update = update;
+                slot.raw += 1;
+            }
+            Entry::Vacant(e) => {
+                e.insert(self.slots.len());
+                self.slots.push(Slot { seq, raw: 1, update });
+            }
+        }
+    }
+}
+
+/// The most slots a drain reserves room for up front: the pending count
+/// bounds the slots, but a staged fill can make it large.
+const DRAIN_CAPACITY: u64 = 4096;
+
+/// A statistics map whose shards hold the pending-update stripes.
+pub type StripedMap<V> = DistributedMap<SegmentId, V, Stripe>;
+
+/// What the pending updates share across stripes: the first-touch stamps,
+/// the raw push count and the fills. The slots themselves live in the
+/// [`Stripe`]s of a [`StripedMap`], which every method takes.
 #[derive(Default)]
 pub struct StripedUpdateQueue {
-    stripes: [Mutex<Stripe>; dht::SHARDS],
     /// Pending fills, at most one per file.
-    fills: Mutex<Vec<FillSlot>>,
+    fills: Mutex<Fills>,
     /// First-touch stamp source (never reset; see module docs).
     seq: AtomicU64,
     /// Raw pushes currently represented in the queue.
     pending: AtomicU64,
-    /// Stripe lock acquisitions (ingestion telemetry).
-    locks: AtomicU64,
 }
 
 impl StripedUpdateQueue {
-    /// Pushes `update` onto stripe `stripe`, which must be below
-    /// [`dht::SHARDS`] (caller routes; the auditor uses the segment's DHT
-    /// shard so queue and map contention align). Coalesces into the
-    /// segment's existing slot if one is pending.
-    pub fn push(&self, stripe: usize, update: ScoreUpdate) {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.stripes[stripe].lock();
-        let stripe_state = &mut *s;
-        match stripe_state.index.entry(update.segment) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let slot = &mut stripe_state.slots[*e.get()];
-                slot.update = update;
-                slot.raw += 1;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                e.insert(stripe_state.slots.len());
-                stripe_state.slots.push(Slot { seq, raw: 1, update });
-            }
-        }
-        self.pending.fetch_add(1, Ordering::Relaxed);
+    /// Reserves `n` consecutive first-touch stamps and returns the first.
+    /// A caller stamps its pushes in the order it makes them, so one call's
+    /// slots drain in that order.
+    pub(crate) fn stamps(&self, n: usize) -> u64 {
+        self.seq.fetch_add(n as u64, Ordering::Relaxed)
     }
 
-    /// Pushes a batch whose routing was already computed by the map:
-    /// `order` is `(shard, index)` sorted by shard (the exact value
-    /// `DistributedMap::route` returns), and `make(index)` produces the
-    /// update for that position. The shard grouping *is* the stripe
-    /// grouping, so each stripe's lock is taken once per group instead of
-    /// once per update. A block of sequence stamps is reserved up front
-    /// and new slots are stamped by their *index*, so drains order the
-    /// batch exactly as request order — grouping changes lock traffic,
-    /// never results.
-    pub fn push_ordered(&self, order: &[(usize, usize)], mut make: impl FnMut(usize) -> ScoreUpdate) {
-        if let [(stripe, idx)] = order {
-            return self.push(*stripe, make(*idx));
-        }
-        let base = self.seq.fetch_add(order.len() as u64, Ordering::Relaxed);
-        let mut i = 0;
-        while i < order.len() {
-            let stripe = order[i].0;
-            self.locks.fetch_add(1, Ordering::Relaxed);
-            let mut s = self.stripes[stripe].lock();
-            let stripe_state = &mut *s;
-            while i < order.len() && order[i].0 == stripe {
-                let idx = order[i].1;
-                let update = make(idx);
-                match stripe_state.index.entry(update.segment) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let slot = &mut stripe_state.slots[*e.get()];
-                        slot.update = update;
-                        slot.raw += 1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(stripe_state.slots.len());
-                        stripe_state.slots.push(Slot { seq: base + idx as u64, raw: 1, update });
-                    }
-                }
-                i += 1;
-            }
-        }
-        self.pending.fetch_add(order.len() as u64, Ordering::Relaxed);
+    /// Counts `n` raw pushes made into the stripes.
+    pub(crate) fn pushed(&self, n: u64) {
+        self.pending.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Pushes `updates`, each into the stripe of its segment's shard,
+    /// taking each stripe's lock once per shard group. An update coalesces
+    /// into its segment's pending slot if it has one; new slots are stamped
+    /// by position, so the batch drains in its own order.
+    pub fn push_all<V>(&self, map: &StripedMap<V>, updates: &[ScoreUpdate]) {
+        let keys: Vec<SegmentId> = updates.iter().map(|u| u.segment).collect();
+        let base = self.stamps(updates.len());
+        map.side_ordered(&map.route(&keys), &keys, |idx, stripe| {
+            stripe.push(base + idx as u64, updates[idx]);
+        });
+        self.pushed(updates.len() as u64);
     }
 
     /// Queues `fill`, standing for `raw` per-segment pushes. The file's
     /// pending slots below the fill's segment count are rewritten to the
     /// fill's update, as those pushes would have done; a fill already
     /// pending for the file is replaced and its raw count carried over.
-    pub fn push_fill(&self, fill: Fill, raw: u64) {
+    pub fn push_fill<V>(&self, map: &StripedMap<V>, fill: Fill, raw: u64) {
         let segments = fill.segments();
-        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
-        for stripe in &self.stripes {
-            for slot in stripe.lock().slots.iter_mut() {
+        map.for_each_side(|stripe| {
+            for slot in stripe.slots.iter_mut() {
                 let seg = slot.update.segment;
                 if seg.file == fill.file && seg.index < segments {
                     slot.update = fill.update(seg.index);
                 }
             }
-        }
+        });
         let mut fills = self.fills.lock();
-        match fills.iter_mut().find(|s| s.fill.file == fill.file) {
+        fills.locks += 1;
+        match fills.slots.iter_mut().find(|s| s.fill.file == fill.file) {
             Some(slot) => {
                 slot.raw += raw;
                 slot.fill = fill;
             }
-            None => fills.push(FillSlot { raw, fill }),
+            None => fills.slots.push(FillSlot { raw, fill }),
         }
         self.pending.fetch_add(raw, Ordering::Relaxed);
     }
 
     /// Drains every stripe and the fills. Slots merge into first-touch
-    /// order (ascending sequence stamp). The pending counter is decremented
-    /// by exactly the raw pushes the drained slots and fills absorbed —
-    /// pushes that land on a stripe after it was emptied stay counted.
-    pub fn drain(&self) -> UpdateBatch {
-        let mut slots: Vec<Slot> = Vec::new();
-        self.locks.fetch_add(self.stripes.len() as u64 + 1, Ordering::Relaxed);
-        for stripe in &self.stripes {
-            let mut s = stripe.lock();
-            s.index.clear();
-            slots.append(&mut s.slots);
-        }
-        let fills = std::mem::take(&mut *self.fills.lock());
-        let raw: u64 = slots.iter().map(|s| s.raw).chain(fills.iter().map(|s| s.raw)).sum();
+    /// order (ascending sequence stamp). A segment's slot lives only in
+    /// its own shard's stripe, so the batch holds one update per segment
+    /// without a collapse. The pending counter is decremented by exactly
+    /// the raw pushes the drained slots and fills absorbed — pushes that
+    /// land on a stripe after it was emptied stay counted.
+    pub fn drain<V>(&self, map: &StripedMap<V>) -> UpdateBatch {
+        // Every slot stands for at least one raw push.
+        let mut stamped: Vec<(u64, ScoreUpdate)> =
+            Vec::with_capacity(self.pending().min(DRAIN_CAPACITY) as usize);
+        let mut raw = 0;
+        map.for_each_side(|stripe| {
+            stripe.index.clear();
+            stamped.extend(stripe.slots.drain(..).map(|slot| {
+                raw += slot.raw;
+                (slot.seq, slot.update)
+            }));
+        });
+        let fills = {
+            let mut fills = self.fills.lock();
+            fills.locks += 1;
+            std::mem::take(&mut fills.slots)
+        };
+        raw += fills.iter().map(|s| s.raw).sum::<u64>();
         self.pending.fetch_sub(raw, Ordering::Relaxed);
-        slots.sort_unstable_by_key(|slot| slot.seq);
-        UpdateBatch::new(
-            slots.into_iter().map(|slot| slot.update).collect(),
+        stamped.sort_unstable_by_key(|&(seq, _)| seq);
+        UpdateBatch::from_unique(
+            stamped.into_iter().map(|(_, update)| update).collect(),
             fills.into_iter().map(|slot| slot.fill).collect(),
         )
     }
@@ -377,9 +402,10 @@ impl StripedUpdateQueue {
         self.pending.load(Ordering::Relaxed)
     }
 
-    /// Stripe lock acquisitions so far (ingestion telemetry; relaxed).
+    /// Acquisitions of the fills' lock so far (ingestion telemetry; the
+    /// stripes' locks are the map's shard locks).
     pub fn lock_acquisitions(&self) -> u64 {
-        self.locks.load(Ordering::Relaxed)
+        self.fills.lock().locks
     }
 }
 
@@ -396,110 +422,110 @@ mod tests {
         }
     }
 
+    /// An empty queue over stripes with no statistics beside them.
+    fn queue() -> (StripedUpdateQueue, StripedMap<()>) {
+        (StripedUpdateQueue::default(), StripedMap::default())
+    }
+
     #[test]
     fn coalesces_to_latest_in_first_touch_order() {
-        let q = StripedUpdateQueue::default();
-        // Route everything to one stripe to pin intra-stripe behaviour.
-        q.push(0, upd(1, 0, 1.0));
-        q.push(0, upd(1, 1, 1.0));
-        q.push(0, upd(1, 0, 5.0));
+        let (q, m) = queue();
+        q.push_all(&m, &[upd(1, 0, 1.0)]);
+        q.push_all(&m, &[upd(1, 1, 1.0)]);
+        q.push_all(&m, &[upd(1, 0, 5.0)]);
         assert_eq!(q.pending(), 3, "pending counts raw pushes");
-        let drained = q.drain().updates().to_vec();
+        let drained = q.drain(&m).updates().to_vec();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].segment.index, 0, "first-touch order");
         assert_eq!(drained[0].score, 5.0, "latest score wins");
         assert_eq!(drained[1].segment.index, 1);
         assert_eq!(q.pending(), 0);
-        assert!(q.drain().is_empty());
+        assert!(q.drain(&m).is_empty());
     }
 
     #[test]
     fn merge_across_stripes_is_seq_ordered() {
-        let q = StripedUpdateQueue::default();
+        let (q, m) = queue();
         // First touches interleave across stripes; drain must restore the
         // global stamp order, not stripe-by-stripe order.
-        q.push(7, upd(1, 70, 1.0));
-        q.push(0, upd(1, 0, 1.0));
-        q.push(3, upd(1, 30, 1.0));
-        q.push(7, upd(1, 70, 2.0)); // coalesce keeps stamp 0
-        let drained = q.drain().updates().to_vec();
+        let shards: Vec<usize> = [70, 0, 30].iter().map(|&i| m.locate(&upd(1, i, 0.0).segment)).collect();
+        assert!(shards[0] != shards[1] && shards[1] != shards[2] && shards[0] != shards[2]);
+        q.push_all(&m, &[upd(1, 70, 1.0)]);
+        q.push_all(&m, &[upd(1, 0, 1.0)]);
+        q.push_all(&m, &[upd(1, 30, 1.0)]);
+        q.push_all(&m, &[upd(1, 70, 2.0)]); // coalesce keeps the first stamp
+        let drained = q.drain(&m).updates().to_vec();
         let order: Vec<u64> = drained.iter().map(|u| u.segment.index).collect();
         assert_eq!(order, vec![70, 0, 30]);
         assert_eq!(drained[0].score, 2.0);
     }
 
     #[test]
-    fn push_ordered_drains_identically_to_single_pushes() {
-        // Same routed items, once via push(), once via push_ordered(): the
-        // drains must match byte-for-byte (order and values), and the
-        // grouped push must take fewer stripe locks.
-        let items: Vec<(usize, ScoreUpdate)> = (0..40)
-            .map(|i| ((i * 7 % 5) as usize, upd(1 + i % 2, i % 13, i as f64)))
-            .collect();
-        let one = StripedUpdateQueue::default();
-        for (stripe, u) in &items {
-            one.push(*stripe, *u);
+    fn push_all_drains_identically_to_single_pushes() {
+        // The same updates, once one push at a time, once as a batch: the
+        // drains must match byte-for-byte (order and values), and the batch
+        // must take fewer shard locks.
+        let items: Vec<ScoreUpdate> = (0..40).map(|i| upd(1 + i % 2, i % 13, i as f64)).collect();
+        let (one, one_map) = queue();
+        for u in &items {
+            one.push_all(&one_map, std::slice::from_ref(u));
         }
-        let mut order: Vec<(usize, usize)> =
-            items.iter().enumerate().map(|(i, (stripe, _))| (*stripe, i)).collect();
-        order.sort_unstable();
-        let many = StripedUpdateQueue::default();
-        many.push_ordered(&order, |i| items[i].1);
+        let (many, many_map) = queue();
+        many.push_all(&many_map, &items);
         assert_eq!(many.pending(), one.pending());
-        let grouped_locks = many.lock_acquisitions();
-        assert!(grouped_locks < one.lock_acquisitions(), "grouping must save stripe locks");
-        let (a, b) = (one.drain().updates().to_vec(), many.drain().updates().to_vec());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
+        let locks = |m: &StripedMap<()>| m.snapshot().shard_locks;
+        assert!(locks(&many_map) < locks(&one_map), "grouping must save shard locks");
+        let (a, b) = (one.drain(&one_map), many.drain(&many_map));
+        assert_eq!(a.updates().len(), b.updates().len());
+        for (x, y) in a.updates().iter().zip(b.updates()) {
             assert_eq!(x.segment, y.segment, "first-touch order must match");
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
-        many.push_ordered(&[], |i| items[i].1);
+        many.push_all(&many_map, &[]);
         assert_eq!(many.pending(), 0, "empty batch is a no-op");
-        many.push_ordered(&[(items[7].0, 7)], |i| items[i].1);
-        assert_eq!(many.drain().updates(), &[items[7].1], "one-item batch");
+        many.push_all(&many_map, &items[7..8]);
+        assert_eq!(many.drain(&many_map).updates(), &items[7..8], "one-item batch");
     }
 
     #[test]
     fn pending_is_exact_under_concurrent_push_and_drain() {
-        let q = std::sync::Arc::new(StripedUpdateQueue::default());
+        let (q, m) = queue();
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let q = q.clone();
+                let (q, m) = (&q, &m);
                 s.spawn(move || {
                     for i in 0..2000 {
-                        q.push((t + i) as usize % dht::SHARDS, upd(t, i % 64, i as f64));
+                        q.push_all(m, &[upd(t, i % 64, i as f64)]);
                     }
                 });
             }
-            let q = q.clone();
+            let (q, m) = (&q, &m);
             s.spawn(move || {
-                // Racing drains: with the old `store(0)` reset, a push's
-                // count increment landing between the drain and the reset
-                // left the counter permanently out of sync with contents.
+                // Racing drains: a reset to zero would lose a push whose
+                // count landed between the drain and the reset.
                 for _ in 0..200 {
-                    q.drain();
+                    q.drain(m);
                     std::thread::yield_now();
                 }
             });
         });
         // Raw accounting: once producers stop, one drain must leave the
         // counter at exactly zero — no drift in either direction.
-        q.drain();
+        q.drain(&m);
         assert_eq!(q.pending(), 0, "counter consistent with (empty) queue");
     }
 
     #[test]
     fn fill_rewrites_pending_slots_and_later_pushes_supersede_it() {
-        let q = StripedUpdateQueue::default();
-        q.push(0, upd(1, 2, 9.0)); // pending before staging: rewritten
-        q.push(1, upd(1, 40, 9.0)); // past the staged size: kept
-        q.push(2, upd(2, 0, 9.0)); // another file: kept
+        let (q, m) = queue();
+        q.push_all(&m, &[upd(1, 2, 9.0)]); // pending before staging: rewritten
+        q.push_all(&m, &[upd(1, 40, 9.0)]); // past the staged size: kept
+        q.push_all(&m, &[upd(2, 0, 9.0)]); // another file: kept
         let fill = Fill::new(FileId(1), 4 * 1024 + 100, 1024, 0.5);
-        q.push_fill(fill.clone(), 5);
-        q.push(3, upd(1, 3, 7.0)); // after staging: supersedes the fill
+        q.push_fill(&m, fill.clone(), 5);
+        q.push_all(&m, &[upd(1, 3, 7.0)]); // after staging: supersedes the fill
         assert_eq!(q.pending(), 3 + 5 + 1, "the fill counts the pushes it stands for");
-        let batch = q.drain();
+        let batch = q.drain(&m);
         assert_eq!(q.pending(), 0);
         let score = |file: u64, index: u64| {
             let seg = SegmentId::new(FileId(file), index);
@@ -541,24 +567,25 @@ mod tests {
 
     #[test]
     fn a_second_fill_replaces_the_first() {
-        let q = StripedUpdateQueue::default();
-        q.push_fill(Fill::new(FileId(1), 2048, 1024, 0.5), 2);
-        q.push_fill(Fill::new(FileId(1), 4096, 1024, 0.5), 4);
+        let (q, m) = queue();
+        q.push_fill(&m, Fill::new(FileId(1), 2048, 1024, 0.5), 2);
+        q.push_fill(&m, Fill::new(FileId(1), 4096, 1024, 0.5), 4);
         assert_eq!(q.pending(), 6);
-        let batch = q.drain();
+        let batch = q.drain(&m);
         assert_eq!(batch.fills().len(), 1);
         assert_eq!(batch.fills()[0].segments(), 4, "the later staging wins");
         assert_eq!(q.pending(), 0);
     }
 
     #[test]
-    fn lock_telemetry_counts_stripe_visits() {
-        let q = StripedUpdateQueue::default();
-        q.push(0, upd(1, 0, 1.0));
-        q.push(1, upd(1, 1, 1.0));
-        assert_eq!(q.lock_acquisitions(), 2);
-        q.drain();
-        let drain_locks = dht::SHARDS as u64 + 1;
-        assert_eq!(q.lock_acquisitions(), 2 + drain_locks, "drain visits every stripe and fills");
+    fn lock_telemetry_counts_shard_visits_and_the_fills_lock() {
+        let (q, m) = queue();
+        q.push_all(&m, &[upd(1, 0, 1.0)]);
+        q.push_all(&m, &[upd(1, 1, 1.0)]);
+        assert_eq!((m.snapshot().shard_locks, q.lock_acquisitions()), (2, 0));
+        q.drain(&m);
+        let shards = dht::SHARDS as u64;
+        assert_eq!(m.snapshot().shard_locks, 2 + shards, "drain visits every stripe");
+        assert_eq!(q.lock_acquisitions(), 1, "and the fills once");
     }
 }

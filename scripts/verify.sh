@@ -78,15 +78,21 @@
 #      ratio of at least 0.95 (sim-clock exact; it reads 0.965). When one
 #      in-flight window counted staged fills and demand fetches together,
 #      staged fills held the slots the readers' fetches needed, and it read
-#      0.862.
+#      0.862. A traced run of the same seed (--trace 1) must then report
+#      exactly ingest.locks_per_event = 6.709 (sim-exact): with separate
+#      queue stripes beside the statistics shards, a separate last-segment
+#      lookup and the drain's hash-map collapse it read 12.571, so a lock
+#      that comes back fails here.
 #  13. sim_large_file layer counts: a short seed-7 traced benchmark run
 #      (--trace 1) must report the sim-exact counts engine.passes = 209,
 #      placement.events = 13931, sim.fetch.transfers = 3844 and
 #      effect.prefetch.wasted = 1438. The engine's shortcuts (re-keying a
 #      segment where it sits, jumping over fill entries that change
 #      nothing) must make exactly the decisions a full settle of every
-#      update would; a count that moves is a decision that moved. The
-#      wall-clock layer times of the same run are not gated.
+#      update would; a count that moves is a decision that moved. The same
+#      run must report ingest.locks_per_event = 8.089 exactly (14.311 with
+#      separate queue stripes and last-segment lookups). The wall-clock
+#      layer times of the same run are not gated.
 #  14. examples: every file under examples/ runs to a zero exit (clippy
 #      only compiles them). access_patterns drives the app-centric
 #      baseline, montage_workflow the Stacker- and KnowAc-like ones.
@@ -207,7 +213,7 @@ rss = result["metrics"]["peak_rss_mib"]["value"]
 print(f"correct {correct}, peak_rss_mib {rss:.1f} (ceiling 90)")
 sys.exit(0 if correct and rss <= 90 else 1)'
 
-echo "== sim_pipeline gate: hit ratio, seed 7 =="
+echo "== sim_pipeline gate: hit ratio and ingest locks per event, seed 7 =="
 CARGO_TARGET_DIR=.bench_build \
 python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 \
     | tail -n 1 \
@@ -215,6 +221,13 @@ python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 0 
 hit = json.load(sys.stdin)["metrics"]["hit_ratio"]["value"]
 print(f"hit_ratio {hit:.3f} (floor 0.95)")
 sys.exit(0 if hit >= 0.95 else 1)'
+CARGO_TARGET_DIR=.bench_build \
+python3 hfbench/run.py --workload sim_pipeline --seed 7 --seconds 0.1 --trace 1 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+locks = json.load(sys.stdin)["metrics"]["ingest.locks_per_event"]["value"]
+print(f"ingest.locks_per_event {locks:.3f} (want 6.709)")
+sys.exit(0 if round(locks, 3) == 6.709 else 1)'
 
 echo "== sim_large_file layer counts: decisions unchanged, seed 7 =="
 CARGO_TARGET_DIR=.bench_build \
@@ -223,9 +236,10 @@ python3 hfbench/run.py --workload sim_large_file --seed 7 --seconds 0.1 --trace 
     | python3 -c 'import json, sys
 metrics = json.load(sys.stdin)["metrics"]
 want = {"engine.passes": 209, "placement.events": 13931,
-        "sim.fetch.transfers": 3844, "effect.prefetch.wasted": 1438}
-got = {name: metrics[name]["value"] for name in want}
-print(" ".join(f"{name} {got[name]:.0f} (want {want[name]})" for name in want))
+        "sim.fetch.transfers": 3844, "effect.prefetch.wasted": 1438,
+        "ingest.locks_per_event": 8.089}
+got = {name: round(metrics[name]["value"], 3) for name in want}
+print(" ".join(f"{name} {got[name]:g} (want {want[name]})" for name in want))
 sys.exit(0 if got == want else 1)'
 
 echo "== examples: run each, fail on a non-zero exit =="
