@@ -18,6 +18,7 @@ use std::sync::Arc;
 use bytes_alias::Bytes;
 use parking_lot::Mutex;
 use tiers::backend::StorageBackend;
+use tiers::buffers;
 use tiers::error::Result;
 use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
@@ -189,10 +190,11 @@ impl PosixShim {
     /// Positional write to the backing store; grows the registered file
     /// size and emits a `Write` event if the file is watched (triggering
     /// invalidation of prefetched data upstream). The caller keeps `data`,
-    /// so this is where a write's bytes are copied, once.
+    /// so this is where a write's bytes are copied, once, into a pooled
+    /// buffer when one fits ([`tiers::buffers`]).
     pub fn fwrite_at(&self, handle: &FileHandle, offset: u64, data: &[u8]) -> Result<()> {
         debug_assert!(handle.mode.writes(), "fwrite on read-only handle");
-        self.backing.write(handle.file, offset, Bytes::copy_from_slice(data))?;
+        self.backing.write(handle.file, offset, buffers::copy(data))?;
         self.registry.set_size(handle.file, offset + data.len() as u64);
         if self.watches.is_watched(handle.file) {
             self.queue.push(AccessEvent::write(
@@ -242,20 +244,36 @@ impl PosixShim {
     /// Convenience: create a file of `size` bytes filled with a
     /// deterministic pattern directly on the backing store (bypassing
     /// events) — how tests and workload drivers stage input datasets.
+    ///
+    /// Byte `o` of a staged file is `o % 251`. Chunks are
+    /// [`buffers::BUFFER_BYTES`] long, so each can be a pooled buffer.
     pub fn stage_file(&self, path: impl AsRef<Path>, size: u64) -> Result<FileId> {
         let file = self.registry.register_with_size(&path, size);
-        const CHUNK: usize = 1 << 20;
-        // Byte `o` is `o % 251`: every chunk is a window of one periodic
-        // pattern, starting `offset % 251` bytes in.
-        let pattern: Vec<u8> = (0..CHUNK + 251).map(|i| (i % 251) as u8).collect();
         let mut offset = 0u64;
         while offset < size {
-            let len = CHUNK.min((size - offset) as usize);
-            let at = (offset % 251) as usize;
-            self.backing.write(file, offset, Bytes::copy_from_slice(&pattern[at..at + len]))?;
+            let len = buffers::BUFFER_BYTES.min((size - offset) as usize);
+            let chunk = buffers::filled(len, |buf| fill_pattern(buf, offset));
+            self.backing.write(file, offset, chunk)?;
             offset += len as u64;
         }
         Ok(file)
+    }
+}
+
+/// Writes bytes `offset..offset + buf.len()` of the staging pattern into
+/// `buf`. The pattern repeats every 251 bytes, so one period is written
+/// and then doubled in place.
+fn fill_pattern(buf: &mut [u8], offset: u64) {
+    const PERIOD: usize = 251;
+    let phase = (offset % PERIOD as u64) as usize;
+    let mut filled = PERIOD.min(buf.len());
+    for (i, byte) in buf[..filled].iter_mut().enumerate() {
+        *byte = ((phase + i) % PERIOD) as u8;
+    }
+    while filled < buf.len() {
+        let len = filled.min(buf.len() - filled);
+        buf.copy_within(..len, filled);
+        filled += len;
     }
 }
 
@@ -364,6 +382,22 @@ mod tests {
         }
         assert_eq!(shim.registry().size_of(f), (1 << 20) + 123);
         shim.fclose(&h);
+    }
+
+    #[test]
+    fn a_staged_file_holds_the_pattern_at_every_byte() {
+        let (shim, _q) = shim_with_queue();
+        let size = 2 * buffers::BUFFER_BYTES as u64 + 300;
+        let f = shim.stage_file("/all", size).unwrap();
+        let bytes = shim.backing().read(f, ByteRange::new(0, size)).unwrap();
+        for (o, b) in bytes.iter().enumerate() {
+            assert_eq!(*b, (o % 251) as u8, "byte {o}");
+        }
+        for len in [0, 1, 250, 251, 252, 503, 1000] {
+            let mut buf = vec![0xFF; len];
+            fill_pattern(&mut buf, 1000);
+            assert!(buf.iter().enumerate().all(|(i, &b)| b == ((1000 + i) % 251) as u8), "len {len}");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
+use crate::buffers;
 use crate::error::{Result, TierError};
 use crate::ids::FileId;
 use crate::interval::IntervalSet;
@@ -144,7 +145,8 @@ impl MemFile {
 
     /// Removes `range` from the file and returns the bytes removed. An
     /// extent cut in two keeps copies of its surviving head and tail, so no
-    /// buffer outlives the bytes it holds.
+    /// buffer outlives the bytes it holds. Each removed extent is offered
+    /// to the buffer pool, which takes it only from its last handle.
     fn cut(&mut self, range: ByteRange) -> u64 {
         if range.is_empty() {
             return 0;
@@ -163,8 +165,19 @@ impl MemFile {
                 self.extents.insert(range.end(), Bytes::copy_from_slice(clip(start, &data, tail)));
             }
             removed += clip(start, &data, range).len() as u64;
+            buffers::recycle(data);
         }
         removed
+    }
+}
+
+/// A file let go of (deleted, emptied, or dropped with its backend) offers
+/// its extents' buffers to the pool.
+impl Drop for MemFile {
+    fn drop(&mut self) {
+        for data in std::mem::take(&mut self.extents).into_values() {
+            buffers::recycle(data);
+        }
     }
 }
 
@@ -178,6 +191,10 @@ impl MemFile {
 /// of its own after releasing the tier lock, so no handle a read hands out
 /// keeps more bytes alive than it shows. Under the lock a write only cuts
 /// and inserts extents, and a read only clones extent handles.
+///
+/// Every extent the backend lets go of, by an overwrite, an eviction, a
+/// delete or its own drop, is offered to [`buffers`]; the pool reuses a
+/// buffer only once no reader or other tier holds a handle to it.
 #[derive(Default)]
 pub struct MemoryBackend {
     files: RwLock<HashMap<FileId, MemFile>>,
@@ -550,6 +567,30 @@ mod tests {
         assert!(!inside.contains(&(part.as_ptr() as usize)), "a sub-range read has its own buffer");
         assert_eq!(&part[..], &whole[100..1100]);
         assert_eq!(b.held_bytes(), b.used_bytes());
+    }
+
+    #[test]
+    fn a_reader_s_handle_survives_eviction_and_a_pooled_overwrite() {
+        use crate::buffers::{self, BUFFER_BYTES};
+        let b = MemoryBackend::new();
+        let (f, spare) = (FileId(6), FileId(7));
+        let whole = ByteRange::new(0, BUFFER_BYTES as u64);
+        b.write(f, 0, buffers::filled(BUFFER_BYTES, |buf| buf.fill(0x11))).unwrap();
+        let reader = b.read(f, whole).unwrap();
+        assert_eq!(b.evict(f, whole).unwrap(), BUFFER_BYTES as u64);
+        // An extent nobody reads goes to the pool, so the overwrite below
+        // has a pooled buffer to take.
+        b.write(spare, 0, buffers::filled(BUFFER_BYTES, |buf| buf.fill(0x22))).unwrap();
+        b.delete(spare).unwrap();
+        let rewrite = buffers::copy(&[0x33; BUFFER_BYTES]);
+        assert!(!std::ptr::eq(rewrite.as_ptr(), reader.as_ptr()), "a held buffer was reused");
+        b.write(f, 0, rewrite).unwrap();
+        assert!(reader.iter().all(|&byte| byte == 0x11), "the reader's bytes changed");
+        // An overwrite in place cuts the extent a second reader holds.
+        let second = b.read(f, whole).unwrap();
+        b.write(f, 0, buffers::copy(&[0x44; BUFFER_BYTES])).unwrap();
+        assert!(second.iter().all(|&byte| byte == 0x33), "the second reader's bytes changed");
+        assert!(b.read(f, whole).unwrap().iter().all(|&byte| byte == 0x44));
     }
 
     /// Dense reference model of one tier: per file, a payload buffer and a

@@ -16,6 +16,8 @@
 //! * thread-safe capacity accounting ([`capacity`]),
 //! * pluggable storage backends — in-memory and real-directory (tmpfs/NVMe)
 //!   ([`backend`]),
+//! * a process-wide pool of 1 MiB payload buffers, so the real data path
+//!   reuses the pages of the extents memory tiers let go of ([`buffers`]),
 //! * a data mover that copies ranges between backends, with bounded
 //!   retry-with-backoff for transient failures ([`mover`]),
 //! * a deterministic, seeded fault-injection layer: per-operation
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod buffers;
 pub mod capacity;
 pub mod error;
 pub mod faults;

@@ -189,6 +189,37 @@ fn many_agents_concurrently() {
     finish(server);
 }
 
+/// A dropped server's memory tiers give their 1 MiB extents back to the
+/// process-wide buffer pool, so a second server stages and writes into
+/// buffers the first one used. Each must serve only its own bytes.
+#[test]
+fn a_second_server_serves_its_own_bytes_from_recycled_buffers() {
+    let run = |key: u8| {
+        let server = server();
+        let shim = Arc::clone(server.shim());
+        shim.stage_file("/reused", mib(6)).unwrap();
+        let agent = HFetchAgent::new(Arc::clone(server.inner()), Arc::clone(&shim), ProcessId(0), AppId(0));
+        let h = agent.open("/reused");
+        server.quiesce();
+        let (w, _) = shim.fopen("/reused", hfetch::events::shim::OpenMode::Write, ProcessId(9), AppId(9));
+        shim.fwrite_at(&w, mib(2), &vec![key; mib(1) as usize]).unwrap();
+        shim.fclose(&w);
+        server.quiesce();
+        for i in 0..6 {
+            let data = agent.read(&h, ByteRange::new(mib(i), mib(1))).unwrap();
+            if i == 2 {
+                assert!(data.iter().all(|&b| b == key), "server {key:#x}: rewritten region");
+            } else {
+                assert_eq!(&data[..], &expected(mib(i), mib(1) as usize)[..], "server {key:#x}: region {i}");
+            }
+        }
+        agent.close(&h);
+        finish(server);
+    };
+    run(0xA1);
+    run(0xB2);
+}
+
 /// A cache backend whose writes wait while its gate is closed, so a test
 /// can hold one copy in flight for as long as it needs.
 #[derive(Default)]
